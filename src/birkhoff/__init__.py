@@ -39,7 +39,6 @@ from .hamiltonian import (
     Monomial,
     ResonanceConfig,
     apply_phase_filter,
-    canonicalize,
     h0,
     h1,
     momentum,

@@ -99,10 +99,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         mode = AssumptionMode(merged["assumption_mode"])
     except ValueError as exc:
         raise CliError(f"unknown assumption mode {merged['assumption_mode']}") from exc
-    cfg = RunConfig(
-        int(merged["dim"]), int(merged["K"]), int(merged["N"]), mode,
-        int(merged["cap"]),
-    )
+    try:
+        dim, K, N, cap = (int(merged[k]) for k in ("dim", "K", "N", "cap"))
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"dim, K, N and cap must be integers: {exc}") from exc
+    cfg = RunConfig(dim, K, N, mode, cap)
     if cfg.dim < 1 or cfg.K < 1 or cfg.N < 0 or cfg.cap < 1:
         raise CliError("need dim >= 1, K >= 1, N >= 0, cap >= 1")
     return cfg
@@ -172,22 +173,34 @@ def cmd_f_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_ledger(path: str, m: int, ell: int, ec: EvalConfig) -> Kernel:
+    """The total of a saved expand ledger made at exactly this request."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        recorded = {"m": data["m"], "ell": data["ell"], **data["config"]}
+        total = Kernel.from_json(data["total"])
+    except (OSError, json.JSONDecodeError, KeyError, TypeError,
+            ValueError) as exc:
+        raise CliError(f"cannot read ledger {path}: {exc}") from exc
+    for key, want in {"m": m, "ell": ell, **ec.to_json()}.items():
+        if recorded.get(key) != want:
+            raise CliError(f"ledger {path} has {key} {recorded.get(key)!r}, "
+                           f"the request {want!r}")
+    if total.lattice != ec.lattice:
+        raise CliError(f"ledger {path} total is not on its config's lattice")
+    return total.with_cutoff(ec.cutoff)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     if args.m < 1 or args.ell <= args.m:
         raise CliError("need 1 <= m < ell")
     ec = cfg.eval_config(2 * args.ell)
+    # a saved ledger is checked against the request before the oracle runs
+    total = _read_ledger(args.ledger, args.m, args.ell, ec) if args.ledger else None
     oracle = birkhoff_iterate(args.m, args.ell, ec)
-    if args.ledger:
-        try:
-            with open(args.ledger, encoding="utf-8") as fh:
-                data = json.load(fh)
-            total = Kernel.from_json(data["total"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                ValueError) as exc:
-            raise CliError(f"cannot read ledger {args.ledger}: {exc}") from exc
-        total = total.with_cutoff(ec.cutoff)
-    else:
+    if total is None:
         total = normal_form(args.m, args.ell, ec).total
     report = compare(total, oracle.normal_form)
     checks = {"normal_form": report.equal}
@@ -275,10 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        _note(f"error: {exc}")
-        return 2
-    except (EnumerationCapError, ValueError) as exc:
+    except (CliError, EnumerationCapError) as exc:
         _note(f"error: {exc}")
         return 2
 

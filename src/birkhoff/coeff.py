@@ -81,8 +81,3 @@ class GaussianRational:
     @staticmethod
     def from_json(data: dict) -> "GaussianRational":
         return GaussianRational(Fraction(data["re"]), Fraction(data["im"]))
-
-
-ZERO = GaussianRational.of(0)
-ONE = GaussianRational.of(1)
-I = GaussianRational.of(0, 1)

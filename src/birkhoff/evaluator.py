@@ -12,16 +12,22 @@ On top of pi sit the generator ledgers F_i (sum over n-rooted trees of
 degree 2(i+1), weights 1/S), the truncated normal form (kinetic term plus
 sums over the res_below / circ_exact / circ_range classes at index m + 2),
 and the cancellation check {h0, F_i} + non-resonant circ_exact block = 0.
+All three are one weighted sum, ``_assemble``.
+
+``EvalConfig`` is frozen and holds no state.  Kernels are memoized at
+module level: ``h0``/``h1`` per (lattice, cutoff), and each tree's kernel
+per (config, rendered tree), so every ledger built in one process for the
+same config shares its subtrees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .enumeration import (
-    TreeSet,
     circ_exact,
     circ_range,
     n_exact,
@@ -56,28 +62,39 @@ from .trees import (
 CLASS_INDEX_OFFSET = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
     lattice: ModeLattice
     resonance: ResonanceConfig
     cutoff: int
     mode: AssumptionMode = DEFAULT_MODE
-    _cache: dict[str, Kernel] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.cutoff < 4 or self.cutoff % 2:
             raise ValueError("cutoff must be an even integer >= 4")
 
+    def to_json(self) -> dict:
+        return {
+            "dim": self.lattice.dim,
+            "radius": self.lattice.radius,
+            "threshold": self.resonance.threshold,
+            "cutoff": self.cutoff,
+            "assumption_mode": self.mode.value,
+        }
+
     def h0(self) -> Kernel:
-        return self._memo("=h0", lambda: h0(self.lattice, self.cutoff))
+        return _base_kernels(self.lattice, self.cutoff)[0]
 
     def h1(self) -> Kernel:
-        return self._memo("=h1", lambda: h1(self.lattice, self.cutoff))
+        return _base_kernels(self.lattice, self.cutoff)[1]
 
-    def _memo(self, key: str, build) -> Kernel:
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+
+@functools.cache
+def _base_kernels(lattice: ModeLattice, cutoff: int) -> tuple[Kernel, Kernel]:
+    return h0(lattice, cutoff), h1(lattice, cutoff)
+
+
+_KERNELS: dict[tuple[EvalConfig, str], Kernel] = {}
 
 
 def pi(tree: Tree, cfg: EvalConfig) -> Kernel:
@@ -94,32 +111,22 @@ def pi(tree: Tree, cfg: EvalConfig) -> Kernel:
 
 
 def _pi(tree: Tree, cfg: EvalConfig) -> Kernel:
-    key = render(tree)
-    if key in cfg._cache:
-        return cfg._cache[key]
+    key = (cfg, render(tree))
+    out = _KERNELS.get(key)
+    if out is not None:
+        return out
     dec = tree.decoration
-    if tree.is_leaf:
-        if dec is Decoration.K:
-            out = cfg.h0()
-        elif dec is Decoration.CIRC:
-            out = cfg.h1()
-        elif dec is Decoration.R:
-            out = split_resonant(cfg.h1(), cfg.resonance).res
-        else:
-            out = apply_phase_filter(cfg.h1(), cfg.resonance).scale(
-                GENERATOR_SCALE
-            )
+    if not tree.is_leaf:
+        out = poisson_bracket(_pi(tree.left, cfg), _pi(tree.right, cfg))
+    elif dec is Decoration.K:
+        out = cfg.h0()
     else:
-        bracket = poisson_bracket(_pi(tree.left, cfg), _pi(tree.right, cfg))
-        if dec is Decoration.CIRC:
-            out = bracket
-        elif dec is Decoration.R:
-            out = split_resonant(bracket, cfg.resonance).res
-        else:
-            out = apply_phase_filter(bracket, cfg.resonance).scale(
-                GENERATOR_SCALE
-            )
-    cfg._cache[key] = out
+        out = cfg.h1()
+    if dec is Decoration.R:
+        out = split_resonant(out, cfg.resonance).res
+    elif dec is Decoration.N:
+        out = apply_phase_filter(out, cfg.resonance).scale(GENERATOR_SCALE)
+    _KERNELS[key] = out
     return out
 
 
@@ -141,13 +148,7 @@ class ExpansionLedger:
         return {
             "m": self.m,
             "ell": self.ell,
-            "config": {
-                "dim": cfg.lattice.dim,
-                "radius": cfg.lattice.radius,
-                "threshold": cfg.resonance.threshold,
-                "cutoff": cfg.cutoff,
-                "assumption_mode": cfg.mode.value,
-            },
+            "config": cfg.to_json(),
             "entries": [
                 {
                     "tree": render(e.tree),
@@ -161,7 +162,8 @@ class ExpansionLedger:
         }
 
 
-def _assemble(trees: TreeSet, cfg: EvalConfig, **meta) -> ExpansionLedger:
+def _assemble(trees: Iterable[Tree], cfg: EvalConfig, **meta) -> ExpansionLedger:
+    """Ledger of the trees, each weighted 1/S, and their weighted sum."""
     entries = []
     total = Kernel.zero(cfg.lattice, cfg.cutoff)
     for t in trees:
@@ -192,32 +194,26 @@ def normal_form(m: int, ell: int, cfg: EvalConfig) -> ExpansionLedger:
     if cfg.cutoff != 2 * ell:
         raise ValueError("cfg.cutoff must equal 2*ell")
     idx = m + CLASS_INDEX_OFFSET
-    trees = list(tree_class(res_below(idx), cfg.mode)) + list(
-        tree_class(circ_exact(idx), cfg.mode)
-    )
+    trees = [
+        leaf(Decoration.K),
+        *tree_class(res_below(idx), cfg.mode),
+        *tree_class(circ_exact(idx), cfg.mode),
+    ]
     if idx < ell:
-        trees += list(tree_class(circ_range(idx, ell), cfg.mode))
-    entries = [LedgerEntry(leaf(Decoration.K), Fraction(1), cfg.h0())]
-    total = cfg.h0()
-    for t in trees:
-        weight = Fraction(1, symmetry_factor(t, 0, cfg.mode))
-        kernel = pi(t, cfg)
-        entries.append(LedgerEntry(t, weight, kernel))
-        total = total + kernel.scale(weight)
-    return ExpansionLedger(tuple(entries), total, m=m, ell=ell)
+        trees += tree_class(circ_range(idx, ell), cfg.mode)
+    return _assemble(trees, cfg, m=m, ell=ell)
 
 
 def cancellation_check(i: int, cfg: EvalConfig) -> Kernel:
-    """Residual of {h0, F_i} + sum over circ_exact(i+1) of nonres(pi)/S.
+    """Residual of {h0, F_i} + nonres(sum over circ_exact(i+1) of pi/S).
 
     The defining property of the generators is that this residual is the
     zero kernel: the bracket with the kinetic term cancels the targeted
-    non-resonant block exactly.
+    non-resonant block exactly.  The split is linear, so taking the
+    non-resonant part of the weighted sum equals summing the parts.
     """
     f = f_transform(i, cfg)
-    residual = poisson_bracket(cfg.h0(), f.total)
-    for t in tree_class(circ_exact(i + 1), cfg.mode):
-        weight = Fraction(1, symmetry_factor(t, 0, cfg.mode))
-        nonres = split_resonant(pi(t, cfg), cfg.resonance).nonres
-        residual = residual + nonres.scale(weight)
-    return residual
+    block = _assemble(tree_class(circ_exact(i + 1), cfg.mode), cfg).total
+    return poisson_bracket(cfg.h0(), f.total) + split_resonant(
+        block, cfg.resonance
+    ).nonres

@@ -257,11 +257,6 @@ class Kernel:
         return Kernel(lattice, data["max_degree"], terms)
 
 
-def canonicalize(kernel: Kernel) -> Kernel:
-    """Rebuild the kernel; idempotent by construction."""
-    return Kernel(kernel.lattice, kernel.max_degree, dict(kernel._terms))
-
-
 def h0(lattice: ModeLattice, cutoff: int) -> Kernel:
     """Kinetic kernel: (i/2) |k|^2 per mode pair (u_k, ubar_k)."""
     terms = {}

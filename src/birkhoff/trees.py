@@ -116,12 +116,6 @@ def degree(tree: Tree) -> int:
     return degree(tree.left) + degree(tree.right) - 2
 
 
-def leftmost_leaf(tree: Tree) -> Tree:
-    while not tree.is_leaf:
-        tree = tree.left
-    return tree
-
-
 class AssumptionMode(enum.Enum):
     """Reading of the nested size comparison in validity rule (i)."""
 

@@ -101,11 +101,36 @@ class TestVerify:
         ledger = tmp_path / "ledger.json"
         run(capsys, "expand", "--m", "1", "--ell", "3", "--N", "3",
             "--out", str(ledger))
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "verify", "--m", "1", "--ell", "3",
             "--ledger", str(ledger),
         )
-        assert code == 1
+        assert code == 2 and "threshold" in err
+
+    @pytest.mark.parametrize("field, flags", [
+        ("ell", ("--ell", "4")),
+        ("dim", ("--dim", "2", "--K", "1")),
+        ("assumption_mode", ("--assumption-mode", "nested-ge")),
+    ])
+    def test_ledger_config_mismatch(self, capsys, tmp_path, field, flags):
+        ledger = tmp_path / "ledger.json"
+        run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
+        code, out, err = run(
+            capsys, "verify", "--m", "1", "--ell", "3", *flags,
+            "--ledger", str(ledger),
+        )
+        assert code == 2 and f"has {field} " in err and out == ""
+
+    def test_ledger_total_off_its_lattice(self, capsys, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
+        data = json.loads(ledger.read_text())
+        data["total"]["radius"] = 3
+        ledger.write_text(json.dumps(data))
+        code, _, err = run(
+            capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
+        )
+        assert code == 2 and "lattice" in err
 
     def test_corrupted_ledger(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -181,3 +206,12 @@ class TestConfigPrecedence:
         code, _, _ = run(capsys, "expand", "--m", "1", "--ell", "3",
                          "--K", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("value", [None, "x"])
+    def test_non_integer_value(self, capsys, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": value}))
+        code, _, err = run(
+            capsys, "f-transform", "--m", "1", "--config", str(cfg)
+        )
+        assert code == 2 and "integers" in err

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -105,9 +106,16 @@ class TestPi:
 
     def test_cache_hits(self):
         cfg = make_cfg()
-        pi(parse("(o (o (k) (n)) (n))"), cfg)
-        assert "(o (k) (n))" in cfg._cache
-        assert "(n)" in cfg._cache
+        t = parse("(o (o (k) (n)) (n))")
+        assert pi(t, cfg) is pi(t, cfg)
+        assert pi(t, make_cfg()) is pi(t, cfg)
+
+    def test_config_is_a_frozen_value(self):
+        used, fresh = make_cfg(), make_cfg()
+        pi(parse("(o (o) (n))"), used)
+        assert used == fresh and hash(used) == hash(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            used.cutoff = 6
 
 
 class TestFTransform:

@@ -14,7 +14,6 @@ from birkhoff.hamiltonian import (
     Monomial,
     ResonanceConfig,
     apply_phase_filter,
-    canonicalize,
     h0,
     h1,
     momentum,
@@ -285,10 +284,6 @@ class TestSplitAndFilter:
 
 
 class TestKernelValue:
-    def test_canonicalize_idempotent(self):
-        a = h1(LAT2, 4)
-        assert canonicalize(canonicalize(a)) == canonicalize(a) == a
-
     def test_additive_inverse(self):
         a = h1(LAT2, 4)
         assert (a + (-a)).is_zero

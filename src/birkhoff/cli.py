@@ -127,9 +127,8 @@ def cmd_trees(args: argparse.Namespace) -> int:
     kind = ClassKind(args.kind)
     if kind is ClassKind.CIRC_RANGE and args.ell is None:
         raise CliError("--ell is required for circ-range")
-    ell = args.ell if kind is ClassKind.CIRC_RANGE else None
     try:
-        query = TreeClassQuery(kind, args.m, ell)
+        query = TreeClassQuery(kind, args.m, args.ell)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     ts = tree_class(query, cfg.mode, cfg.cap)

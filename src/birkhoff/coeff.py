@@ -65,9 +65,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.real) or bool(self.imag)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
-
     def magnitude_key(self) -> Fraction:
         """|re| + |im|; used to rank entries in diff reports."""
         return abs(self.real) + abs(self.imag)

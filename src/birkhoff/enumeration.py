@@ -8,8 +8,9 @@ The classes are:
 * ``circ_range(m, ell)``: root circ, 2m < degree <= 2*ell, containing no
   internal n-node of degree >= 2m (higher-order range terms).
 
-Generation is a degree-indexed dynamic program with early pruning on the
-validity rules; ``graft_comb`` implements the left-comb construction used
+Generation is a degree-indexed dynamic program: each new node joins two
+smaller trees and is kept only if :func:`trees.node_violations` reports
+nothing at it.  ``graft_comb`` implements the left-comb construction used
 as an independent cross-check.
 """
 
@@ -30,9 +31,10 @@ from .trees import (
     iter_nodes,
     leaf,
     node,
+    node_violations,
     render,
     symmetry_factor,
-    validate_tree,
+    validate_tree,  # unused here, but bench/layers.py wraps this binding
 )
 
 DEFAULT_CAP = 10**6
@@ -120,47 +122,17 @@ def _subtree_pools(
         for dec in (Decoration.CIRC, Decoration.N, Decoration.R):
             add(4, leaf(dec))
     for d in range(4, max_degree + 1, 2):
-        # right child first: it never has degree 2, so only lower pools
-        # feed it; the k-left case (d1 = 2) can then reuse pools[d].
         for root in (Decoration.N, Decoration.R, Decoration.CIRC):
-            for d1 in sorted(pools):
-                d2 = d + 2 - d1
-                if d2 < 4 or d2 > d or (d1 == 2 and root is not Decoration.CIRC):
-                    continue
-                if d1 == 2 and d2 == d and root is Decoration.CIRC:
-                    rights = list(pools.get(d, ()))
-                else:
-                    rights = pools.get(d2, ())
-                for t1 in pools[d1]:
-                    if not _left_ok(root, t1, d1, d2, mode):
-                        continue
+            for d1 in range(2, d + 1, 2):
+                # copies: pools[d] grows while its own trees are children
+                lefts = list(pools.get(d1, ()))
+                rights = list(pools.get(d + 2 - d1, ()))
+                for t1 in lefts:
                     for t2 in rights:
-                        if t2.decoration is Decoration.N:
-                            add(d, node(root, t1, t2))
+                        t = node(root, t1, t2)
+                        if not node_violations(t, False, mode):
+                            add(d, t)
     return pools
-
-
-def _left_ok(
-    root: Decoration, t1: Tree, d1: int, d2: int, mode: AssumptionMode
-) -> bool:
-    if t1.decoration is Decoration.K:
-        return root is Decoration.CIRC
-    if t1.decoration is Decoration.R:
-        return d1 < d2
-    if t1.decoration is Decoration.CIRC:
-        if d1 < d2:
-            return False
-        if not t1.is_leaf:
-            d3 = degree(t1.right)
-            return d3 <= d2 if mode is AssumptionMode.NESTED_LE else d3 >= d2
-        return True
-    return False
-
-
-def _standalone(t: Tree) -> bool:
-    # a circ root with a k left child needs a parent; everything else in
-    # the pools is valid on its own, including the bare k-leaf.
-    return t.is_leaf or t.left.decoration is not Decoration.K
 
 
 def enumerate_valid(
@@ -172,16 +144,22 @@ def enumerate_valid(
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
     pools = _subtree_pools(max_degree, mode, cap)
-    trees = [t for pool in pools.values() for t in pool if _standalone(t)]
+    trees = [
+        t
+        for pool in pools.values()
+        for t in pool
+        if not node_violations(t, True, mode)
+    ]
     trees.sort(key=canonical_key)
     return TreeSet(tuple(trees), f"valid(max_degree={max_degree})", mode)
 
 
-_ROOT_OF_KIND = {
-    ClassKind.RES_BELOW: Decoration.R,
-    ClassKind.CIRC_EXACT: Decoration.CIRC,
-    ClassKind.N_EXACT: Decoration.N,
-    ClassKind.CIRC_RANGE: Decoration.CIRC,
+# each class: its root decoration and its degree window lo < degree <= hi
+_CLASSES = {
+    ClassKind.RES_BELOW: (Decoration.R, lambda q: (0, 2 * q.m - 2)),
+    ClassKind.CIRC_EXACT: (Decoration.CIRC, lambda q: (2 * q.m - 2, 2 * q.m)),
+    ClassKind.N_EXACT: (Decoration.N, lambda q: (2 * q.m - 2, 2 * q.m)),
+    ClassKind.CIRC_RANGE: (Decoration.CIRC, lambda q: (2 * q.m, 2 * q.ell)),
 }
 
 
@@ -190,28 +168,15 @@ def tree_class(
     mode: AssumptionMode = DEFAULT_MODE,
     cap: int = DEFAULT_CAP,
 ) -> TreeSet:
-    if query.kind is ClassKind.RES_BELOW:
-        bound = 2 * query.m - 2
-    elif query.kind is ClassKind.CIRC_RANGE:
-        bound = 2 * query.ell
-    else:
-        bound = 2 * query.m
-    root = _ROOT_OF_KIND[query.kind]
-    picked = []
-    for t in enumerate_valid(bound, mode, cap):
-        if t.decoration is not root:
-            continue
-        d = degree(t)
-        if query.kind is ClassKind.RES_BELOW:
-            keep = d < 2 * query.m
-        elif query.kind is ClassKind.CIRC_RANGE:
-            keep = 2 * query.m < d <= 2 * query.ell and not _has_big_n_node(
-                t, 2 * query.m
-            )
-        else:
-            keep = d == 2 * query.m
-        if keep:
-            picked.append(t)
+    root, window = _CLASSES[query.kind]
+    lo, hi = window(query)
+    picked = [
+        t
+        for t in enumerate_valid(hi, mode, cap)
+        if t.decoration is root and lo < degree(t) <= hi
+    ]
+    if query.kind is ClassKind.CIRC_RANGE:
+        picked = [t for t in picked if not _has_big_n_node(t, 2 * query.m)]
     return TreeSet(tuple(picked), query.describe(), mode)
 
 

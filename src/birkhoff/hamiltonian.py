@@ -227,9 +227,6 @@ class Kernel:
             return NotImplemented
         return self.lattice == other.lattice and self._terms == other._terms
 
-    def __hash__(self):
-        raise TypeError("kernels are not hashable")
-
     def __repr__(self) -> str:
         return f"Kernel({len(self._terms)} terms, cutoff {self.max_degree})"
 

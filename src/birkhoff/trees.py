@@ -18,6 +18,11 @@ Structural rules for a valid tree:
   selected by :class:`AssumptionMode`;
 * (ii) at a node whose left child T1 is rooted r: |T1| < |T2|.
 
+Every rule is local to one node, given its children's decorations and
+subtree degrees, so all of them live in one function,
+:func:`node_violations`.  :func:`validate_tree` walks a tree with it, and
+the enumeration checks each node it builds with it.
+
 The nested |T3|-vs-|T2| comparison of rule (i) defaults to |T3| <= |T2|
 (``AssumptionMode.NESTED_LE``); the opposite reading is available as
 ``AssumptionMode.NESTED_GE``.  The default is pinned by the oracle suite:
@@ -135,47 +140,58 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_tree(tree: Tree, mode: AssumptionMode = DEFAULT_MODE) -> ValidationReport:
-    """Check all structural rules; violations are (node path, rule id).
+def node_violations(
+    t: Tree, is_root: bool, mode: AssumptionMode
+) -> list[tuple[str, str]]:
+    """Rule violations at node t alone, as (path from t, rule id).
 
-    Node paths are strings over {l, r} from the root; rule ids are
-    a, b, c, i, ii as in the module docstring.
+    Each rule reads only t, its children's decorations and its subtree
+    degrees, so a tree is valid exactly when no node reports anything.
+    ``is_root`` matters only to rule (c); a leaf reports nothing.
+    """
+    if t.is_leaf:
+        return []
+    out: list[tuple[str, str]] = []
+    if t.decoration not in INTERNAL_DECORATIONS:
+        out.append(("", "c"))
+    t1, t2 = t.left, t.right
+    if t2.decoration is not Decoration.N:
+        out.append(("r", "a"))
+    if t1.decoration not in LEFT_DECORATIONS:
+        out.append(("l", "b"))
+    if t1.decoration is Decoration.K and (
+        not t1.is_leaf or t.decoration is not Decoration.CIRC or is_root
+    ):
+        out.append(("l", "c"))
+    d1, d2 = degree(t1), degree(t2)
+    if t1.decoration is Decoration.CIRC:
+        if d1 < d2:
+            out.append(("", "i"))
+        if not t1.is_leaf:
+            d3 = degree(t1.right)
+            if not (d3 <= d2 if mode is AssumptionMode.NESTED_LE else d3 >= d2):
+                out.append(("", "i"))
+    elif t1.decoration is Decoration.R and not d1 < d2:
+        out.append(("", "ii"))
+    return out
+
+
+def validate_tree(tree: Tree, mode: AssumptionMode = DEFAULT_MODE) -> ValidationReport:
+    """Check every node with :func:`node_violations`.
+
+    Violations are (node path, rule id); node paths are strings over
+    {l, r} from the root, rule ids a, b, c, i, ii as in the module
+    docstring.
     """
     violations: list[tuple[str, str]] = []
-    stack: list[tuple[Tree, str, bool]] = [(tree, "", True)]
+    stack = [(tree, "")]
     while stack:
-        t, path, is_root = stack.pop()
-        if t.is_leaf:
-            continue
-        if t.decoration not in INTERNAL_DECORATIONS:
-            violations.append((path, "c"))
-        t1, t2 = t.left, t.right
-        if t2.decoration is not Decoration.N:
-            violations.append((path + "r", "a"))
-        if t1.decoration not in LEFT_DECORATIONS:
-            violations.append((path + "l", "b"))
-        if t1.decoration is Decoration.K:
-            if not t1.is_leaf:
-                violations.append((path + "l", "c"))
-            elif t.decoration is not Decoration.CIRC or is_root:
-                violations.append((path + "l", "c"))
-        d1, d2 = degree(t1), degree(t2)
-        if t1.decoration is Decoration.CIRC:
-            if d1 < d2:
-                violations.append((path, "i"))
-            if not t1.is_leaf:
-                d3 = degree(t1.right)
-                if mode is AssumptionMode.NESTED_LE:
-                    ok = d3 <= d2
-                else:
-                    ok = d3 >= d2
-                if not ok:
-                    violations.append((path, "i"))
-        elif t1.decoration is Decoration.R:
-            if not d1 < d2:
-                violations.append((path, "ii"))
-        stack.append((t.right, path + "r", False))
-        stack.append((t.left, path + "l", False))
+        t, path = stack.pop()
+        for where, rule in node_violations(t, not path, mode):
+            violations.append((path + where, rule))
+        if not t.is_leaf:
+            stack.append((t.right, path + "r"))
+            stack.append((t.left, path + "l"))
     return ValidationReport(tuple(sorted(violations)))
 
 

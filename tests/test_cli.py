@@ -31,8 +31,16 @@ class TestTrees:
         assert code == 0
         assert len(json.loads(out)["trees"]) == 2
 
-    def test_circ_range_needs_ell(self, capsys):
-        code, _, err = run(capsys, "trees", "--kind", "circ-range", "--m", "3")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--kind", "circ-range", "--m", "3"),
+            ("--kind", "circ", "--m", "3", "--ell", "9"),
+        ],
+        ids=["range-without-ell", "ell-without-range"],
+    )
+    def test_circ_range_needs_ell(self, capsys, argv):
+        code, _, err = run(capsys, "trees", *argv)
         assert code == 2 and "ell" in err
 
     def test_latex_renders(self, capsys):

@@ -13,6 +13,7 @@ from birkhoff.enumeration import (
     tree_class,
 )
 from birkhoff.trees import (
+    AssumptionMode,
     Decoration,
     TreeError,
     degree,
@@ -93,17 +94,18 @@ class TestEnumerateValid:
         big = {render(t) for t in enumerate_valid(12) if degree(t) <= 8}
         assert big == set(canon(enumerate_valid(8)))
 
-    def test_against_naive_generator(self):
+    @pytest.mark.parametrize("mode", list(AssumptionMode), ids=lambda m: m.value)
+    def test_against_naive_generator(self, mode):
         # independent generate-then-filter oracle: the naive pool applies
         # only the right-child-n and k-placement rules, leaving rules (b),
         # (i), (ii), and the root restriction to validate_tree.
-        for d in (6, 8, 10):
+        for d in (6, 8, 10, 12):
             naive = {
                 render(t)
                 for t in _naive_pool(d)
-                if _naive_standalone(t) and validate_tree(t).valid
+                if _naive_standalone(t) and validate_tree(t, mode).valid
             }
-            assert naive == set(canon(enumerate_valid(d)))
+            assert naive == set(canon(enumerate_valid(d, mode)))
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):

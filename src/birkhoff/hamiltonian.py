@@ -7,6 +7,15 @@ factors) to exact Gaussian-rational coefficients.  The module provides
 the cubic NLS generators, the canonical Poisson bracket, the phase
 function, resonant splitting, and the small-divisor phase filter.
 
+The bracket is the hot path, and it stays exact.  ``poisson_bracket``
+splits each operand once into real and imaginary ``Fraction`` maps and
+writes {A, B} = i*P(A, B) with P a real bilinear contraction, so only
+the products of nonempty parts run; the engine's kernels are purely
+imaginary, which leaves one.  Per call, the right operand's parts are
+indexed by each mode of their u and of their conjugate factors, so only
+monomial pairs that contract are visited; pairs past the degree cutoff
+are dropped before a monomial is built.
+
 Constant conventions, pinned by direct computation (see the test suite):
 
 * ``h0`` carries i/2 per mode and the bracket carries a global i, so for
@@ -22,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .coeff import GaussianRational
@@ -143,15 +153,20 @@ class Kernel:
         self.lattice = lattice
         self.max_degree = max_degree
         clean: dict[Monomial, GaussianRational] = {}
+        modes: set[Mode] = set()
         for m, c in dict(terms).items():
             if not c:
                 continue
-            if m.degree > max_degree:
-                raise ValueError(f"monomial degree {m.degree} above cutoff")
-            for mode in m.u + m.ubar:
-                if mode not in lattice:
-                    raise ValueError(f"mode {mode} outside lattice")
+            degree = len(m.u) + len(m.ubar)
+            if degree > max_degree:
+                raise ValueError(f"monomial degree {degree} above cutoff")
+            modes.update(m.u)
+            modes.update(m.ubar)
             clean[m] = c
+        # each distinct mode is checked once; the smallest bad one is named
+        bad = [mode for mode in modes if mode not in lattice]
+        if bad:
+            raise ValueError(f"mode {min(bad)} outside lattice")
         self._terms = clean
 
     @staticmethod
@@ -289,38 +304,123 @@ def _remove_one(modes: tuple[Mode, ...], k: Mode) -> tuple[Mode, ...]:
     return tuple(out)
 
 
+_ZERO = Fraction(0)
+
+
+def _parts(a: Kernel) -> tuple[dict, dict]:
+    """Real and imaginary coefficient maps of a, zeros left out."""
+    re, im = {}, {}
+    for m, c in a._terms.items():
+        if c.real:
+            re[m] = c.real
+        if c.imag:
+            im[m] = c.imag
+    return re, im
+
+
+def _index(part: dict) -> tuple[dict, dict]:
+    """Entries of part by each mode of their u and of their ubar factors.
+
+    An entry is (degree, the factors left after removing one copy of the
+    mode, the other side's factors, coefficient times the mode's
+    multiplicity).  Each mode's list is sorted by degree, so a caller
+    stops at the first entry above its degree limit.
+    """
+    by_u: dict[Mode, list] = {}
+    by_ubar: dict[Mode, list] = {}
+    for m, c in part.items():
+        u, ubar = m.u, m.ubar
+        d = len(u) + len(ubar)
+        for k in set(u):
+            by_u.setdefault(k, []).append(
+                (d, _remove_one(u, k), ubar, c * u.count(k))
+            )
+        for k in set(ubar):
+            by_ubar.setdefault(k, []).append(
+                (d, _remove_one(ubar, k), u, c * ubar.count(k))
+            )
+    for lists in (by_u, by_ubar):
+        for entries in lists.values():
+            entries.sort(key=itemgetter(0))
+    return by_u, by_ubar
+
+
+def _contract(x: dict, y: tuple[dict, dict], cutoff: int, sign: int,
+              out: dict) -> None:
+    """Add sign * P(x, y) to out, keyed by (u, ubar) tuples.
+
+    P(x, y) = sum_k (d_{u_k} x d_{ubar_k} y - d_{ubar_k} x d_{u_k} y) is
+    the real bilinear contraction; y is given by its ``_index``.
+    """
+    y_by_u, y_by_ubar = y
+    for m1, c1 in x.items():
+        u1, ubar1 = m1.u, m1.ubar
+        # m2 contributes only if deg(m1) + deg(m2) - 2 <= cutoff
+        limit = cutoff + 2 - len(u1) - len(ubar1)
+        for k in set(u1):
+            entries = y_by_ubar.get(k)
+            if entries is None:
+                continue
+            u1k = _remove_one(u1, k)
+            c = c1 * (sign * u1.count(k))
+            for d2, ubar2k, u2, c2 in entries:
+                if d2 > limit:
+                    break
+                key = (tuple(sorted(u1k + u2)), tuple(sorted(ubar1 + ubar2k)))
+                out[key] = out.get(key, _ZERO) + c * c2
+        for k in set(ubar1):
+            entries = y_by_u.get(k)
+            if entries is None:
+                continue
+            ubar1k = _remove_one(ubar1, k)
+            c = c1 * (-sign * ubar1.count(k))
+            for d2, u2k, ubar2, c2 in entries:
+                if d2 > limit:
+                    break
+                key = (tuple(sorted(u1 + u2k)), tuple(sorted(ubar1k + ubar2)))
+                out[key] = out.get(key, _ZERO) + c * c2
+
+
 def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     """{a, b} = i sum_k (d_{u_k} a d_{ubar_k} b - d_{u_k} b d_{ubar_k} a).
 
-    Monomial pairs whose bracket degree 2(p + q - 1) exceeds the cutoff
-    are skipped eagerly and never materialize.
+    Exact and split by bilinearity: with a = ar + i*ai, b = br + i*bi and
+    P the real contraction of ``_contract``, {a, b} = i*P(a, b), so
+
+        imag = P(ar, br) - P(ai, bi),   real = -(P(ar, bi) + P(ai, br)).
+
+    A P with an empty operand is skipped; kernels built from h0 and h1
+    are purely imaginary, so there only P(ai, bi) runs.  Each part of b
+    is indexed by mode once per call, so only monomial pairs that share
+    a contractible mode are visited, and a pair whose bracket degree
+    deg(m1) + deg(m2) - 2 exceeds the cutoff is dropped before any
+    monomial is built.  One Monomial and one GaussianRational are built
+    per output term.
     """
     a._check_compatible(b)
     cutoff = a.max_degree
-    terms: dict[Monomial, GaussianRational] = {}
-
-    def accumulate(m: Monomial, c: GaussianRational) -> None:
-        terms[m] = terms.get(m, GaussianRational()) + c
-
-    for m1, c1 in a._terms.items():
-        for m2, c2 in b._terms.items():
-            if m1.degree + m2.degree - 2 > cutoff:
-                continue
-            factor = GaussianRational.of(0, 1) * c1 * c2
-            for k in set(m1.u) & set(m2.ubar):
-                mult = m1.u.count(k) * m2.ubar.count(k)
-                m = Monomial.of(
-                    _remove_one(m1.u, k) + m2.u,
-                    m1.ubar + _remove_one(m2.ubar, k),
-                )
-                accumulate(m, factor * mult)
-            for k in set(m2.u) & set(m1.ubar):
-                mult = m2.u.count(k) * m1.ubar.count(k)
-                m = Monomial.of(
-                    m1.u + _remove_one(m2.u, k),
-                    _remove_one(m1.ubar, k) + m2.ubar,
-                )
-                accumulate(m, factor * (-mult))
+    ar, ai = _parts(a)
+    br, bi = _parts(b)
+    real: dict = {}
+    imag: dict = {}
+    if br and (ar or ai):
+        br_index = _index(br)
+        if ar:
+            _contract(ar, br_index, cutoff, 1, imag)
+        if ai:
+            _contract(ai, br_index, cutoff, -1, real)
+    if bi and (ar or ai):
+        bi_index = _index(bi)
+        if ar:
+            _contract(ar, bi_index, cutoff, -1, real)
+        if ai:
+            _contract(ai, bi_index, cutoff, -1, imag)
+    terms = {}
+    for key in {**real, **imag}:
+        re = real.get(key, _ZERO)
+        im = imag.get(key, _ZERO)
+        if re or im:
+            terms[Monomial(*key)] = GaussianRational(re, im)
     return Kernel(a.lattice, cutoff, terms)
 
 

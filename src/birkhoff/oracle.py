@@ -175,15 +175,19 @@ class DiffReport:
 
 
 def compare(a: Kernel, b: Kernel, worst: int = 3) -> DiffReport:
-    """Exact coefficient-wise difference a - b."""
+    """Exact coefficient-wise difference a - b.
+
+    The worst monomials are the largest residual entries by
+    ``magnitude_key``; ties go to the smaller ``Monomial.sort_key``, so
+    the report does not depend on the order the kernels were built in.
+    """
     a._check_compatible(b)
     residual = a - b
+    # items() is in sort_key order, and a stable sort keeps it among ties
     ranked = sorted(
-        residual.support(),
-        key=lambda m: ((a.coefficient(m) - b.coefficient(m)).magnitude_key()),
-        reverse=True,
+        residual.items(), key=lambda mc: mc[1].magnitude_key(), reverse=True
     )
     worst_monomials = tuple(
-        (m, a.coefficient(m), b.coefficient(m)) for m in ranked[:worst]
+        (m, a.coefficient(m), b.coefficient(m)) for m, _ in ranked[:worst]
     )
     return DiffReport(residual.is_zero, residual, worst_monomials)

@@ -161,6 +161,41 @@ def random_kernel(rng, lat=LAT2, cutoff=12, terms=3, max_half=3,
     return Kernel(lat, cutoff, entries)
 
 
+LAT_2D = ModeLattice(2, 1)
+COEFF_PARTS = {"real": (1, 0), "imag": (0, 1), "mixed": (1, 1)}
+nonzero_fractions = st.builds(
+    Fraction,
+    st.integers(-6, 6).filter(bool),
+    st.integers(1, 5),
+)
+
+
+@st.composite
+def kernels_2d(draw, cutoff):
+    """Kernels on LAT_2D whose coefficients are all real, all imaginary
+    or all mixed, so each of the bracket's four real products both runs
+    and is skipped on some pair of operands."""
+    has_re, has_im = COEFF_PARTS[draw(st.sampled_from(sorted(COEFF_PARTS)))]
+    modes = st.sampled_from(LAT_2D.modes())
+    entries = {}
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, cutoff // 2))
+        u = draw(st.lists(modes, min_size=n, max_size=n))
+        ubar = draw(st.lists(modes, min_size=n, max_size=n))
+        entries[Monomial.of(u, ubar)] = GR.of(
+            draw(nonzero_fractions) if has_re else 0,
+            draw(nonzero_fractions) if has_im else 0,
+        )
+    return Kernel(LAT_2D, cutoff, entries)
+
+
+@st.composite
+def bracket_operands_2d(draw):
+    # a pair of degrees d1 + d2 - 2 lands on both sides of these cutoffs
+    cutoff = draw(st.sampled_from((4, 6, 8)))
+    return draw(kernels_2d(cutoff)), draw(kernels_2d(cutoff))
+
+
 class TestBracket:
     def test_self_bracket_vanishes(self):
         rng = random.Random(0)
@@ -173,6 +208,12 @@ class TestBracket:
         for _ in range(60):
             a, b = random_kernel(rng), random_kernel(rng)
             assert poisson_bracket(a, b) == naive_bracket(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bracket_operands_2d())
+    def test_against_naive_differentiator_2d(self, operands):
+        a, b = operands
+        assert poisson_bracket(a, b) == naive_bracket(a, b)
 
     def test_explicit_quartic_pair(self):
         a = kernel(LAT1, 6, [(mono([1, 0], [1, 1]), 0, 1)])
@@ -304,6 +345,12 @@ class TestKernelValue:
             Kernel(LAT1, 4, {mono([2], [2]): GR.of(1)})
         with pytest.raises(ValueError):
             Kernel(LAT1, 3, {})
+        # the only bad mode sits in the ubar of the second monomial
+        with pytest.raises(ValueError, match=r"mode \(2,\) outside lattice"):
+            Kernel(LAT1, 4, {
+                mono([1], [1]): GR.of(1),
+                mono([0, 1], [-1, 2]): GR.of(1),
+            })
 
     def test_zero_dropped(self):
         k = Kernel(LAT1, 4, {mono([1], [1]): GR()})

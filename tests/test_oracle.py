@@ -16,7 +16,12 @@ from birkhoff.hamiltonian import (
     phase,
     poisson_bracket,
 )
-from birkhoff.evaluator import EvalConfig, f_transform, normal_form
+from birkhoff.evaluator import (
+    EvalConfig,
+    cancellation_check,
+    f_transform,
+    normal_form,
+)
 from birkhoff.oracle import (
     birkhoff_iterate,
     compare,
@@ -27,9 +32,9 @@ from birkhoff.oracle import (
 )
 
 
-def make_cfg(K_radius=2, threshold=0, cutoff=8):
+def make_cfg(K_radius=2, threshold=0, cutoff=8, dim=1):
     return EvalConfig(
-        ModeLattice(1, K_radius), ResonanceConfig(threshold), cutoff
+        ModeLattice(dim, K_radius), ResonanceConfig(threshold), cutoff
     )
 
 
@@ -231,6 +236,18 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(make_cfg().h1(), make_cfg(K_radius=1).h1())
 
+    def test_ties_ranked_by_monomial(self):
+        # h1 on the 1-D lattice has many equal coefficients
+        cfg = make_cfg(cutoff=4)
+        items = cfg.h1().items()
+        forward = Kernel(cfg.lattice, 4, dict(items))
+        backward = Kernel(cfg.lattice, 4, dict(reversed(items)))
+        zero = Kernel.zero(cfg.lattice, 4)
+        report = compare(forward, zero)
+        assert report.to_json() == compare(backward, zero).to_json()
+        ranked = [m.sort_key() for m, _, _ in report.worst_monomials]
+        assert ranked == sorted(ranked)
+
     def test_json(self):
         report = compare(make_cfg(cutoff=4).h1(), make_cfg(cutoff=4).h1())
         data = report.to_json()
@@ -262,3 +279,32 @@ class TestCentralVerification:
             recs = generators_from_recursion(3, cfg)
             for i in (1, 2, 3):
                 assert compare(f_transform(i, cfg).total, recs[i - 1]).equal
+
+    @pytest.mark.parametrize("m,ell", [(1, 3), (2, 4)])
+    def test_tree_expansion_equals_iteration_dim2(self, m, ell):
+        cfg = make_cfg(K_radius=1, cutoff=2 * ell, dim=2)
+        ledger = normal_form(m, ell, cfg)
+        oracle = birkhoff_iterate(m, ell, cfg)
+        assert compare(ledger.total, oracle.normal_form).equal
+
+    def test_f_transform_and_cancellation_dim2(self):
+        cfg = make_cfg(K_radius=1, cutoff=8, dim=2)
+        recs = generators_from_recursion(3, cfg)
+        for i in (1, 2, 3):
+            assert compare(f_transform(i, cfg).total, recs[i - 1]).equal
+            assert cancellation_check(i, cfg).is_zero
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
+    def test_zero_real_part(self, dim, K_radius):
+        # poisson_bracket skips the products of empty real parts, so on
+        # the engine's kernels only one of its four products runs
+        cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
+        ledger = normal_form(2, 4, cfg)
+        kernels = [e.kernel for e in ledger.entries] + [
+            ledger.total,
+            birkhoff_iterate(2, 4, cfg).normal_form,
+        ]
+        for kernel in kernels:
+            assert all(c.real == 0 for _, c in kernel.items())

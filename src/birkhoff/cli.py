@@ -2,7 +2,8 @@
 
 Subcommands: trees (enumerate a tree class), expand (normal form ledger),
 f-transform (generator ledger), verify (tree expansion versus brute-force
-iteration), render (pretty-print one tree).
+iteration), render (pretty-print one tree).  All but render take the
+configuration flags; --cap bounds the tree enumeration of each.
 
 Configuration precedence: explicit flags > JSON config file (--config or
 the BIRKHOFF_CONFIG environment variable) > defaults (dim 1, K 2, N 0,
@@ -64,7 +65,8 @@ class RunConfig:
 
     def eval_config(self, cutoff: int) -> EvalConfig:
         return EvalConfig(
-            self.lattice(), ResonanceConfig(self.N), cutoff, self.mode
+            self.lattice(), ResonanceConfig(self.N), cutoff, self.mode,
+            self.cap,
         )
 
 
@@ -99,11 +101,14 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         mode = AssumptionMode(merged["assumption_mode"])
     except ValueError as exc:
         raise CliError(f"unknown assumption mode {merged['assumption_mode']}") from exc
-    try:
-        dim, K, N, cap = (int(merged[k]) for k in ("dim", "K", "N", "cap"))
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"dim, K, N and cap must be integers: {exc}") from exc
-    cfg = RunConfig(dim, K, N, mode, cap)
+    # JSON integers only: int() would truncate 1.9 and take true as 1
+    for key in ("dim", "K", "N", "cap"):
+        if type(merged[key]) is not int:
+            raise CliError(f"dim, K, N and cap must be integers: "
+                           f"{key} is {merged[key]!r}")
+    cfg = RunConfig(
+        merged["dim"], merged["K"], merged["N"], mode, merged["cap"]
+    )
     if cfg.dim < 1 or cfg.K < 1 or cfg.N < 0 or cfg.cap < 1:
         raise CliError("need dim >= 1, K >= 1, N >= 0, cap >= 1")
     return cfg
@@ -274,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ledger", help="check a saved expand ledger instead")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("render", parents=[common], help="pretty-print a tree")
+    p = sub.add_parser("render", help="pretty-print a tree")
     p.add_argument("--tree", required=True, help="canonical tree string")
     p.add_argument("--format", default="canonical",
                    choices=["canonical", "latex", "dot"])

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .enumeration import (
+    DEFAULT_CAP,
     circ_exact,
     circ_range,
     n_exact,
@@ -68,6 +69,8 @@ class EvalConfig:
     resonance: ResonanceConfig
     cutoff: int
     mode: AssumptionMode = DEFAULT_MODE
+    # bounds tree enumeration only; kernels and ledgers do not depend on it
+    cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
         if self.cutoff < 4 or self.cutoff % 2:
@@ -178,7 +181,7 @@ def f_transform(i: int, cfg: EvalConfig) -> ExpansionLedger:
     """Generator ledger F_i over n-rooted trees of degree 2(i + 1)."""
     if i < 1:
         raise ValueError("i must be positive")
-    trees = tree_class(n_exact(i + 1), cfg.mode)
+    trees = tree_class(n_exact(i + 1), cfg.mode, cfg.cap)
     return _assemble(trees, cfg, m=i)
 
 
@@ -196,11 +199,11 @@ def normal_form(m: int, ell: int, cfg: EvalConfig) -> ExpansionLedger:
     idx = m + CLASS_INDEX_OFFSET
     trees = [
         leaf(Decoration.K),
-        *tree_class(res_below(idx), cfg.mode),
-        *tree_class(circ_exact(idx), cfg.mode),
+        *tree_class(res_below(idx), cfg.mode, cfg.cap),
+        *tree_class(circ_exact(idx), cfg.mode, cfg.cap),
     ]
     if idx < ell:
-        trees += tree_class(circ_range(idx, ell), cfg.mode)
+        trees += tree_class(circ_range(idx, ell), cfg.mode, cfg.cap)
     return _assemble(trees, cfg, m=m, ell=ell)
 
 
@@ -213,7 +216,8 @@ def cancellation_check(i: int, cfg: EvalConfig) -> Kernel:
     non-resonant part of the weighted sum equals summing the parts.
     """
     f = f_transform(i, cfg)
-    block = _assemble(tree_class(circ_exact(i + 1), cfg.mode), cfg).total
+    trees = tree_class(circ_exact(i + 1), cfg.mode, cfg.cap)
+    block = _assemble(trees, cfg).total
     return poisson_bracket(cfg.h0(), f.total) + split_resonant(
         block, cfg.resonance
     ).nonres

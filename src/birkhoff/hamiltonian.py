@@ -7,14 +7,16 @@ factors) to exact Gaussian-rational coefficients.  The module provides
 the cubic NLS generators, the canonical Poisson bracket, the phase
 function, resonant splitting, and the small-divisor phase filter.
 
-The bracket is the hot path, and it stays exact.  ``poisson_bracket``
-splits each operand once into real and imaginary ``Fraction`` maps and
-writes {A, B} = i*P(A, B) with P a real bilinear contraction, so only
-the products of nonempty parts run; the engine's kernels are purely
-imaginary, which leaves one.  Per call, the right operand's parts are
-indexed by each mode of their u and of their conjugate factors, so only
-monomial pairs that contract are visited; pairs past the degree cutoff
-are dropped before a monomial is built.
+The bracket is the hot path, and it stays exact.  It is built on one
+contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
+conjugate factors of x with the u factors of y; for real x and y,
+{x, y} = i*(Q(y, x) - Q(x, y)).  ``poisson_bracket`` splits each operand
+once into real and imaginary ``Fraction`` maps and runs only the part
+pairs that are both nonempty; the engine's kernels are purely
+imaginary, which leaves one.  Per call, each part is indexed by each
+mode of its u factors, so only monomial pairs that contract are
+visited; pairs past the degree cutoff are dropped before a monomial is
+built.
 
 Constant conventions, pinned by direct computation (see the test suite):
 
@@ -240,7 +242,11 @@ class Kernel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Kernel):
             return NotImplemented
-        return self.lattice == other.lattice and self._terms == other._terms
+        return (
+            self.lattice == other.lattice
+            and self.max_degree == other.max_degree
+            and self._terms == other._terms
+        )
 
     def __repr__(self) -> str:
         return f"Kernel({len(self._terms)} terms, cutoff {self.max_degree})"
@@ -318,16 +324,15 @@ def _parts(a: Kernel) -> tuple[dict, dict]:
     return re, im
 
 
-def _index(part: dict) -> tuple[dict, dict]:
-    """Entries of part by each mode of their u and of their ubar factors.
+def _index(part: dict) -> dict:
+    """Entries of part by each mode of their u factors.
 
-    An entry is (degree, the factors left after removing one copy of the
-    mode, the other side's factors, coefficient times the mode's
-    multiplicity).  Each mode's list is sorted by degree, so a caller
-    stops at the first entry above its degree limit.
+    An entry is (degree, u with one copy of the mode removed, ubar,
+    coefficient times the mode's multiplicity).  Each mode's list is
+    sorted by degree, so a caller stops at the first entry above its
+    degree limit.
     """
     by_u: dict[Mode, list] = {}
-    by_ubar: dict[Mode, list] = {}
     for m, c in part.items():
         u, ubar = m.u, m.ubar
         d = len(u) + len(ubar)
@@ -335,45 +340,28 @@ def _index(part: dict) -> tuple[dict, dict]:
             by_u.setdefault(k, []).append(
                 (d, _remove_one(u, k), ubar, c * u.count(k))
             )
-        for k in set(ubar):
-            by_ubar.setdefault(k, []).append(
-                (d, _remove_one(ubar, k), u, c * ubar.count(k))
-            )
-    for lists in (by_u, by_ubar):
-        for entries in lists.values():
-            entries.sort(key=itemgetter(0))
-    return by_u, by_ubar
+    for entries in by_u.values():
+        entries.sort(key=itemgetter(0))
+    return by_u
 
 
-def _contract(x: dict, y: tuple[dict, dict], cutoff: int, sign: int,
+def _contract(x: dict, y_by_u: dict, cutoff: int, sign: int,
               out: dict) -> None:
-    """Add sign * P(x, y) to out, keyed by (u, ubar) tuples.
+    """Add sign * Q(x, y) to out, keyed by (u, ubar) tuples.
 
-    P(x, y) = sum_k (d_{u_k} x d_{ubar_k} y - d_{ubar_k} x d_{u_k} y) is
-    the real bilinear contraction; y is given by its ``_index``.
+    Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y pairs the ubar factors of x
+    with the u factors of y; y is given by its ``_index``.
     """
-    y_by_u, y_by_ubar = y
     for m1, c1 in x.items():
         u1, ubar1 = m1.u, m1.ubar
         # m2 contributes only if deg(m1) + deg(m2) - 2 <= cutoff
         limit = cutoff + 2 - len(u1) - len(ubar1)
-        for k in set(u1):
-            entries = y_by_ubar.get(k)
-            if entries is None:
-                continue
-            u1k = _remove_one(u1, k)
-            c = c1 * (sign * u1.count(k))
-            for d2, ubar2k, u2, c2 in entries:
-                if d2 > limit:
-                    break
-                key = (tuple(sorted(u1k + u2)), tuple(sorted(ubar1 + ubar2k)))
-                out[key] = out.get(key, _ZERO) + c * c2
         for k in set(ubar1):
             entries = y_by_u.get(k)
             if entries is None:
                 continue
             ubar1k = _remove_one(ubar1, k)
-            c = c1 * (-sign * ubar1.count(k))
+            c = c1 * (sign * ubar1.count(k))
             for d2, u2k, ubar2, c2 in entries:
                 if d2 > limit:
                     break
@@ -384,37 +372,34 @@ def _contract(x: dict, y: tuple[dict, dict], cutoff: int, sign: int,
 def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     """{a, b} = i sum_k (d_{u_k} a d_{ubar_k} b - d_{u_k} b d_{ubar_k} a).
 
-    Exact and split by bilinearity: with a = ar + i*ai, b = br + i*bi and
-    P the real contraction of ``_contract``, {a, b} = i*P(a, b), so
+    Exact and split by bilinearity.  With Q the contraction of
+    ``_contract``, {x, y} = i*(Q(y, x) - Q(x, y)) for real x and y.  So
+    with a = a_0 + i*a_1 and b = b_0 + i*b_1,
 
-        imag = P(ar, br) - P(ai, bi),   real = -(P(ar, bi) + P(ai, br)).
+        {a, b} = sum_{p, q} i^(1 + p + q) * (Q(b_q, a_p) - Q(a_p, b_q)):
 
-    A P with an empty operand is skipped; kernels built from h0 and h1
-    are purely imaginary, so there only P(ai, bi) runs.  Each part of b
-    is indexed by mode once per call, so only monomial pairs that share
-    a contractible mode are visited, and a pair whose bracket degree
-    deg(m1) + deg(m2) - 2 exceeds the cutoff is dropped before any
-    monomial is built.  One Monomial and one GaussianRational are built
-    per output term.
+    the pair (p, q) adds to the imaginary part when p + q is even and to
+    the real part when it is odd, with sign +1 only when p = q = 0.
+    Empty parts are skipped; kernels built from h0 and h1 are purely
+    imaginary, so there only (1, 1) runs.  Each part is indexed by the
+    modes of its u factors once per call, so only monomial pairs that
+    share a contractible mode are visited, and a pair whose bracket
+    degree deg(m1) + deg(m2) - 2 exceeds the cutoff is dropped before
+    any monomial is built.  One Monomial and one GaussianRational are
+    built per output term.
     """
     a._check_compatible(b)
     cutoff = a.max_degree
-    ar, ai = _parts(a)
-    br, bi = _parts(b)
+    a_parts = [(p, x, _index(x)) for p, x in enumerate(_parts(a)) if x]
+    b_parts = [(q, y, _index(y)) for q, y in enumerate(_parts(b)) if y]
     real: dict = {}
     imag: dict = {}
-    if br and (ar or ai):
-        br_index = _index(br)
-        if ar:
-            _contract(ar, br_index, cutoff, 1, imag)
-        if ai:
-            _contract(ai, br_index, cutoff, -1, real)
-    if bi and (ar or ai):
-        bi_index = _index(bi)
-        if ar:
-            _contract(ar, bi_index, cutoff, -1, real)
-        if ai:
-            _contract(ai, bi_index, cutoff, -1, imag)
+    for p, x, x_by_u in a_parts:
+        for q, y, y_by_u in b_parts:
+            sign = 1 if p == q == 0 else -1
+            out = real if (p + q) % 2 else imag
+            _contract(y, x_by_u, cutoff, sign, out)
+            _contract(x, y_by_u, cutoff, -sign, out)
     terms = {}
     for key in {**real, **imag}:
         re = real.get(key, _ZERO)

@@ -83,6 +83,16 @@ class TestExpand:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--m", "2", "--ell", "4"],
+    ["f-transform", "--m", "1"],
+    ["verify", "--m", "1", "--ell", "3"],
+], ids=["expand", "f-transform", "verify"])
+def test_cap_bounds_every_enumeration(capsys, argv):
+    code, _, err = run(capsys, *argv, "--cap", "1")
+    assert code == 2 and "cap" in err
+
+
 class TestVerify:
     def test_full_run(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -165,6 +175,13 @@ class TestRender:
         code, _, err = run(capsys, "render", "--tree", "(o (x) (n))")
         assert code == 2 and "position" in err
 
+    def test_takes_no_config_flags(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--tree", "(o (o) (n))",
+                  "--out", str(tmp_path / "f")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "f").exists()
+
 
 class TestConfigPrecedence:
     def test_config_file(self, capsys, tmp_path):
@@ -215,7 +232,7 @@ class TestConfigPrecedence:
                          "--K", "0")
         assert code == 2
 
-    @pytest.mark.parametrize("value", [None, "x"])
+    @pytest.mark.parametrize("value", [None, "x", 1.9, True])
     def test_non_integer_value(self, capsys, tmp_path, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dim": value}))

@@ -352,6 +352,11 @@ class TestKernelValue:
                 mono([0, 1], [-1, 2]): GR.of(1),
             })
 
+    def test_equality_needs_the_same_cutoff(self):
+        a = Kernel(LAT1, 4, {mono([1], [1]): GR.of(0, 1)})
+        b = Kernel(LAT1, 6, {mono([1], [1]): GR.of(0, 1)})
+        assert a != b and a == b.with_cutoff(4)
+
     def test_zero_dropped(self):
         k = Kernel(LAT1, 4, {mono([1], [1]): GR()})
         assert k.is_zero and len(k) == 0

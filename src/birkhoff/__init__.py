@@ -3,7 +3,6 @@ cubic NLS, verified against a brute-force iteration oracle."""
 
 from .coeff import GaussianRational
 from .trees import (
-    AssumptionMode,
     Decoration,
     ParseError,
     Tree,

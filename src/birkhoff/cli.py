@@ -35,7 +35,7 @@ from .evaluator import (
 )
 from .hamiltonian import Kernel, ModeLattice, ResonanceConfig
 from .oracle import birkhoff_iterate, compare, generators_from_recursion
-from .trees import AssumptionMode, ParseError, parse, render
+from .trees import NESTED_RULE, ParseError, parse, render
 
 CONFIG_ENV = "BIRKHOFF_CONFIG"
 
@@ -43,7 +43,7 @@ _DEFAULTS = {
     "dim": 1,
     "K": 2,
     "N": 0,
-    "assumption_mode": "nested-le",
+    "assumption_mode": NESTED_RULE,
     "cap": DEFAULT_CAP,
 }
 
@@ -57,7 +57,6 @@ class RunConfig:
     dim: int
     K: int
     N: int
-    mode: AssumptionMode
     cap: int
 
     def lattice(self) -> ModeLattice:
@@ -65,8 +64,7 @@ class RunConfig:
 
     def eval_config(self, cutoff: int) -> EvalConfig:
         return EvalConfig(
-            self.lattice(), ResonanceConfig(self.N), cutoff, self.mode,
-            self.cap,
+            self.lattice(), ResonanceConfig(self.N), cutoff, self.cap
         )
 
 
@@ -87,7 +85,11 @@ def _load_config_file(path: str | None) -> dict:
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     merged = dict(_DEFAULTS)
-    merged.update(_load_config_file(args.config))
+    loaded = _load_config_file(args.config)
+    unknown = sorted(set(loaded) - set(_DEFAULTS))
+    if unknown:
+        raise CliError(f"unknown config key {unknown[0]!r}")
+    merged.update(loaded)
     for key, flag in [
         ("dim", args.dim),
         ("K", args.K),
@@ -97,18 +99,17 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     ]:
         if flag is not None:
             merged[key] = flag
-    try:
-        mode = AssumptionMode(merged["assumption_mode"])
-    except ValueError as exc:
-        raise CliError(f"unknown assumption mode {merged['assumption_mode']}") from exc
+    # the flag and key stay for existing command lines; rule (i) has
+    # one reading
+    if merged["assumption_mode"] != NESTED_RULE:
+        raise CliError(f"assumption mode must be {NESTED_RULE}: "
+                       f"{merged['assumption_mode']!r}")
     # JSON integers only: int() would truncate 1.9 and take true as 1
     for key in ("dim", "K", "N", "cap"):
         if type(merged[key]) is not int:
             raise CliError(f"dim, K, N and cap must be integers: "
                            f"{key} is {merged[key]!r}")
-    cfg = RunConfig(
-        merged["dim"], merged["K"], merged["N"], mode, merged["cap"]
-    )
+    cfg = RunConfig(merged["dim"], merged["K"], merged["N"], merged["cap"])
     if cfg.dim < 1 or cfg.K < 1 or cfg.N < 0 or cfg.cap < 1:
         raise CliError("need dim >= 1, K >= 1, N >= 0, cap >= 1")
     return cfg
@@ -136,7 +137,7 @@ def cmd_trees(args: argparse.Namespace) -> int:
         query = TreeClassQuery(kind, args.m, args.ell)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    ts = tree_class(query, cfg.mode, cfg.cap)
+    ts = tree_class(query, cfg.cap)
     payload = ts.to_json()
     if args.format in ("latex", "dot"):
         payload["renders"] = [render(t, args.format) for t in ts]
@@ -191,9 +192,10 @@ def _read_ledger(path: str, m: int, ell: int, ec: EvalConfig) -> Kernel:
         if recorded.get(key) != want:
             raise CliError(f"ledger {path} has {key} {recorded.get(key)!r}, "
                            f"the request {want!r}")
-    if total.lattice != ec.lattice:
-        raise CliError(f"ledger {path} total is not on its config's lattice")
-    return total.with_cutoff(ec.cutoff)
+    if total.lattice != ec.lattice or total.max_degree != ec.cutoff:
+        raise CliError(f"ledger {path} total is not on its config's "
+                       f"lattice and cutoff")
+    return total
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -237,11 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dim", type=int, help="lattice dimension")
     common.add_argument("--K", type=int, help="lattice radius")
     common.add_argument("--N", type=int, help="resonance threshold")
-    common.add_argument(
-        "--assumption-mode",
-        choices=[m.value for m in AssumptionMode],
-        help="reading of the nested size rule",
-    )
+    common.add_argument("--assumption-mode",
+                        help=f"nested size rule; only {NESTED_RULE}")
     common.add_argument("--cap", type=int, help="tree enumeration cap")
     common.add_argument("--config", help="JSON config file path")
     common.add_argument("--out", help="output file (default stdout)")

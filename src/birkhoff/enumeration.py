@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .trees import (
-    AssumptionMode,
-    DEFAULT_MODE,
     Decoration,
     Tree,
     TreeError,
@@ -76,7 +74,6 @@ class TreeClassQuery:
 class TreeSet:
     trees: tuple[Tree, ...]
     query: str
-    mode: AssumptionMode = DEFAULT_MODE
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -89,15 +86,11 @@ class TreeSet:
             "query": self.query,
             "trees": [render(t) for t in self.trees],
             "degrees": [degree(t) for t in self.trees],
-            "symmetry_factors": [
-                symmetry_factor(t, 0, self.mode) for t in self.trees
-            ],
+            "symmetry_factors": [symmetry_factor(t) for t in self.trees],
         }
 
 
-def _subtree_pools(
-    max_degree: int, mode: AssumptionMode, cap: int
-) -> dict[int, list[Tree]]:
+def _subtree_pools(max_degree: int, cap: int) -> dict[int, list[Tree]]:
     """Trees valid as subtrees (k-leaf included), grouped by degree.
 
     Every validity rule is local to a node given subtree degrees, so the
@@ -130,28 +123,24 @@ def _subtree_pools(
                 for t1 in lefts:
                     for t2 in rights:
                         t = node(root, t1, t2)
-                        if not node_violations(t, False, mode):
+                        if not node_violations(t, False):
                             add(d, t)
     return pools
 
 
-def enumerate_valid(
-    max_degree: int,
-    mode: AssumptionMode = DEFAULT_MODE,
-    cap: int = DEFAULT_CAP,
-) -> TreeSet:
+def enumerate_valid(max_degree: int, cap: int = DEFAULT_CAP) -> TreeSet:
     """All standalone-valid trees with degree <= max_degree."""
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
-    pools = _subtree_pools(max_degree, mode, cap)
+    pools = _subtree_pools(max_degree, cap)
     trees = [
         t
         for pool in pools.values()
         for t in pool
-        if not node_violations(t, True, mode)
+        if not node_violations(t, True)
     ]
     trees.sort(key=canonical_key)
-    return TreeSet(tuple(trees), f"valid(max_degree={max_degree})", mode)
+    return TreeSet(tuple(trees), f"valid(max_degree={max_degree})")
 
 
 # each class: its root decoration and its degree window lo < degree <= hi
@@ -163,21 +152,17 @@ _CLASSES = {
 }
 
 
-def tree_class(
-    query: TreeClassQuery,
-    mode: AssumptionMode = DEFAULT_MODE,
-    cap: int = DEFAULT_CAP,
-) -> TreeSet:
+def tree_class(query: TreeClassQuery, cap: int = DEFAULT_CAP) -> TreeSet:
     root, window = _CLASSES[query.kind]
     lo, hi = window(query)
     picked = [
         t
-        for t in enumerate_valid(hi, mode, cap)
+        for t in enumerate_valid(hi, cap)
         if t.decoration is root and lo < degree(t) <= hi
     ]
     if query.kind is ClassKind.CIRC_RANGE:
         picked = [t for t in picked if not _has_big_n_node(t, 2 * query.m)]
-    return TreeSet(tuple(picked), query.describe(), mode)
+    return TreeSet(tuple(picked), query.describe())
 
 
 def _has_big_n_node(t: Tree, threshold: int) -> bool:

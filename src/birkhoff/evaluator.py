@@ -47,8 +47,7 @@ from .hamiltonian import (
     split_resonant,
 )
 from .trees import (
-    AssumptionMode,
-    DEFAULT_MODE,
+    NESTED_RULE,
     Decoration,
     Tree,
     TreeError,
@@ -68,7 +67,6 @@ class EvalConfig:
     lattice: ModeLattice
     resonance: ResonanceConfig
     cutoff: int
-    mode: AssumptionMode = DEFAULT_MODE
     # bounds tree enumeration only; kernels and ledgers do not depend on it
     cap: int = DEFAULT_CAP
 
@@ -82,7 +80,7 @@ class EvalConfig:
             "radius": self.lattice.radius,
             "threshold": self.resonance.threshold,
             "cutoff": self.cutoff,
-            "assumption_mode": self.mode.value,
+            "assumption_mode": NESTED_RULE,
         }
 
     def h0(self) -> Kernel:
@@ -107,7 +105,7 @@ def pi(tree: Tree, cfg: EvalConfig) -> Kernel:
     kernels; since the tree degree bounds every monomial degree of the
     result, a tree wholly above the cutoff gives the zero kernel.
     """
-    report = validate_tree(tree, cfg.mode)
+    report = validate_tree(tree)
     if not report.valid:
         raise TreeError(f"invalid tree {render(tree)}: {report.violations}")
     return _pi(tree, cfg)
@@ -170,7 +168,7 @@ def _assemble(trees: Iterable[Tree], cfg: EvalConfig, **meta) -> ExpansionLedger
     entries = []
     total = Kernel.zero(cfg.lattice, cfg.cutoff)
     for t in trees:
-        weight = Fraction(1, symmetry_factor(t, 0, cfg.mode))
+        weight = Fraction(1, symmetry_factor(t))
         kernel = pi(t, cfg)
         entries.append(LedgerEntry(t, weight, kernel))
         total = total + kernel.scale(weight)
@@ -181,7 +179,7 @@ def f_transform(i: int, cfg: EvalConfig) -> ExpansionLedger:
     """Generator ledger F_i over n-rooted trees of degree 2(i + 1)."""
     if i < 1:
         raise ValueError("i must be positive")
-    trees = tree_class(n_exact(i + 1), cfg.mode, cfg.cap)
+    trees = tree_class(n_exact(i + 1), cfg.cap)
     return _assemble(trees, cfg, m=i)
 
 
@@ -199,11 +197,11 @@ def normal_form(m: int, ell: int, cfg: EvalConfig) -> ExpansionLedger:
     idx = m + CLASS_INDEX_OFFSET
     trees = [
         leaf(Decoration.K),
-        *tree_class(res_below(idx), cfg.mode, cfg.cap),
-        *tree_class(circ_exact(idx), cfg.mode, cfg.cap),
+        *tree_class(res_below(idx), cfg.cap),
+        *tree_class(circ_exact(idx), cfg.cap),
     ]
     if idx < ell:
-        trees += tree_class(circ_range(idx, ell), cfg.mode, cfg.cap)
+        trees += tree_class(circ_range(idx, ell), cfg.cap)
     return _assemble(trees, cfg, m=m, ell=ell)
 
 
@@ -216,7 +214,7 @@ def cancellation_check(i: int, cfg: EvalConfig) -> Kernel:
     non-resonant part of the weighted sum equals summing the parts.
     """
     f = f_transform(i, cfg)
-    trees = tree_class(circ_exact(i + 1), cfg.mode, cfg.cap)
+    trees = tree_class(circ_exact(i + 1), cfg.cap)
     block = _assemble(trees, cfg).total
     return poisson_bracket(cfg.h0(), f.total) + split_resonant(
         block, cfg.resonance

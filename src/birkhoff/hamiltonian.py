@@ -270,8 +270,9 @@ class Kernel:
                 [tuple(a) for a in entry["u"]],
                 [tuple(b) for b in entry["ubar"]],
             )
-            c = GaussianRational.from_json(entry)
-            terms[m] = terms.get(m, GaussianRational()) + c
+            if m in terms:
+                raise ValueError(f"monomial {m} listed twice")
+            terms[m] = GaussianRational.from_json(entry)
         return Kernel(lattice, data["max_degree"], terms)
 
 

@@ -14,8 +14,7 @@ Structural rules for a valid tree:
 * (c) k occurs only at leaves, and a k-leaf's parent is a non-root node
   decorated circ (a bare k-leaf standing alone is valid);
 * (i) at a node whose left child T1 is rooted circ: |T1| >= |T2|, and when
-  T1 is internal with right child T3 an ordering between |T3| and |T2|
-  selected by :class:`AssumptionMode`;
+  T1 is internal with right child T3, |T3| <= |T2|;
 * (ii) at a node whose left child T1 is rooted r: |T1| < |T2|.
 
 Every rule is local to one node, given its children's decorations and
@@ -23,12 +22,13 @@ subtree degrees, so all of them live in one function,
 :func:`node_violations`.  :func:`validate_tree` walks a tree with it, and
 the enumeration checks each node it builds with it.
 
-The nested |T3|-vs-|T2| comparison of rule (i) defaults to |T3| <= |T2|
-(``AssumptionMode.NESTED_LE``); the opposite reading is available as
-``AssumptionMode.NESTED_GE``.  The default is pinned by the oracle suite:
-it admits exactly the bracket orderings produced by sequential flow
-composition (generator indices non-decreasing from the inside out) and
-reproduces the displayed tree classes.
+The nested comparison of rule (i) fixes the order of the flows a tree
+expands along.  It reads |T3| <= |T2| (``NESTED_RULE``, the name ledgers
+record): that admits exactly the bracket orderings produced by sequential
+flow composition (generator indices non-decreasing from the inside out)
+and reproduces the displayed tree classes.  The brute-force oracle
+composes the flows in sequence, and the other reading, |T3| >= |T2|,
+fails the identity with it from m = 2 on.
 """
 
 from __future__ import annotations
@@ -121,14 +121,8 @@ def degree(tree: Tree) -> int:
     return degree(tree.left) + degree(tree.right) - 2
 
 
-class AssumptionMode(enum.Enum):
-    """Reading of the nested size comparison in validity rule (i)."""
-
-    NESTED_LE = "nested-le"
-    NESTED_GE = "nested-ge"
-
-
-DEFAULT_MODE = AssumptionMode.NESTED_LE
+# the one reading of rule (i)'s nested comparison, |T3| <= |T2|
+NESTED_RULE = "nested-le"
 
 
 @dataclass(frozen=True)
@@ -140,9 +134,7 @@ class ValidationReport:
         return not self.violations
 
 
-def node_violations(
-    t: Tree, is_root: bool, mode: AssumptionMode
-) -> list[tuple[str, str]]:
+def node_violations(t: Tree, is_root: bool) -> list[tuple[str, str]]:
     """Rule violations at node t alone, as (path from t, rule id).
 
     Each rule reads only t, its children's decorations and its subtree
@@ -167,16 +159,14 @@ def node_violations(
     if t1.decoration is Decoration.CIRC:
         if d1 < d2:
             out.append(("", "i"))
-        if not t1.is_leaf:
-            d3 = degree(t1.right)
-            if not (d3 <= d2 if mode is AssumptionMode.NESTED_LE else d3 >= d2):
-                out.append(("", "i"))
+        if not t1.is_leaf and degree(t1.right) > d2:
+            out.append(("", "i"))
     elif t1.decoration is Decoration.R and not d1 < d2:
         out.append(("", "ii"))
     return out
 
 
-def validate_tree(tree: Tree, mode: AssumptionMode = DEFAULT_MODE) -> ValidationReport:
+def validate_tree(tree: Tree) -> ValidationReport:
     """Check every node with :func:`node_violations`.
 
     Violations are (node path, rule id); node paths are strings over
@@ -187,7 +177,7 @@ def validate_tree(tree: Tree, mode: AssumptionMode = DEFAULT_MODE) -> Validation
     stack = [(tree, "")]
     while stack:
         t, path = stack.pop()
-        for where, rule in node_violations(t, not path, mode):
+        for where, rule in node_violations(t, not path):
             violations.append((path + where, rule))
         if not t.is_leaf:
             stack.append((t.right, path + "r"))
@@ -195,9 +185,7 @@ def validate_tree(tree: Tree, mode: AssumptionMode = DEFAULT_MODE) -> Validation
     return ValidationReport(tuple(sorted(violations)))
 
 
-def symmetry_factor(
-    tree: Tree, j: int = 0, mode: AssumptionMode = DEFAULT_MODE
-) -> int:
+def symmetry_factor(tree: Tree, j: int = 0) -> int:
     """The coefficient S^j(T); S(T) = symmetry_factor(T, 0).
 
     Leaves give j + 1.  At an internal node (d; T1, T2) with T1 itself an
@@ -209,7 +197,7 @@ def symmetry_factor(
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    report = validate_tree(tree, mode)
+    report = validate_tree(tree)
     if not report.valid:
         raise TreeError(f"invalid tree {render(tree)}: {report.violations}")
     return _symmetry(tree, j)

@@ -93,6 +93,26 @@ def test_cap_bounds_every_enumeration(capsys, argv):
     assert code == 2 and "cap" in err
 
 
+# edits of the total of an `expand --m 1 --ell 3` ledger, each of which
+# `verify --ledger` must refuse
+def _off_lattice(total):
+    total["radius"] = 3
+
+
+def _raise_cutoff(total):
+    total["max_degree"] = 8
+    total["terms"].append({"u": [[0]] * 4, "ubar": [[0]] * 4,
+                           "re": "0", "im": "1"})
+
+
+def _split_term(total):
+    # the canonical total holds 2i on u_{-2} ubar_{-2}; write it as i + i
+    first = total["terms"][0]
+    assert first["im"] == "2"
+    first["im"] = "1"
+    total["terms"].insert(0, dict(first))
+
+
 class TestVerify:
     def test_full_run(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -128,7 +148,6 @@ class TestVerify:
     @pytest.mark.parametrize("field, flags", [
         ("ell", ("--ell", "4")),
         ("dim", ("--dim", "2", "--K", "1")),
-        ("assumption_mode", ("--assumption-mode", "nested-ge")),
     ])
     def test_ledger_config_mismatch(self, capsys, tmp_path, field, flags):
         ledger = tmp_path / "ledger.json"
@@ -139,16 +158,32 @@ class TestVerify:
         )
         assert code == 2 and f"has {field} " in err and out == ""
 
-    def test_ledger_total_off_its_lattice(self, capsys, tmp_path):
+    def test_ledger_records_another_nested_rule(self, capsys, tmp_path):
         ledger = tmp_path / "ledger.json"
         run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
         data = json.loads(ledger.read_text())
-        data["total"]["radius"] = 3
+        data["config"]["assumption_mode"] = "nested-ge"
         ledger.write_text(json.dumps(data))
-        code, _, err = run(
+        code, out, err = run(
             capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
         )
-        assert code == 2 and "lattice" in err
+        assert code == 2 and "has assumption_mode " in err and out == ""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_off_lattice, "lattice"),
+        (_raise_cutoff, "cutoff"),
+        (_split_term, "listed twice"),
+    ], ids=["radius", "max-degree", "split-term"])
+    def test_bad_ledger_total(self, capsys, tmp_path, edit, message):
+        ledger = tmp_path / "ledger.json"
+        run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
+        data = json.loads(ledger.read_text())
+        edit(data["total"])
+        ledger.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
+        )
+        assert code == 2 and message in err and out == ""
 
     def test_corrupted_ledger(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -231,6 +266,24 @@ class TestConfigPrecedence:
         code, _, _ = run(capsys, "expand", "--m", "1", "--ell", "3",
                          "--K", "0")
         assert code == 2
+
+    def test_unknown_key(self, capsys, tmp_path):
+        # the ledger's own names for K and N are not config keys
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": 3, "radius": 1}))
+        code, out, err = run(
+            capsys, "f-transform", "--m", "1", "--config", str(cfg)
+        )
+        assert code == 2 and "'radius'" in err and out == ""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nested_ge_is_refused(self, capsys, tmp_path, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"assumption_mode": "nested-ge"}))
+        argv = (["--assumption-mode", "nested-ge"] if source == "flag"
+                else ["--config", str(cfg)])
+        code, out, err = run(capsys, "expand", "--m", "2", "--ell", "4", *argv)
+        assert code == 2 and "nested-le" in err and out == ""
 
     @pytest.mark.parametrize("value", [None, "x", 1.9, True])
     def test_non_integer_value(self, capsys, tmp_path, value):

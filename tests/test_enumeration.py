@@ -13,7 +13,6 @@ from birkhoff.enumeration import (
     tree_class,
 )
 from birkhoff.trees import (
-    AssumptionMode,
     Decoration,
     TreeError,
     degree,
@@ -94,8 +93,7 @@ class TestEnumerateValid:
         big = {render(t) for t in enumerate_valid(12) if degree(t) <= 8}
         assert big == set(canon(enumerate_valid(8)))
 
-    @pytest.mark.parametrize("mode", list(AssumptionMode), ids=lambda m: m.value)
-    def test_against_naive_generator(self, mode):
+    def test_against_naive_generator(self):
         # independent generate-then-filter oracle: the naive pool applies
         # only the right-child-n and k-placement rules, leaving rules (b),
         # (i), (ii), and the root restriction to validate_tree.
@@ -103,9 +101,9 @@ class TestEnumerateValid:
             naive = {
                 render(t)
                 for t in _naive_pool(d)
-                if _naive_standalone(t) and validate_tree(t, mode).valid
+                if _naive_standalone(t) and validate_tree(t).valid
             }
-            assert naive == set(canon(enumerate_valid(d, mode)))
+            assert naive == set(canon(enumerate_valid(d)))
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from birkhoff.trees import (
-    AssumptionMode,
     Decoration,
     ParseError,
     Tree,
@@ -98,12 +97,11 @@ class TestValidation:
         report = validate_tree(Tree(K, leaf(O), leaf(N)))
         assert ("", "c") in report.violations
 
-    def test_assumption_modes_differ(self):
+    def test_nested_rule_is_le(self):
         # left child ends in a degree-6 right subtree against a degree-4
-        # sibling: only the greater-or-equal reading accepts it.
+        # sibling: |T3| <= |T2| rejects it under rule (i).
         t = parse("(o (o (k) (n (o) (n))) (n))")
-        assert not validate_tree(t, AssumptionMode.NESTED_LE).valid
-        assert validate_tree(t, AssumptionMode.NESTED_GE).valid
+        assert validate_tree(t).violations == (("", "i"),)
 
     @given(any_tree())
     def test_report_consistency(self, t):

@@ -118,8 +118,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -149,8 +152,8 @@ def cmd_trees(args: argparse.Namespace) -> int:
 def _ledger_summary(payload: dict) -> None:
     _note(f"{'tree':<42} {'S':>4} {'#monomials':>10}")
     for entry in payload["entries"]:
-        n_terms = len(entry["kernel"]["terms"])
-        _note(f"{entry['tree']:<42} {str(entry['S']):>4} {n_terms:>10}")
+        count = len(entry["kernel"]["terms"])
+        _note(f"{entry['tree']:<42} {str(entry['S']):>4} {count:>10}")
     _note(f"total monomials: {len(payload['total']['terms'])}")
 
 

@@ -155,6 +155,8 @@ _CLASSES = {
 def tree_class(query: TreeClassQuery, cap: int = DEFAULT_CAP) -> TreeSet:
     root, window = _CLASSES[query.kind]
     lo, hi = window(query)
+    if hi < 2:  # res_below(1): no tree has degree in (0, 0]
+        return TreeSet((), query.describe())
     picked = [
         t
         for t in enumerate_valid(hi, cap)

@@ -3,18 +3,18 @@
 State variables are Fourier coefficients u_k, conjugate(u)_k indexed by a
 truncated integer mode lattice.  A kernel is a finite map from monomials
 (a pair of sorted mode multisets, one for u factors and one for conjugate
-factors) to exact Gaussian-rational coefficients.  The module provides
+factors) to exact Gaussian-rational coefficients, held as two maps of
+real and imaginary ``Fraction`` parts.  The module provides
 the cubic NLS generators, the canonical Poisson bracket, the phase
 function, resonant splitting, and the small-divisor phase filter.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
 conjugate factors of x with the u factors of y; for real x and y,
-{x, y} = i*(Q(y, x) - Q(x, y)).  ``poisson_bracket`` splits each operand
-once into real and imaginary ``Fraction`` maps and runs only the part
-pairs that are both nonempty; the engine's kernels are purely
-imaginary, which leaves one.  Per call, each part is indexed by each
-mode of its u factors, so only monomial pairs that contract are
+{x, y} = i*(Q(y, x) - Q(x, y)).  ``poisson_bracket`` runs only the
+pairs of part maps that are both nonempty; the engine's kernels are
+purely imaginary, which leaves one.  Per call, each part is indexed by
+each mode of its u factors, so only monomial pairs that contract are
 visited; pairs past the degree cutoff are dropped before a monomial is
 built.
 
@@ -45,6 +45,8 @@ H0_FILTER_FACTOR = Fraction(1, 4)
 # scale turning a filtered kernel into a flow generator:
 # {h0, GENERATOR_SCALE * apply_phase_filter(A, cfg)} == -nonres(A).
 GENERATOR_SCALE = -1 / H0_FILTER_FACTOR
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -136,81 +138,90 @@ def momentum(m: Monomial) -> Mode:
 
 
 class Kernel:
-    """Immutable finite map Monomial -> GaussianRational.
+    """Immutable finite map Monomial -> Gaussian rational.
 
-    Zero coefficients are dropped at construction; every monomial must
-    fit the lattice and the even degree cutoff ``max_degree``.
+    ``re`` and ``im`` map monomials to the nonzero ``Fraction`` parts of
+    their coefficients; ``items()`` and ``coefficient()`` join the parts
+    into ``GaussianRational`` values.  Zero parts are dropped at
+    construction; every monomial must fit the lattice and the even
+    degree cutoff ``max_degree``.
     """
 
-    __slots__ = ("lattice", "max_degree", "_terms")
+    __slots__ = ("lattice", "max_degree", "re", "im")
 
-    def __init__(
-        self,
-        lattice: ModeLattice,
-        max_degree: int,
-        terms: Mapping[Monomial, GaussianRational] = (),
-    ):
+    def __init__(self, lattice: ModeLattice, max_degree: int,
+                 re: Mapping[Monomial, Fraction] = (),
+                 im: Mapping[Monomial, Fraction] = ()):
         if max_degree < 2 or max_degree % 2:
             raise ValueError("max_degree must be an even integer >= 2")
         self.lattice = lattice
         self.max_degree = max_degree
-        clean: dict[Monomial, GaussianRational] = {}
+        self.re, self.im = {}, {}
         modes: set[Mode] = set()
-        for m, c in dict(terms).items():
-            if not c:
-                continue
-            degree = len(m.u) + len(m.ubar)
-            if degree > max_degree:
-                raise ValueError(f"monomial degree {degree} above cutoff")
-            modes.update(m.u)
-            modes.update(m.ubar)
-            clean[m] = c
+        for part, clean in ((re, self.re), (im, self.im)):
+            for m, c in dict(part).items():
+                if not c:
+                    continue
+                degree = len(m.u) + len(m.ubar)
+                if degree > max_degree:
+                    raise ValueError(f"monomial degree {degree} above cutoff")
+                modes.update(m.u)
+                modes.update(m.ubar)
+                clean[m] = c
         # each distinct mode is checked once; the smallest bad one is named
         bad = [mode for mode in modes if mode not in lattice]
         if bad:
             raise ValueError(f"mode {min(bad)} outside lattice")
-        self._terms = clean
+
+    @staticmethod
+    def of(lattice: ModeLattice, max_degree: int,
+           terms: Mapping[Monomial, GaussianRational]) -> "Kernel":
+        """The kernel with these coefficients; the inverse of ``items()``."""
+        return Kernel(lattice, max_degree,
+                      {m: c.real for m, c in terms.items()},
+                      {m: c.imag for m, c in terms.items()})
 
     @staticmethod
     def zero(lattice: ModeLattice, max_degree: int) -> "Kernel":
         return Kernel(lattice, max_degree)
 
     def items(self) -> list[tuple[Monomial, GaussianRational]]:
-        return sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
+        monomials = sorted(self.support(), key=Monomial.sort_key)
+        return [(m, self.coefficient(m)) for m in monomials]
 
     def coefficient(self, m: Monomial) -> GaussianRational:
-        return self._terms.get(m, GaussianRational())
+        return GaussianRational(self.re.get(m, _ZERO), self.im.get(m, _ZERO))
 
     def support(self) -> set[Monomial]:
-        return set(self._terms)
+        return self.re.keys() | self.im.keys()
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not (self.re or self.im)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.support())
 
     def term_degree(self) -> int:
         """Largest monomial degree present; 0 for the zero kernel."""
-        return max((m.degree for m in self._terms), default=0)
+        return max((m.degree for m in self.support()), default=0)
 
     def min_term_degree(self) -> int:
-        return min((m.degree for m in self._terms), default=0)
+        return min((m.degree for m in self.support()), default=0)
+
+    def _map(self, f, max_degree: int | None = None) -> "Kernel":
+        """Each part c of each monomial m replaced by f(m, c), where a
+        zero drops it; the cutoff stays unless max_degree is given."""
+        return Kernel(self.lattice, max_degree or self.max_degree,
+                      {m: f(m, c) for m, c in self.re.items()},
+                      {m: f(m, c) for m, c in self.im.items()})
 
     def degree_slice(self, d: int) -> "Kernel":
-        return Kernel(
-            self.lattice,
-            self.max_degree,
-            {m: c for m, c in self._terms.items() if m.degree == d},
-        )
+        return self._map(lambda m, c: c if m.degree == d else _ZERO)
 
     def with_cutoff(self, max_degree: int) -> "Kernel":
-        return Kernel(
-            self.lattice,
-            max_degree,
-            {m: c for m, c in self._terms.items() if m.degree <= max_degree},
-        )
+        return self._map(
+            lambda m, c: c if m.degree <= max_degree else _ZERO, max_degree)
 
     def _check_compatible(self, other: "Kernel") -> None:
         if self.lattice != other.lattice or self.max_degree != other.max_degree:
@@ -218,26 +229,21 @@ class Kernel:
 
     def __add__(self, other: "Kernel") -> "Kernel":
         self._check_compatible(other)
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            terms[m] = terms.get(m, GaussianRational()) + c
-        return Kernel(self.lattice, self.max_degree, terms)
+        re, im = dict(self.re), dict(self.im)
+        for part, more in ((re, other.re), (im, other.im)):
+            for m, c in more.items():
+                part[m] = part.get(m, _ZERO) + c
+        return Kernel(self.lattice, self.max_degree, re, im)
 
     def __neg__(self) -> "Kernel":
-        return Kernel(
-            self.lattice, self.max_degree,
-            {m: -c for m, c in self._terms.items()},
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "Kernel") -> "Kernel":
         return self + (-other)
 
-    def scale(self, factor) -> "Kernel":
-        """Multiply every coefficient by a rational or Gaussian rational."""
-        return Kernel(
-            self.lattice, self.max_degree,
-            {m: c * factor for m, c in self._terms.items()},
-        )
+    def scale(self, factor: Fraction) -> "Kernel":
+        """Multiply every coefficient by a rational."""
+        return self._map(lambda m, c: c * factor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Kernel):
@@ -245,11 +251,11 @@ class Kernel:
         return (
             self.lattice == other.lattice
             and self.max_degree == other.max_degree
-            and self._terms == other._terms
+            and (self.re, self.im) == (other.re, other.im)
         )
 
     def __repr__(self) -> str:
-        return f"Kernel({len(self._terms)} terms, cutoff {self.max_degree})"
+        return f"Kernel({len(self)} terms, cutoff {self.max_degree})"
 
     def to_json(self) -> dict:
         return {
@@ -266,24 +272,29 @@ class Kernel:
         lattice = ModeLattice(data["dim"], data["radius"])
         terms = {}
         for entry in data["terms"]:
-            m = Monomial.of(
-                [tuple(a) for a in entry["u"]],
-                [tuple(b) for b in entry["ubar"]],
-            )
+            u = [tuple(a) for a in entry["u"]]
+            ubar = [tuple(b) for b in entry["ubar"]]
+            # JSON integers only: 1.5 would pass the lattice's |c| <= K
+            if any(type(c) is not int for mode in u + ubar for c in mode):
+                raise ValueError(f"mode coordinates must be integers: {entry}")
+            m = Monomial.of(u, ubar)
             if m in terms:
                 raise ValueError(f"monomial {m} listed twice")
-            terms[m] = GaussianRational.from_json(entry)
-        return Kernel(lattice, data["max_degree"], terms)
+            try:
+                terms[m] = GaussianRational.from_json(entry)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"zero denominator: {entry}") from exc
+        return Kernel.of(lattice, data["max_degree"], terms)
 
 
 def h0(lattice: ModeLattice, cutoff: int) -> Kernel:
     """Kinetic kernel: (i/2) |k|^2 per mode pair (u_k, ubar_k)."""
-    terms = {}
+    im = {}
     for k in lattice.modes():
         n2 = _norm2(k)
         if n2:
-            terms[Monomial.of([k], [k])] = GaussianRational.of(0, Fraction(n2, 2))
-    return Kernel(lattice, cutoff, terms)
+            im[Monomial.of([k], [k])] = Fraction(n2, 2)
+    return Kernel(lattice, cutoff, im=im)
 
 
 def h1(lattice: ModeLattice, cutoff: int) -> Kernel:
@@ -294,35 +305,21 @@ def h1(lattice: ModeLattice, cutoff: int) -> Kernel:
     """
     if cutoff < 4:
         return Kernel.zero(lattice, cutoff)
-    quarter_i = GaussianRational.of(0, Fraction(1, 4))
-    terms: dict[Monomial, GaussianRational] = {}
+    quarter = Fraction(1, 4)
+    im: dict[Monomial, Fraction] = {}
     for k1, k2, k3 in itertools.product(lattice.modes(), repeat=3):
         k4 = tuple(a - b + c for a, b, c in zip(k1, k2, k3))
         if k4 not in lattice:
             continue
         m = Monomial.of([k1, k3], [k2, k4])
-        terms[m] = terms.get(m, GaussianRational()) + quarter_i
-    return Kernel(lattice, cutoff, terms)
+        im[m] = im.get(m, _ZERO) + quarter
+    return Kernel(lattice, cutoff, im=im)
 
 
 def _remove_one(modes: tuple[Mode, ...], k: Mode) -> tuple[Mode, ...]:
     out = list(modes)
     out.remove(k)
     return tuple(out)
-
-
-_ZERO = Fraction(0)
-
-
-def _parts(a: Kernel) -> tuple[dict, dict]:
-    """Real and imaginary coefficient maps of a, zeros left out."""
-    re, im = {}, {}
-    for m, c in a._terms.items():
-        if c.real:
-            re[m] = c.real
-        if c.imag:
-            im[m] = c.imag
-    return re, im
 
 
 def _index(part: dict) -> dict:
@@ -375,7 +372,7 @@ def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
 
     Exact and split by bilinearity.  With Q the contraction of
     ``_contract``, {x, y} = i*(Q(y, x) - Q(x, y)) for real x and y.  So
-    with a = a_0 + i*a_1 and b = b_0 + i*b_1,
+    with the part maps (a_0, a_1) = (a.re, a.im) and likewise for b,
 
         {a, b} = sum_{p, q} i^(1 + p + q) * (Q(b_q, a_p) - Q(a_p, b_q)):
 
@@ -386,28 +383,25 @@ def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     modes of its u factors once per call, so only monomial pairs that
     share a contractible mode are visited, and a pair whose bracket
     degree deg(m1) + deg(m2) - 2 exceeds the cutoff is dropped before
-    any monomial is built.  One Monomial and one GaussianRational are
-    built per output term.
+    any monomial is built.  The two sums become the parts of the result.
     """
     a._check_compatible(b)
     cutoff = a.max_degree
-    a_parts = [(p, x, _index(x)) for p, x in enumerate(_parts(a)) if x]
-    b_parts = [(q, y, _index(y)) for q, y in enumerate(_parts(b)) if y]
+    a_maps = [(p, x, _index(x)) for p, x in enumerate((a.re, a.im)) if x]
+    b_maps = [(q, y, _index(y)) for q, y in enumerate((b.re, b.im)) if y]
     real: dict = {}
     imag: dict = {}
-    for p, x, x_by_u in a_parts:
-        for q, y, y_by_u in b_parts:
+    for p, x, x_by_u in a_maps:
+        for q, y, y_by_u in b_maps:
             sign = 1 if p == q == 0 else -1
             out = real if (p + q) % 2 else imag
             _contract(y, x_by_u, cutoff, sign, out)
             _contract(x, y_by_u, cutoff, -sign, out)
-    terms = {}
-    for key in {**real, **imag}:
-        re = real.get(key, _ZERO)
-        im = imag.get(key, _ZERO)
-        if re or im:
-            terms[Monomial(*key)] = GaussianRational(re, im)
-    return Kernel(a.lattice, cutoff, terms)
+    real, imag = (
+        {Monomial(*key): c for key, c in out.items() if c}
+        for out in (real, imag)
+    )
+    return Kernel(a.lattice, cutoff, real, imag)
 
 
 class ResonantSplit(NamedTuple):
@@ -417,20 +411,18 @@ class ResonantSplit(NamedTuple):
 
 def split_resonant(a: Kernel, cfg: ResonanceConfig) -> ResonantSplit:
     """Partition by |phase| <= threshold versus |phase| > threshold."""
-    res, nonres = {}, {}
-    for m, c in a._terms.items():
-        (res if abs(m.phase()) <= cfg.threshold else nonres)[m] = c
-    return ResonantSplit(
-        Kernel(a.lattice, a.max_degree, res),
-        Kernel(a.lattice, a.max_degree, nonres),
-    )
+    res, nonres = ({}, {}), ({}, {})
+    for p, part in enumerate((a.re, a.im)):
+        for m, c in part.items():
+            (res if abs(m.phase()) <= cfg.threshold else nonres)[p][m] = c
+    return ResonantSplit(Kernel(a.lattice, a.max_degree, *res),
+                         Kernel(a.lattice, a.max_degree, *nonres))
 
 
 def apply_phase_filter(a: Kernel, cfg: ResonanceConfig) -> Kernel:
     """Scale non-resonant monomials by 1/(2*phase); drop resonant ones."""
-    terms = {}
-    for m, c in a._terms.items():
+    def filtered(m: Monomial, c: Fraction) -> Fraction:
         p = m.phase()
-        if abs(p) > cfg.threshold:
-            terms[m] = c / Fraction(2 * p)
-    return Kernel(a.lattice, a.max_degree, terms)
+        return c / (2 * p) if abs(p) > cfg.threshold else _ZERO
+
+    return a._map(filtered)

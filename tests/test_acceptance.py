@@ -190,7 +190,7 @@ def _random_kernel(rng, lat, cutoff, terms, max_half, zero_momentum=False):
             Fraction(nonzero, rng.randint(1, 5)),
             Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
         )
-    return Kernel(lat, cutoff, entries)
+    return Kernel.of(lat, cutoff, entries)
 
 
 def test_criterion_7_bracket_algebra_suite():

@@ -1,12 +1,15 @@
-"""Smoke test of the benchmark's per-layer tracer, one small job per workload.
+"""Checks that tie the package to the benchmark in ``bench/``.
 
 The tracer patches module-level names of the package from outside, so a
 rename, an inlined lookup or a changed signature in the package empties
-a layer silently.  Each case runs one traced job of a workload's shape,
-far smaller than the benchmark's own, and checks every layer the
-self-test requires on that workload.
+a layer silently.  Each tracer case runs one traced job of a workload's
+shape, far smaller than the benchmark's own, and checks every layer the
+self-test requires on that workload.  The byte pin runs the benchmark's
+own command lines in process and checks their output against the
+sha256 that ``bench/run.py`` holds each job to.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -58,3 +61,19 @@ def test_traced_job_fills_its_layers(tmp_path, monkeypatch, workload):
         if (layers.get(metric, 0) != 0) != (workload in used_by)
     }
     assert not wrong
+
+
+def test_benchmark_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+
+    ledger = tmp_path / "ledger.json"
+    assert main([*run.EXPAND_D1, "--out", str(ledger)]) == 0
+    assert run.sha256_of(ledger) == run.LEDGER_SHA256
+    capsys.readouterr()
+    for name in ("verify-ledger-d1", "verify-d2"):
+        workload = run.WORKLOADS[name]
+        argv = [str(ledger) if a == run.LEDGER else a for a in workload.cli]
+        assert main(argv) == 0, name
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == workload.stdout_sha256, name

@@ -58,6 +58,18 @@ class TestTrees:
         )
         assert code == 2 and "cap" in err
 
+    def test_res_below_1_is_empty(self, capsys):
+        code, out, _ = run(capsys, "trees", "--kind", "res-below", "--m", "1")
+        assert code == 0 and json.loads(out)["trees"] == []
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "trees.json"
+        code, out, err = run(
+            capsys, "trees", "--kind", "circ", "--m", "2",
+            "--out", str(out_path),
+        )
+        assert code == 2 and "cannot write" in err and out == ""
+
 
 class TestExpand:
     def test_ledger_1_3(self, capsys, tmp_path):
@@ -111,6 +123,19 @@ def _split_term(total):
     assert first["im"] == "2"
     first["im"] = "1"
     total["terms"].insert(0, dict(first))
+
+
+def _zero_denominator(total):
+    total["terms"][0]["im"] = "1/0"
+
+
+def _fractional_mode(total):
+    # |1.5| <= K, so only the type check refuses it
+    total["terms"][0]["u"] = [[1.5]]
+
+
+def _boolean_mode(total):
+    total["terms"][0]["u"] = [[True]]
 
 
 class TestVerify:
@@ -173,7 +198,11 @@ class TestVerify:
         (_off_lattice, "lattice"),
         (_raise_cutoff, "cutoff"),
         (_split_term, "listed twice"),
-    ], ids=["radius", "max-degree", "split-term"])
+        (_zero_denominator, "zero denominator"),
+        (_fractional_mode, "integers"),
+        (_boolean_mode, "integers"),
+    ], ids=["radius", "max-degree", "split-term", "zero-denominator",
+            "fractional-mode", "boolean-mode"])
     def test_bad_ledger_total(self, capsys, tmp_path, edit, message):
         ledger = tmp_path / "ledger.json"
         run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))

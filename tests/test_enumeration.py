@@ -47,6 +47,10 @@ CIRC_4 = [
 
 
 class TestDisplayedSets:
+    def test_res_below_1_is_empty(self):
+        # its degree window (0, 0] holds no tree
+        assert canon(tree_class(res_below(1))) == []
+
     def test_res_below_3(self):
         assert canon(tree_class(res_below(3))) == RES_BELOW_3
 

@@ -32,7 +32,7 @@ def mono(u, ubar):
 
 
 def kernel(lat, cutoff, entries):
-    return Kernel(
+    return Kernel.of(
         lat, cutoff, {m: GR.of(re, im) for m, re, im in entries}
     )
 
@@ -139,7 +139,7 @@ def naive_bracket(a, b):
                         out[key] = out.get(key, GR()) + (
                             GR.of(0, sign) * c1 * c2
                         )
-    return Kernel(a.lattice, a.max_degree, out)
+    return Kernel.of(a.lattice, a.max_degree, out)
 
 
 def random_kernel(rng, lat=LAT2, cutoff=12, terms=3, max_half=3,
@@ -158,7 +158,7 @@ def random_kernel(rng, lat=LAT2, cutoff=12, terms=3, max_half=3,
             Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
         )
         entries[Monomial.of(u, v)] = c
-    return Kernel(lat, cutoff, entries)
+    return Kernel.of(lat, cutoff, entries)
 
 
 LAT_2D = ModeLattice(2, 1)
@@ -186,7 +186,7 @@ def kernels_2d(draw, cutoff):
             draw(nonzero_fractions) if has_re else 0,
             draw(nonzero_fractions) if has_im else 0,
         )
-    return Kernel(LAT_2D, cutoff, entries)
+    return Kernel.of(LAT_2D, cutoff, entries)
 
 
 @st.composite
@@ -292,7 +292,7 @@ class TestSplitAndFilter:
     def test_filter_inverse(self):
         a = h1(LAT2, 4)
         filtered = apply_phase_filter(a, N0)
-        back = Kernel(
+        back = Kernel.of(
             a.lattice, a.max_degree,
             {m: c * Fraction(2 * phase(m)) for m, c in filtered.items()},
         )
@@ -336,30 +336,35 @@ class TestKernelValue:
         items = a.items()
         for _ in range(5):
             rng.shuffle(items)
-            assert Kernel(LAT2, 4, dict(items)) == a
+            assert Kernel.of(LAT2, 4, dict(items)) == a
 
     def test_invariant_enforcement(self):
         with pytest.raises(ValueError):
-            Kernel(LAT1, 2, {mono([1, 1], [0, 2]): GR.of(1)})
+            Kernel.of(LAT1, 2, {mono([1, 1], [0, 2]): GR.of(1)})
         with pytest.raises(ValueError):
-            Kernel(LAT1, 4, {mono([2], [2]): GR.of(1)})
+            Kernel.of(LAT1, 4, {mono([2], [2]): GR.of(1)})
         with pytest.raises(ValueError):
             Kernel(LAT1, 3, {})
         # the only bad mode sits in the ubar of the second monomial
         with pytest.raises(ValueError, match=r"mode \(2,\) outside lattice"):
-            Kernel(LAT1, 4, {
+            Kernel.of(LAT1, 4, {
                 mono([1], [1]): GR.of(1),
                 mono([0, 1], [-1, 2]): GR.of(1),
             })
 
     def test_equality_needs_the_same_cutoff(self):
-        a = Kernel(LAT1, 4, {mono([1], [1]): GR.of(0, 1)})
-        b = Kernel(LAT1, 6, {mono([1], [1]): GR.of(0, 1)})
+        a = Kernel.of(LAT1, 4, {mono([1], [1]): GR.of(0, 1)})
+        b = Kernel.of(LAT1, 6, {mono([1], [1]): GR.of(0, 1)})
         assert a != b and a == b.with_cutoff(4)
 
     def test_zero_dropped(self):
-        k = Kernel(LAT1, 4, {mono([1], [1]): GR()})
+        m = mono([1], [1])
+        k = Kernel.of(LAT1, 4, {m: GR()})
         assert k.is_zero and len(k) == 0
+        imag = Kernel.of(LAT1, 4, {m: GR.of(0, 1)})
+        assert imag.re == {} and imag.im == {m: 1}
+        real = Kernel.of(LAT1, 4, {m: GR.of(1, 0)})
+        assert real.re == {m: 1} and real.im == {}
 
     def test_json_round_trip(self):
         a = h1(LAT2, 4) + h0(LAT2, 4)
@@ -372,13 +377,22 @@ class TestKernelValue:
             Monomial.of([(1,)], [])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((4, 6, 8)).flatmap(kernels_2d))
+def test_part_maps_round_trip(k):
+    # kernels_2d draws real, imaginary and mixed kernels
+    assert Kernel.of(LAT_2D, k.max_degree, dict(k.items())) == k
+    assert all(k.re.values()) and all(k.im.values())
+    assert k.support() == {m for m, _ in k.items()}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
 def test_phase_additivity_single_contraction(x, y, z):
     # single-monomial kernels sharing exactly one contraction index
     shared = (z,)
-    a = Kernel(LAT2, 20, {Monomial.of([(x,)], [shared]): GR.of(1)})
-    b = Kernel(
+    a = Kernel.of(LAT2, 20, {Monomial.of([(x,)], [shared]): GR.of(1)})
+    b = Kernel.of(
         LAT2, 20, {Monomial.of([shared, shared], [(y,), (y,)]): GR.of(1)}
     )
     pa = phase(next(iter(a.support())))

@@ -223,7 +223,7 @@ class TestCompare:
     def test_single_monomial_difference(self):
         cfg = make_cfg(cutoff=4)
         m = Monomial.of([(1,), (-1,)], [(0,), (0,)])
-        bumped = cfg.h1() + Kernel(
+        bumped = cfg.h1() + Kernel.of(
             cfg.lattice, 4, {m: GR.of(Fraction(1, 3))}
         )
         report = compare(cfg.h1(), bumped)
@@ -240,8 +240,8 @@ class TestCompare:
         # h1 on the 1-D lattice has many equal coefficients
         cfg = make_cfg(cutoff=4)
         items = cfg.h1().items()
-        forward = Kernel(cfg.lattice, 4, dict(items))
-        backward = Kernel(cfg.lattice, 4, dict(reversed(items)))
+        forward = Kernel.of(cfg.lattice, 4, dict(items))
+        backward = Kernel.of(cfg.lattice, 4, dict(reversed(items)))
         zero = Kernel.zero(cfg.lattice, 4)
         report = compare(forward, zero)
         assert report.to_json() == compare(backward, zero).to_json()

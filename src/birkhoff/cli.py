@@ -153,7 +153,7 @@ def _ledger_summary(payload: dict) -> None:
     _note(f"{'tree':<42} {'S':>4} {'#monomials':>10}")
     for entry in payload["entries"]:
         count = len(entry["kernel"]["terms"])
-        _note(f"{entry['tree']:<42} {str(entry['S']):>4} {count:>10}")
+        _note(f"{entry['tree']:<42} {entry['S']:>4} {count:>10}")
     _note(f"total monomials: {len(payload['total']['terms'])}")
 
 
@@ -192,8 +192,10 @@ def _read_ledger(path: str, m: int, ell: int, ec: EvalConfig) -> Kernel:
             ValueError) as exc:
         raise CliError(f"cannot read ledger {path}: {exc}") from exc
     for key, want in {"m": m, "ell": ell, **ec.to_json()}.items():
-        if recorded.get(key) != want:
-            raise CliError(f"ledger {path} has {key} {recorded.get(key)!r}, "
+        got = recorded.get(key)
+        # same type too: 2.0 and true compare equal to 2 and 1
+        if type(got) is not type(want) or got != want:
+            raise CliError(f"ledger {path} has {key} {got!r}, "
                            f"the request {want!r}")
     if total.lattice != ec.lattice or total.max_degree != ec.cutoff:
         raise CliError(f"ledger {path} total is not on its config's "

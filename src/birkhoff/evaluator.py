@@ -153,7 +153,7 @@ class ExpansionLedger:
             "entries": [
                 {
                     "tree": render(e.tree),
-                    "S": e.weight.denominator if e.weight.numerator == 1 else None,
+                    "S": e.weight.denominator,
                     "weight": str(e.weight),
                     "kernel": e.kernel.to_json(),
                 }

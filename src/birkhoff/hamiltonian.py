@@ -3,20 +3,20 @@
 State variables are Fourier coefficients u_k, conjugate(u)_k indexed by a
 truncated integer mode lattice.  A kernel is a finite map from monomials
 (a pair of sorted mode multisets, one for u factors and one for conjugate
-factors) to exact Gaussian-rational coefficients, held as two maps of
-real and imaginary ``Fraction`` parts.  The module provides
-the cubic NLS generators, the canonical Poisson bracket, the phase
-function, resonant splitting, and the small-divisor phase filter.
+factors) to purely imaginary exact coefficients i*c, held as one map from
+each monomial to its nonzero ``Fraction`` c: h0 and h1 are imaginary, and
+so are rational multiples, sums, the phase filter and the bracket of
+imaginary kernels.  The module provides the cubic NLS generators, the
+canonical Poisson bracket, the phase function, resonant splitting, and
+the small-divisor phase filter.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
-conjugate factors of x with the u factors of y; for real x and y,
-{x, y} = i*(Q(y, x) - Q(x, y)).  ``poisson_bracket`` runs only the
-pairs of part maps that are both nonempty; the engine's kernels are
-purely imaginary, which leaves one.  Per call, each part is indexed by
-each mode of its u factors, so only monomial pairs that contract are
-visited; pairs past the degree cutoff are dropped before a monomial is
-built.
+conjugate factors of x with the u factors of y; {iA, iB} =
+i*(Q(A, B) - Q(B, A)) is two contractions.  Per call, each operand is
+indexed by each mode of its u factors, so only monomial pairs that
+contract are visited; pairs past the degree cutoff are dropped before a
+monomial is built.
 
 Constant conventions, pinned by direct computation (see the test suite):
 
@@ -138,36 +138,34 @@ def momentum(m: Monomial) -> Mode:
 
 
 class Kernel:
-    """Immutable finite map Monomial -> Gaussian rational.
+    """Immutable finite map Monomial -> purely imaginary Gaussian rational.
 
-    ``re`` and ``im`` map monomials to the nonzero ``Fraction`` parts of
-    their coefficients; ``items()`` and ``coefficient()`` join the parts
-    into ``GaussianRational`` values.  Zero parts are dropped at
+    ``im`` maps each monomial to the nonzero ``Fraction`` c of its
+    coefficient i*c; ``items()`` and ``coefficient()`` return
+    ``GaussianRational`` values with real part 0.  Zeros are dropped at
     construction; every monomial must fit the lattice and the even
     degree cutoff ``max_degree``.
     """
 
-    __slots__ = ("lattice", "max_degree", "re", "im")
+    __slots__ = ("lattice", "max_degree", "im")
 
     def __init__(self, lattice: ModeLattice, max_degree: int,
-                 re: Mapping[Monomial, Fraction] = (),
                  im: Mapping[Monomial, Fraction] = ()):
         if max_degree < 2 or max_degree % 2:
             raise ValueError("max_degree must be an even integer >= 2")
         self.lattice = lattice
         self.max_degree = max_degree
-        self.re, self.im = {}, {}
+        self.im = {}
         modes: set[Mode] = set()
-        for part, clean in ((re, self.re), (im, self.im)):
-            for m, c in dict(part).items():
-                if not c:
-                    continue
-                degree = len(m.u) + len(m.ubar)
-                if degree > max_degree:
-                    raise ValueError(f"monomial degree {degree} above cutoff")
-                modes.update(m.u)
-                modes.update(m.ubar)
-                clean[m] = c
+        for m, c in dict(im).items():
+            if not c:
+                continue
+            degree = len(m.u) + len(m.ubar)
+            if degree > max_degree:
+                raise ValueError(f"monomial degree {degree} above cutoff")
+            modes.update(m.u)
+            modes.update(m.ubar)
+            self.im[m] = c
         # each distinct mode is checked once; the smallest bad one is named
         bad = [mode for mode in modes if mode not in lattice]
         if bad:
@@ -176,9 +174,12 @@ class Kernel:
     @staticmethod
     def of(lattice: ModeLattice, max_degree: int,
            terms: Mapping[Monomial, GaussianRational]) -> "Kernel":
-        """The kernel with these coefficients; the inverse of ``items()``."""
+        """The kernel with these purely imaginary coefficients; the
+        inverse of ``items()``."""
+        for m, c in terms.items():
+            if c.real:
+                raise ValueError(f"nonzero real part in {m}: {c}")
         return Kernel(lattice, max_degree,
-                      {m: c.real for m, c in terms.items()},
                       {m: c.imag for m, c in terms.items()})
 
     @staticmethod
@@ -186,34 +187,34 @@ class Kernel:
         return Kernel(lattice, max_degree)
 
     def items(self) -> list[tuple[Monomial, GaussianRational]]:
-        monomials = sorted(self.support(), key=Monomial.sort_key)
-        return [(m, self.coefficient(m)) for m in monomials]
+        ordered = sorted(self.im.items(), key=lambda mc: mc[0].sort_key())
+        return [(m, GaussianRational(_ZERO, c)) for m, c in ordered]
 
     def coefficient(self, m: Monomial) -> GaussianRational:
-        return GaussianRational(self.re.get(m, _ZERO), self.im.get(m, _ZERO))
+        return GaussianRational(_ZERO, self.im.get(m, _ZERO))
 
     def support(self) -> set[Monomial]:
-        return self.re.keys() | self.im.keys()
+        return set(self.im)
 
     @property
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        return not self.im
 
     def __len__(self) -> int:
-        return len(self.support())
+        return len(self.im)
 
     def term_degree(self) -> int:
         """Largest monomial degree present; 0 for the zero kernel."""
-        return max((m.degree for m in self.support()), default=0)
+        return max((m.degree for m in self.im), default=0)
 
     def min_term_degree(self) -> int:
-        return min((m.degree for m in self.support()), default=0)
+        return min((m.degree for m in self.im), default=0)
 
     def _map(self, f, max_degree: int | None = None) -> "Kernel":
-        """Each part c of each monomial m replaced by f(m, c), where a
-        zero drops it; the cutoff stays unless max_degree is given."""
-        return Kernel(self.lattice, max_degree or self.max_degree,
-                      {m: f(m, c) for m, c in self.re.items()},
+        """Each coefficient c of each monomial m replaced by f(m, c), where
+        a zero drops it; the cutoff stays unless max_degree is given."""
+        return Kernel(self.lattice,
+                      self.max_degree if max_degree is None else max_degree,
                       {m: f(m, c) for m, c in self.im.items()})
 
     def degree_slice(self, d: int) -> "Kernel":
@@ -229,11 +230,10 @@ class Kernel:
 
     def __add__(self, other: "Kernel") -> "Kernel":
         self._check_compatible(other)
-        re, im = dict(self.re), dict(self.im)
-        for part, more in ((re, other.re), (im, other.im)):
-            for m, c in more.items():
-                part[m] = part.get(m, _ZERO) + c
-        return Kernel(self.lattice, self.max_degree, re, im)
+        im = dict(self.im)
+        for m, c in other.im.items():
+            im[m] = im.get(m, _ZERO) + c
+        return Kernel(self.lattice, self.max_degree, im)
 
     def __neg__(self) -> "Kernel":
         return self.scale(-1)
@@ -251,7 +251,7 @@ class Kernel:
         return (
             self.lattice == other.lattice
             and self.max_degree == other.max_degree
-            and (self.re, self.im) == (other.re, other.im)
+            and self.im == other.im
         )
 
     def __repr__(self) -> str:
@@ -269,6 +269,10 @@ class Kernel:
 
     @staticmethod
     def from_json(data: dict) -> "Kernel":
+        # JSON integers only: 2.0 and true compare equal to 2 and 1
+        for key in ("dim", "radius", "max_degree"):
+            if type(data[key]) is not int:
+                raise ValueError(f"{key} must be an integer: {data[key]!r}")
         lattice = ModeLattice(data["dim"], data["radius"])
         terms = {}
         for entry in data["terms"]:
@@ -370,38 +374,20 @@ def _contract(x: dict, y_by_u: dict, cutoff: int, sign: int,
 def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     """{a, b} = i sum_k (d_{u_k} a d_{ubar_k} b - d_{u_k} b d_{ubar_k} a).
 
-    Exact and split by bilinearity.  With Q the contraction of
-    ``_contract``, {x, y} = i*(Q(y, x) - Q(x, y)) for real x and y.  So
-    with the part maps (a_0, a_1) = (a.re, a.im) and likewise for b,
-
-        {a, b} = sum_{p, q} i^(1 + p + q) * (Q(b_q, a_p) - Q(a_p, b_q)):
-
-    the pair (p, q) adds to the imaginary part when p + q is even and to
-    the real part when it is odd, with sign +1 only when p = q = 0.
-    Empty parts are skipped; kernels built from h0 and h1 are purely
-    imaginary, so there only (1, 1) runs.  Each part is indexed by the
-    modes of its u factors once per call, so only monomial pairs that
-    share a contractible mode are visited, and a pair whose bracket
-    degree deg(m1) + deg(m2) - 2 exceeds the cutoff is dropped before
-    any monomial is built.  The two sums become the parts of the result.
+    Exact.  With Q the contraction of ``_contract``, {iA, iB} =
+    i*(Q(A, B) - Q(B, A)): two contractions into one ``im`` map.  Each
+    operand is indexed by the modes of its u factors once per call, so
+    only monomial pairs that share a contractible mode are visited, and
+    a pair whose bracket degree deg(m1) + deg(m2) - 2 exceeds the cutoff
+    is dropped before any monomial is built.
     """
     a._check_compatible(b)
     cutoff = a.max_degree
-    a_maps = [(p, x, _index(x)) for p, x in enumerate((a.re, a.im)) if x]
-    b_maps = [(q, y, _index(y)) for q, y in enumerate((b.re, b.im)) if y]
-    real: dict = {}
-    imag: dict = {}
-    for p, x, x_by_u in a_maps:
-        for q, y, y_by_u in b_maps:
-            sign = 1 if p == q == 0 else -1
-            out = real if (p + q) % 2 else imag
-            _contract(y, x_by_u, cutoff, sign, out)
-            _contract(x, y_by_u, cutoff, -sign, out)
-    real, imag = (
-        {Monomial(*key): c for key, c in out.items() if c}
-        for out in (real, imag)
-    )
-    return Kernel(a.lattice, cutoff, real, imag)
+    out: dict = {}
+    _contract(a.im, _index(b.im), cutoff, 1, out)
+    _contract(b.im, _index(a.im), cutoff, -1, out)
+    return Kernel(a.lattice, cutoff,
+                  {Monomial(*key): c for key, c in out.items() if c})
 
 
 class ResonantSplit(NamedTuple):
@@ -411,12 +397,11 @@ class ResonantSplit(NamedTuple):
 
 def split_resonant(a: Kernel, cfg: ResonanceConfig) -> ResonantSplit:
     """Partition by |phase| <= threshold versus |phase| > threshold."""
-    res, nonres = ({}, {}), ({}, {})
-    for p, part in enumerate((a.re, a.im)):
-        for m, c in part.items():
-            (res if abs(m.phase()) <= cfg.threshold else nonres)[p][m] = c
-    return ResonantSplit(Kernel(a.lattice, a.max_degree, *res),
-                         Kernel(a.lattice, a.max_degree, *nonres))
+    res, nonres = {}, {}
+    for m, c in a.im.items():
+        (res if abs(m.phase()) <= cfg.threshold else nonres)[m] = c
+    return ResonantSplit(Kernel(a.lattice, a.max_degree, res),
+                         Kernel(a.lattice, a.max_degree, nonres))
 
 
 def apply_phase_filter(a: Kernel, cfg: ResonanceConfig) -> Kernel:

@@ -187,8 +187,7 @@ def _random_kernel(rng, lat, cutoff, terms, max_half, zero_momentum=False):
             v = [(rng.randint(-lat.radius, lat.radius),) for _ in range(n)]
         nonzero = rng.choice([x for x in range(-6, 7) if x])
         entries[Monomial.of(u, v)] = GR.of(
-            Fraction(nonzero, rng.randint(1, 5)),
-            Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+            0, Fraction(nonzero, rng.randint(1, 5))
         )
     return Kernel.of(lat, cutoff, entries)
 

@@ -138,6 +138,15 @@ def _boolean_mode(total):
     total["terms"][0]["u"] = [[True]]
 
 
+def _float_cutoff(total):
+    # 6.0 == 6, so only the type check refuses it
+    total["max_degree"] = 6.0
+
+
+def _real_part(total):
+    total["terms"][0]["re"] = "1"
+
+
 class TestVerify:
     def test_full_run(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -183,6 +192,26 @@ class TestVerify:
         )
         assert code == 2 and f"has {field} " in err and out == ""
 
+    @pytest.mark.parametrize("key, value", [
+        ("m", 1.0),
+        ("dim", True),
+        ("radius", 2.0),
+    ], ids=["float-m", "boolean-dim", "float-radius"])
+    def test_ledger_needs_integers(self, capsys, tmp_path, key, value):
+        # each value compares equal to the request's; written in the
+        # config and the total alike where both record it
+        ledger = tmp_path / "ledger.json"
+        run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
+        data = json.loads(ledger.read_text())
+        for block in (data, data["config"], data["total"]):
+            if key in block:
+                block[key] = value
+        ledger.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
+        )
+        assert code == 2 and key in err and out == ""
+
     def test_ledger_records_another_nested_rule(self, capsys, tmp_path):
         ledger = tmp_path / "ledger.json"
         run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
@@ -201,8 +230,11 @@ class TestVerify:
         (_zero_denominator, "zero denominator"),
         (_fractional_mode, "integers"),
         (_boolean_mode, "integers"),
+        (_float_cutoff, "max_degree must be an integer"),
+        (_real_part, "real part"),
     ], ids=["radius", "max-degree", "split-term", "zero-denominator",
-            "fractional-mode", "boolean-mode"])
+            "fractional-mode", "boolean-mode", "float-max-degree",
+            "real-part"])
     def test_bad_ledger_total(self, capsys, tmp_path, edit, message):
         ledger = tmp_path / "ledger.json"
         run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))

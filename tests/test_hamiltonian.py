@@ -153,16 +153,12 @@ def random_kernel(rng, lat=LAT2, cutoff=12, terms=3, max_half=3,
             rng.shuffle(v)
         else:
             v = [(rng.randint(-lat.radius, lat.radius),) for _ in range(n)]
-        c = GR.of(
-            Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
-            Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
-        )
+        c = GR.of(0, Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
         entries[Monomial.of(u, v)] = c
     return Kernel.of(lat, cutoff, entries)
 
 
 LAT_2D = ModeLattice(2, 1)
-COEFF_PARTS = {"real": (1, 0), "imag": (0, 1), "mixed": (1, 1)}
 nonzero_fractions = st.builds(
     Fraction,
     st.integers(-6, 6).filter(bool),
@@ -172,20 +168,14 @@ nonzero_fractions = st.builds(
 
 @st.composite
 def kernels_2d(draw, cutoff):
-    """Kernels on LAT_2D whose coefficients are all real, all imaginary
-    or all mixed, so each of the bracket's four real products both runs
-    and is skipped on some pair of operands."""
-    has_re, has_im = COEFF_PARTS[draw(st.sampled_from(sorted(COEFF_PARTS)))]
+    """Kernels on LAT_2D with nonzero imaginary coefficients."""
     modes = st.sampled_from(LAT_2D.modes())
     entries = {}
     for _ in range(draw(st.integers(1, 6))):
         n = draw(st.integers(1, cutoff // 2))
         u = draw(st.lists(modes, min_size=n, max_size=n))
         ubar = draw(st.lists(modes, min_size=n, max_size=n))
-        entries[Monomial.of(u, ubar)] = GR.of(
-            draw(nonzero_fractions) if has_re else 0,
-            draw(nonzero_fractions) if has_im else 0,
-        )
+        entries[Monomial.of(u, ubar)] = GR.of(0, draw(nonzero_fractions))
     return Kernel.of(LAT_2D, cutoff, entries)
 
 
@@ -217,7 +207,7 @@ class TestBracket:
 
     def test_explicit_quartic_pair(self):
         a = kernel(LAT1, 6, [(mono([1, 0], [1, 1]), 0, 1)])
-        b = kernel(LAT1, 6, [(mono([1, 1], [0, 1]), 2, 0)])
+        b = kernel(LAT1, 6, [(mono([1, 1], [0, 1]), 0, 2)])
         got = poisson_bracket(a, b)
         assert got == naive_bracket(a, b)
         assert not got.is_zero
@@ -340,16 +330,16 @@ class TestKernelValue:
 
     def test_invariant_enforcement(self):
         with pytest.raises(ValueError):
-            Kernel.of(LAT1, 2, {mono([1, 1], [0, 2]): GR.of(1)})
+            Kernel.of(LAT1, 2, {mono([1, 1], [0, 2]): GR.of(0, 1)})
         with pytest.raises(ValueError):
-            Kernel.of(LAT1, 4, {mono([2], [2]): GR.of(1)})
+            Kernel.of(LAT1, 4, {mono([2], [2]): GR.of(0, 1)})
         with pytest.raises(ValueError):
             Kernel(LAT1, 3, {})
         # the only bad mode sits in the ubar of the second monomial
         with pytest.raises(ValueError, match=r"mode \(2,\) outside lattice"):
             Kernel.of(LAT1, 4, {
-                mono([1], [1]): GR.of(1),
-                mono([0, 1], [-1, 2]): GR.of(1),
+                mono([1], [1]): GR.of(0, 1),
+                mono([0, 1], [-1, 2]): GR.of(0, 1),
             })
 
     def test_equality_needs_the_same_cutoff(self):
@@ -357,14 +347,19 @@ class TestKernelValue:
         b = Kernel.of(LAT1, 6, {mono([1], [1]): GR.of(0, 1)})
         assert a != b and a == b.with_cutoff(4)
 
+    def test_with_cutoff_zero_rejected(self):
+        # an invalid cutoff, not a request to keep the old one
+        with pytest.raises(ValueError):
+            h1(LAT2, 6).with_cutoff(0)
+
     def test_zero_dropped(self):
         m = mono([1], [1])
         k = Kernel.of(LAT1, 4, {m: GR()})
         assert k.is_zero and len(k) == 0
         imag = Kernel.of(LAT1, 4, {m: GR.of(0, 1)})
-        assert imag.re == {} and imag.im == {m: 1}
-        real = Kernel.of(LAT1, 4, {m: GR.of(1, 0)})
-        assert real.re == {m: 1} and real.im == {}
+        assert imag.im == {m: 1}
+        with pytest.raises(ValueError, match="real part"):
+            Kernel.of(LAT1, 4, {m: GR.of(1, 1)})
 
     def test_json_round_trip(self):
         a = h1(LAT2, 4) + h0(LAT2, 4)
@@ -380,9 +375,8 @@ class TestKernelValue:
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((4, 6, 8)).flatmap(kernels_2d))
 def test_part_maps_round_trip(k):
-    # kernels_2d draws real, imaginary and mixed kernels
     assert Kernel.of(LAT_2D, k.max_degree, dict(k.items())) == k
-    assert all(k.re.values()) and all(k.im.values())
+    assert all(k.im.values())
     assert k.support() == {m for m, _ in k.items()}
 
 
@@ -391,9 +385,9 @@ def test_part_maps_round_trip(k):
 def test_phase_additivity_single_contraction(x, y, z):
     # single-monomial kernels sharing exactly one contraction index
     shared = (z,)
-    a = Kernel.of(LAT2, 20, {Monomial.of([(x,)], [shared]): GR.of(1)})
+    a = Kernel.of(LAT2, 20, {Monomial.of([(x,)], [shared]): GR.of(0, 1)})
     b = Kernel.of(
-        LAT2, 20, {Monomial.of([shared, shared], [(y,), (y,)]): GR.of(1)}
+        LAT2, 20, {Monomial.of([shared, shared], [(y,), (y,)]): GR.of(0, 1)}
     )
     pa = phase(next(iter(a.support())))
     pb = phase(next(iter(b.support())))

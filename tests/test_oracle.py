@@ -224,13 +224,13 @@ class TestCompare:
         cfg = make_cfg(cutoff=4)
         m = Monomial.of([(1,), (-1,)], [(0,), (0,)])
         bumped = cfg.h1() + Kernel.of(
-            cfg.lattice, 4, {m: GR.of(Fraction(1, 3))}
+            cfg.lattice, 4, {m: GR.of(0, Fraction(1, 3))}
         )
         report = compare(cfg.h1(), bumped)
         assert not report.equal
         assert len(report.residual) == 1
         mono, ca, cb = report.worst_monomials[0]
-        assert mono == m and cb - ca == GR.of(Fraction(1, 3))
+        assert mono == m and cb - ca == GR.of(0, Fraction(1, 3))
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -298,8 +298,8 @@ class TestCentralVerification:
 class TestInvariants:
     @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
     def test_zero_real_part(self, dim, K_radius):
-        # poisson_bracket skips the products of empty real parts, so on
-        # the engine's kernels only one of its four products runs
+        # a Kernel stores only imaginary parts, so this holds by
+        # construction; it pins that items() reports real part 0
         cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
         ledger = normal_form(2, 4, cfg)
         kernels = [e.kernel for e in ledger.entries] + [
@@ -308,3 +308,23 @@ class TestInvariants:
         ]
         for kernel in kernels:
             assert all(c.real == 0 for _, c in kernel.items())
+
+    @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
+    def test_swap_parity(self, dim, K_radius):
+        # swapping u and ubar in a monomial keeps its coefficient on the
+        # normal form side and flips its sign on the generator side
+        cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
+        ledger = normal_form(2, 4, cfg)
+        even = [e.kernel for e in ledger.entries] + [
+            ledger.total,
+            birkhoff_iterate(2, 4, cfg).normal_form,
+        ]
+        odd = list(generators_from_recursion(2, cfg))
+        for i in (1, 2):
+            transform = f_transform(i, cfg)
+            odd += [e.kernel for e in transform.entries] + [transform.total]
+        for s, kernels in ((1, even), (-1, odd)):
+            for kernel in kernels:
+                for m, c in kernel.items():
+                    swapped = Monomial(m.ubar, m.u)
+                    assert kernel.coefficient(swapped) == s * c

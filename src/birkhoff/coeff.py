@@ -77,4 +77,9 @@ class GaussianRational:
 
     @staticmethod
     def from_json(data: dict) -> "GaussianRational":
+        # JSON strings only: Fraction would take 2.0 and true, and read a
+        # float such as 0.1 as its binary value
+        for key in ("re", "im"):
+            if type(data[key]) is not str:
+                raise ValueError(f"{key} must be a string: {data[key]!r}")
         return GaussianRational(Fraction(data["re"]), Fraction(data["im"]))

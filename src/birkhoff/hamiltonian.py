@@ -3,12 +3,23 @@
 State variables are Fourier coefficients u_k, conjugate(u)_k indexed by a
 truncated integer mode lattice.  A kernel is a finite map from monomials
 (a pair of sorted mode multisets, one for u factors and one for conjugate
-factors) to purely imaginary exact coefficients i*c, held as one map from
-each monomial to its nonzero ``Fraction`` c: h0 and h1 are imaginary, and
-so are rational multiples, sums, the phase filter and the bracket of
-imaginary kernels.  The module provides the cubic NLS generators, the
-canonical Poisson bracket, the phase function, resonant splitting, and
-the small-divisor phase filter.
+factors) to purely imaginary exact coefficients i*c: h0 and h1 are
+imaginary, and so are rational multiples, sums, the phase filter and the
+bracket of imaginary kernels.  The module provides the cubic NLS
+generators, the canonical Poisson bracket, the phase function, resonant
+splitting, and the small-divisor phase filter.
+
+Inside a kernel a monomial is one packed int, its key, and the rationals
+c are int numerators over one common int denominator.  Each (lattice,
+cutoff) has one codec that fixes the layout: with M modes in
+``lattice.modes()`` order and a field width w wide enough for any
+exponent up to cutoff/2, a key is degree << 2Mw | ubar-block << Mw |
+u-block, the exponent of mode j sitting in bits [wj, w(j+1)) of its
+block.  Keys sort by degree, the product of two monomials is the sum of
+their keys, and a derivative subtracts one shifted unit from a block and
+one from the degree.  ``Monomial`` and ``GaussianRational`` appear only at
+the boundary: ``Kernel.of``, ``from_json``, ``items``, ``coefficient``,
+``support`` and ``to_json``.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
@@ -16,7 +27,7 @@ conjugate factors of x with the u factors of y; {iA, iB} =
 i*(Q(A, B) - Q(B, A)) is two contractions.  Per call, each operand is
 indexed by each mode of its u factors, so only monomial pairs that
 contract are visited; pairs past the degree cutoff are dropped before a
-monomial is built.
+key is built, so no exponent field can carry into the next.
 
 Constant conventions, pinned by direct computation (see the test suite):
 
@@ -30,10 +41,11 @@ Constant conventions, pinned by direct computation (see the test suite):
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .coeff import GaussianRational
@@ -137,92 +149,204 @@ def momentum(m: Monomial) -> Mode:
     return m.momentum()
 
 
+class _Codec:
+    """Packed monomial keys for one (lattice, cutoff).
+
+    Mode j of ``lattice.modes()`` owns bits [w*j, w*(j+1)) of the u block
+    (the low M*w bits) and of the ubar block (the next M*w); the degree
+    sits above both, at ``shift``.  Since 2**w > cutoff/2, no exponent of
+    a monomial within the cutoff reaches the next field.
+    """
+
+    def __init__(self, lattice: ModeLattice, cutoff: int):
+        self.modes = lattice.modes()
+        self.index = {k: j for j, k in enumerate(self.modes)}
+        self.norm2 = [_norm2(k) for k in self.modes]
+        self.w = w = (cutoff // 2).bit_length()
+        self.mask = (1 << w) - 1
+        self.ubar_shift = len(self.modes) * w
+        self.block = (1 << self.ubar_shift) - 1
+        self.shift = 2 * self.ubar_shift
+        # one more degree, one more u_j, one more ubar_j
+        self.unit = 1 << self.shift
+        self.u_units = [1 << (w * j) for j in range(len(self.modes))]
+        self.ubar_units = [u << self.ubar_shift for u in self.u_units]
+
+    def fields(self, block: int) -> list[tuple[int, int]]:
+        """(mode index j, exponent) for each nonzero field of a block."""
+        w, mask = self.w, self.mask
+        out = []
+        while block:
+            j = ((block & -block).bit_length() - 1) // w
+            e = (block >> (w * j)) & mask
+            out.append((j, e))
+            block -= e << (w * j)
+        return out
+
+    def _modes(self, block: int) -> tuple[Mode, ...]:
+        # lattice.modes() is in lexicographic order, so this is sorted;
+        # the walk of fields() is inlined, as to_json decodes every key
+        modes, w, mask = self.modes, self.w, self.mask
+        out: tuple[Mode, ...] = ()
+        while block:
+            j = ((block & -block).bit_length() - 1) // w
+            e = (block >> (w * j)) & mask
+            out += (modes[j],) * e
+            block -= e << (w * j)
+        return out
+
+    def monomial(self, key: int) -> Monomial:
+        """The monomial of a key."""
+        return Monomial(self._modes(key & self.block),
+                        self._modes(key >> self.ubar_shift & self.block))
+
+    def encode(self, m: Monomial) -> int:
+        """The key of a monomial whose modes and degree fit this codec."""
+        index, u_units, ubar_units = self.index, self.u_units, self.ubar_units
+        return (m.degree << self.shift) + sum(
+            u_units[index[k]] for k in m.u
+        ) + sum(ubar_units[index[k]] for k in m.ubar)
+
+    def phase(self, key: int) -> int:
+        norm2 = self.norm2
+        return sum(e * norm2[j] for j, e in self.fields(key & self.block)) - sum(
+            e * norm2[j]
+            for j, e in self.fields(key >> self.ubar_shift & self.block)
+        )
+
+
+@functools.cache
+def _codec_for(lattice: ModeLattice, cutoff: int) -> _Codec:
+    return _Codec(lattice, cutoff)
+
+
+def _check_cutoff(max_degree: int) -> None:
+    if max_degree < 2 or max_degree % 2:
+        raise ValueError("max_degree must be an even integer >= 2")
+
+
 class Kernel:
     """Immutable finite map Monomial -> purely imaginary Gaussian rational.
 
-    ``im`` maps each monomial to the nonzero ``Fraction`` c of its
-    coefficient i*c; ``items()`` and ``coefficient()`` return
-    ``GaussianRational`` values with real part 0.  Zeros are dropped at
-    construction; every monomial must fit the lattice and the even
-    degree cutoff ``max_degree``.
+    The coefficient of the monomial with packed key ``key`` is
+    i * nums[key] / den, held in canonical form: every numerator is a
+    nonzero int, ``den`` is a positive int, and gcd(den, *nums) == 1, so
+    equal kernels hold equal maps and denominators.  The constructor
+    takes keys of the (lattice, max_degree) codec; ``Kernel.of`` and
+    ``from_json`` build a kernel from monomials, and ``items()`` and
+    ``coefficient()`` return ``GaussianRational`` values with real part
+    0.  The cutoff ``max_degree`` is even, and no monomial exceeds it.
     """
 
-    __slots__ = ("lattice", "max_degree", "im")
+    __slots__ = ("lattice", "max_degree", "nums", "den", "_codec")
 
     def __init__(self, lattice: ModeLattice, max_degree: int,
-                 im: Mapping[Monomial, Fraction] = ()):
-        if max_degree < 2 or max_degree % 2:
-            raise ValueError("max_degree must be an even integer >= 2")
+                 nums: Mapping[int, int] | None = None, den: int = 1):
+        _check_cutoff(max_degree)
         self.lattice = lattice
         self.max_degree = max_degree
-        self.im = {}
-        modes: set[Mode] = set()
-        for m, c in dict(im).items():
-            if not c:
-                continue
-            degree = len(m.u) + len(m.ubar)
+        self._codec = codec = _codec_for(lattice, max_degree)
+        nums = {key: c for key, c in nums.items() if c} if nums else {}
+        if nums:
+            degree = max(nums) >> codec.shift
             if degree > max_degree:
                 raise ValueError(f"monomial degree {degree} above cutoff")
-            modes.update(m.u)
-            modes.update(m.ubar)
-            self.im[m] = c
-        # each distinct mode is checked once; the smallest bad one is named
-        bad = [mode for mode in modes if mode not in lattice]
-        if bad:
-            raise ValueError(f"mode {min(bad)} outside lattice")
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {key: c // g for key, c in nums.items()}
+            den //= g
+        self.nums = nums
+        self.den = den
 
     @staticmethod
     def of(lattice: ModeLattice, max_degree: int,
            terms: Mapping[Monomial, GaussianRational]) -> "Kernel":
         """The kernel with these purely imaginary coefficients; the
-        inverse of ``items()``."""
+        inverse of ``items()``.  Zero coefficients are dropped."""
         for m, c in terms.items():
             if c.real:
                 raise ValueError(f"nonzero real part in {m}: {c}")
-        return Kernel(lattice, max_degree,
-                      {m: c.imag for m, c in terms.items()})
+        _check_cutoff(max_degree)
+        im = {m: c.imag for m, c in terms.items() if c.imag}
+        modes: set[Mode] = set()
+        for m in im:
+            if m.degree > max_degree:
+                raise ValueError(f"monomial degree {m.degree} above cutoff")
+            modes.update(m.u)
+            modes.update(m.ubar)
+        # each distinct mode is checked once; the smallest bad one is named
+        bad = [mode for mode in modes if mode not in lattice]
+        if bad:
+            raise ValueError(f"mode {min(bad)} outside lattice")
+        codec = _codec_for(lattice, max_degree)
+        den = math.lcm(*(c.denominator for c in im.values()))
+        return Kernel(lattice, max_degree, {
+            codec.encode(m): c.numerator * (den // c.denominator)
+            for m, c in im.items()
+        }, den)
 
     @staticmethod
     def zero(lattice: ModeLattice, max_degree: int) -> "Kernel":
         return Kernel(lattice, max_degree)
 
+    def _terms(self) -> list[tuple[int, tuple[Mode, ...], tuple[Mode, ...],
+                                   int]]:
+        """(degree, u, ubar, numerator) per term, in ``Monomial.sort_key``
+        order."""
+        codec = self._codec
+        modes, block, ubar_shift = codec._modes, codec.block, codec.ubar_shift
+        shift = codec.shift
+        return sorted((key >> shift, modes(key & block),
+                       modes(key >> ubar_shift & block), c)
+                      for key, c in self.nums.items())
+
     def items(self) -> list[tuple[Monomial, GaussianRational]]:
-        ordered = sorted(self.im.items(), key=lambda mc: mc[0].sort_key())
-        return [(m, GaussianRational(_ZERO, c)) for m, c in ordered]
+        den = self.den
+        return [(Monomial(u, ubar), GaussianRational(_ZERO, Fraction(c, den)))
+                for _, u, ubar, c in self._terms()]
 
     def coefficient(self, m: Monomial) -> GaussianRational:
-        return GaussianRational(_ZERO, self.im.get(m, _ZERO))
+        codec = self._codec
+        if m.degree > self.max_degree or not all(
+            k in codec.index for k in (*m.u, *m.ubar)
+        ):
+            return GaussianRational(_ZERO, _ZERO)
+        c = self.nums.get(codec.encode(m), 0)
+        return GaussianRational(_ZERO, Fraction(c, self.den))
 
     def support(self) -> set[Monomial]:
-        return set(self.im)
+        monomial = self._codec.monomial
+        return {monomial(key) for key in self.nums}
 
     @property
     def is_zero(self) -> bool:
-        return not self.im
+        return not self.nums
 
     def __len__(self) -> int:
-        return len(self.im)
+        return len(self.nums)
 
     def term_degree(self) -> int:
         """Largest monomial degree present; 0 for the zero kernel."""
-        return max((m.degree for m in self.im), default=0)
+        return max(self.nums) >> self._codec.shift if self.nums else 0
 
     def min_term_degree(self) -> int:
-        return min((m.degree for m in self.im), default=0)
-
-    def _map(self, f, max_degree: int | None = None) -> "Kernel":
-        """Each coefficient c of each monomial m replaced by f(m, c), where
-        a zero drops it; the cutoff stays unless max_degree is given."""
-        return Kernel(self.lattice,
-                      self.max_degree if max_degree is None else max_degree,
-                      {m: f(m, c) for m, c in self.im.items()})
+        return min(self.nums) >> self._codec.shift if self.nums else 0
 
     def degree_slice(self, d: int) -> "Kernel":
-        return self._map(lambda m, c: c if m.degree == d else _ZERO)
+        shift = self._codec.shift
+        return Kernel(self.lattice, self.max_degree, {
+            key: c for key, c in self.nums.items() if key >> shift == d
+        }, self.den)
 
     def with_cutoff(self, max_degree: int) -> "Kernel":
-        return self._map(
-            lambda m, c: c if m.degree <= max_degree else _ZERO, max_degree)
+        _check_cutoff(max_degree)
+        old, new = self._codec, _codec_for(self.lattice, max_degree)
+        return Kernel(self.lattice, max_degree, {
+            new.encode(old.monomial(key)): c
+            for key, c in self.nums.items() if key >> old.shift <= max_degree
+        }, self.den)
 
     def _check_compatible(self, other: "Kernel") -> None:
         if self.lattice != other.lattice or self.max_degree != other.max_degree:
@@ -230,10 +354,12 @@ class Kernel:
 
     def __add__(self, other: "Kernel") -> "Kernel":
         self._check_compatible(other)
-        im = dict(self.im)
-        for m, c in other.im.items():
-            im[m] = im.get(m, _ZERO) + c
-        return Kernel(self.lattice, self.max_degree, im)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        nums = {key: c * fa for key, c in self.nums.items()}
+        for key, c in other.nums.items():
+            nums[key] = nums.get(key, 0) + c * fb
+        return Kernel(self.lattice, self.max_degree, nums, den)
 
     def __neg__(self) -> "Kernel":
         return self.scale(-1)
@@ -243,7 +369,11 @@ class Kernel:
 
     def scale(self, factor: Fraction) -> "Kernel":
         """Multiply every coefficient by a rational."""
-        return self._map(lambda m, c: c * factor)
+        f = Fraction(factor)
+        n = f.numerator
+        return Kernel(self.lattice, self.max_degree, {
+            key: c * n for key, c in self.nums.items()
+        }, self.den * f.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Kernel):
@@ -251,20 +381,26 @@ class Kernel:
         return (
             self.lattice == other.lattice
             and self.max_degree == other.max_degree
-            and self.im == other.im
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __repr__(self) -> str:
         return f"Kernel({len(self)} terms, cutoff {self.max_degree})"
 
     def to_json(self) -> dict:
+        den = self.den
+        terms = []
+        for _, u, ubar, c in self._terms():
+            g = math.gcd(c, den)
+            im = str(c // g) if g == den else f"{c // g}/{den // g}"
+            terms.append({"u": [list(a) for a in u],
+                          "ubar": [list(b) for b in ubar], "re": "0", "im": im})
         return {
             "dim": self.lattice.dim,
             "radius": self.lattice.radius,
             "max_degree": self.max_degree,
-            "terms": [
-                {**m.to_json(), **c.to_json()} for m, c in self.items()
-            ],
+            "terms": terms,
         }
 
     @staticmethod
@@ -293,12 +429,12 @@ class Kernel:
 
 def h0(lattice: ModeLattice, cutoff: int) -> Kernel:
     """Kinetic kernel: (i/2) |k|^2 per mode pair (u_k, ubar_k)."""
-    im = {}
-    for k in lattice.modes():
-        n2 = _norm2(k)
-        if n2:
-            im[Monomial.of([k], [k])] = Fraction(n2, 2)
-    return Kernel(lattice, cutoff, im=im)
+    codec = _codec_for(lattice, cutoff)
+    nums = {
+        2 * codec.unit + codec.u_units[j] + codec.ubar_units[j]: n2
+        for j, n2 in enumerate(codec.norm2) if n2
+    }
+    return Kernel(lattice, cutoff, nums, 2)
 
 
 def h1(lattice: ModeLattice, cutoff: int) -> Kernel:
@@ -309,85 +445,81 @@ def h1(lattice: ModeLattice, cutoff: int) -> Kernel:
     """
     if cutoff < 4:
         return Kernel.zero(lattice, cutoff)
-    quarter = Fraction(1, 4)
-    im: dict[Monomial, Fraction] = {}
-    for k1, k2, k3 in itertools.product(lattice.modes(), repeat=3):
-        k4 = tuple(a - b + c for a, b, c in zip(k1, k2, k3))
-        if k4 not in lattice:
+    codec = _codec_for(lattice, cutoff)
+    index, u_units, ubar_units = codec.index, codec.u_units, codec.ubar_units
+    nums: dict[int, int] = {}
+    for k1, k2, k3 in itertools.product(codec.modes, repeat=3):
+        j4 = index.get(tuple(a - b + c for a, b, c in zip(k1, k2, k3)))
+        if j4 is None:
             continue
-        m = Monomial.of([k1, k3], [k2, k4])
-        im[m] = im.get(m, _ZERO) + quarter
-    return Kernel(lattice, cutoff, im=im)
+        key = (4 * codec.unit + u_units[index[k1]] + u_units[index[k3]]
+               + ubar_units[index[k2]] + ubar_units[j4])
+        nums[key] = nums.get(key, 0) + 1
+    return Kernel(lattice, cutoff, nums, 4)
 
 
-def _remove_one(modes: tuple[Mode, ...], k: Mode) -> tuple[Mode, ...]:
-    out = list(modes)
-    out.remove(k)
-    return tuple(out)
+def _index(nums: dict, codec: _Codec) -> dict:
+    """Entries of a kernel by the index j of each mode of their u factors.
 
-
-def _index(part: dict) -> dict:
-    """Entries of part by each mode of their u factors.
-
-    An entry is (degree, u with one copy of the mode removed, ubar,
-    coefficient times the mode's multiplicity).  Each mode's list is
-    sorted by degree, so a caller stops at the first entry above its
-    degree limit.
+    An entry is (degree, key less one u_j and one degree, numerator times
+    the exponent of u_j).  Each list is sorted by degree, so a caller
+    stops at the first entry above its degree limit.
     """
-    by_u: dict[Mode, list] = {}
-    for m, c in part.items():
-        u, ubar = m.u, m.ubar
-        d = len(u) + len(ubar)
-        for k in set(u):
-            by_u.setdefault(k, []).append(
-                (d, _remove_one(u, k), ubar, c * u.count(k))
-            )
-    for entries in by_u.values():
-        entries.sort(key=itemgetter(0))
+    shift, unit, block = codec.shift, codec.unit, codec.block
+    fields, u_units = codec.fields, codec.u_units
+    by_u: dict[int, list] = {}
+    # keys sort by degree
+    for key in sorted(nums):
+        c = nums[key]
+        d = key >> shift
+        for j, e in fields(key & block):
+            by_u.setdefault(j, []).append((d, key - unit - u_units[j], c * e))
     return by_u
 
 
-def _contract(x: dict, y_by_u: dict, cutoff: int, sign: int,
+def _contract(x: dict, y_by_u: dict, codec: _Codec, cutoff: int, sign: int,
               out: dict) -> None:
-    """Add sign * Q(x, y) to out, keyed by (u, ubar) tuples.
+    """Add sign * Q(x, y) to out, numerators keyed by packed monomial.
 
     Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y pairs the ubar factors of x
     with the u factors of y; y is given by its ``_index``.
     """
-    for m1, c1 in x.items():
-        u1, ubar1 = m1.u, m1.ubar
+    shift, unit, block, ubar_shift = (codec.shift, codec.unit, codec.block,
+                                      codec.ubar_shift)
+    fields, ubar_units = codec.fields, codec.ubar_units
+    for key1, c1 in x.items():
         # m2 contributes only if deg(m1) + deg(m2) - 2 <= cutoff
-        limit = cutoff + 2 - len(u1) - len(ubar1)
-        for k in set(ubar1):
-            entries = y_by_u.get(k)
+        limit = cutoff + 2 - (key1 >> shift)
+        for j, e in fields(key1 >> ubar_shift & block):
+            entries = y_by_u.get(j)
             if entries is None:
                 continue
-            ubar1k = _remove_one(ubar1, k)
-            c = c1 * (sign * ubar1.count(k))
-            for d2, u2k, ubar2, c2 in entries:
+            base = key1 - unit - ubar_units[j]
+            c = c1 * (sign * e)
+            for d2, key2, c2 in entries:
                 if d2 > limit:
                     break
-                key = (tuple(sorted(u1 + u2k)), tuple(sorted(ubar1k + ubar2)))
-                out[key] = out.get(key, _ZERO) + c * c2
+                key = base + key2
+                out[key] = out.get(key, 0) + c * c2
 
 
 def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     """{a, b} = i sum_k (d_{u_k} a d_{ubar_k} b - d_{u_k} b d_{ubar_k} a).
 
     Exact.  With Q the contraction of ``_contract``, {iA, iB} =
-    i*(Q(A, B) - Q(B, A)): two contractions into one ``im`` map.  Each
-    operand is indexed by the modes of its u factors once per call, so
-    only monomial pairs that share a contractible mode are visited, and
-    a pair whose bracket degree deg(m1) + deg(m2) - 2 exceeds the cutoff
-    is dropped before any monomial is built.
+    i*(Q(A, B) - Q(B, A)): two contractions of the numerator maps into
+    one, over the denominator a.den * b.den.  Each operand is indexed by
+    the modes of its u factors once per call, so only monomial pairs
+    that share a contractible mode are visited, and a pair whose bracket
+    degree deg(m1) + deg(m2) - 2 exceeds the cutoff is dropped before
+    its key is built.
     """
     a._check_compatible(b)
-    cutoff = a.max_degree
+    cutoff, codec = a.max_degree, a._codec
     out: dict = {}
-    _contract(a.im, _index(b.im), cutoff, 1, out)
-    _contract(b.im, _index(a.im), cutoff, -1, out)
-    return Kernel(a.lattice, cutoff,
-                  {Monomial(*key): c for key, c in out.items() if c})
+    _contract(a.nums, _index(b.nums, codec), codec, cutoff, 1, out)
+    _contract(b.nums, _index(a.nums, codec), codec, cutoff, -1, out)
+    return Kernel(a.lattice, cutoff, out, a.den * b.den)
 
 
 class ResonantSplit(NamedTuple):
@@ -398,16 +530,25 @@ class ResonantSplit(NamedTuple):
 def split_resonant(a: Kernel, cfg: ResonanceConfig) -> ResonantSplit:
     """Partition by |phase| <= threshold versus |phase| > threshold."""
     res, nonres = {}, {}
-    for m, c in a.im.items():
-        (res if abs(m.phase()) <= cfg.threshold else nonres)[m] = c
-    return ResonantSplit(Kernel(a.lattice, a.max_degree, res),
-                         Kernel(a.lattice, a.max_degree, nonres))
+    codec_phase = a._codec.phase
+    for key, c in a.nums.items():
+        (res if abs(codec_phase(key)) <= cfg.threshold else nonres)[key] = c
+    return ResonantSplit(Kernel(a.lattice, a.max_degree, res, a.den),
+                         Kernel(a.lattice, a.max_degree, nonres, a.den))
 
 
 def apply_phase_filter(a: Kernel, cfg: ResonanceConfig) -> Kernel:
-    """Scale non-resonant monomials by 1/(2*phase); drop resonant ones."""
-    def filtered(m: Monomial, c: Fraction) -> Fraction:
-        p = m.phase()
-        return c / (2 * p) if abs(p) > cfg.threshold else _ZERO
+    """Scale non-resonant monomials by 1/(2*phase); drop resonant ones.
 
-    return a._map(filtered)
+    The new denominator is a.den times the lcm of the divisors 2*|phase|.
+    """
+    codec_phase = a._codec.phase
+    kept = {}
+    for key, c in a.nums.items():
+        p = codec_phase(key)
+        if abs(p) > cfg.threshold:
+            kept[key] = (c, 2 * p)
+    lcm = math.lcm(*(q for _, q in kept.values()))
+    return Kernel(a.lattice, a.max_degree, {
+        key: c * (lcm // q) for key, (c, q) in kept.items()
+    }, a.den * lcm)

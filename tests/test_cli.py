@@ -147,6 +147,16 @@ def _real_part(total):
     total["terms"][0]["re"] = "1"
 
 
+def _coefficient_as(value):
+    # the canonical total holds "im": "2" first; 2 and 2.0 equal it, and
+    # true reads as 1, so only the type check refuses them
+    def edit(total):
+        first = total["terms"][0]
+        assert first["im"] == "2"
+        first["im"] = value
+    return edit
+
+
 class TestVerify:
     def test_full_run(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -232,9 +242,13 @@ class TestVerify:
         (_boolean_mode, "integers"),
         (_float_cutoff, "max_degree must be an integer"),
         (_real_part, "real part"),
+        (_coefficient_as(2), "im must be a string"),
+        (_coefficient_as(2.0), "im must be a string"),
+        (_coefficient_as(True), "im must be a string"),
     ], ids=["radius", "max-degree", "split-term", "zero-denominator",
             "fractional-mode", "boolean-mode", "float-max-degree",
-            "real-part"])
+            "real-part", "integer-coefficient", "float-coefficient",
+            "boolean-coefficient"])
     def test_bad_ledger_total(self, capsys, tmp_path, edit, message):
         ledger = tmp_path / "ledger.json"
         run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))

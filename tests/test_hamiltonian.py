@@ -13,6 +13,7 @@ from birkhoff.hamiltonian import (
     ModeLattice,
     Monomial,
     ResonanceConfig,
+    _codec_for,
     apply_phase_filter,
     h0,
     h1,
@@ -205,6 +206,40 @@ class TestBracket:
         a, b = operands
         assert poisson_bracket(a, b) == naive_bracket(a, b)
 
+    def test_absolute_sign(self):
+        # {h0, i u_1 ubar_0} = (i/2) u_1 ubar_0: of the two modes only u_1
+        # meets h0's (i/2)|k|^2, and a global sign flip turns this around
+        m = mono([1], [0])
+        got = poisson_bracket(h0(LAT1, 4), kernel(LAT1, 4, [(m, 0, 1)]))
+        assert got == kernel(LAT1, 4, [(m, 0, Fraction(1, 2))])
+
+    @pytest.mark.parametrize("cutoff", [4, 6, 8, 14, 16])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+    def test_full_field_against_naive(self, end, dim, cutoff):
+        # the output holds cutoff/2 copies of the first or last mode in one
+        # block, filling that mode's field; 4, 6, 8, 14 and 16 put the
+        # count at 2**w - 1 or 2**(w - 1) for the field width w.  A carry
+        # out of the last mode's field would reach the next block or the
+        # degree.
+        lat = ModeLattice(dim, 1)
+        modes = lat.modes()
+        k, j = modes[end], modes[len(modes) // 2]
+        h = cutoff // 2
+        for u_side in (True, False):
+            def term(u, ubar):
+                u, ubar = (u, ubar) if u_side else (ubar, u)
+                return Kernel.of(lat, cutoff,
+                                 {Monomial.of(u, ubar): GR.of(0, 1)})
+            a = term([k] * (h - 1), [j] * (h - 1))
+            b = term([k, j], [j, j])
+            got = poisson_bracket(a, b)
+            assert got == naive_bracket(a, b)
+            full = Monomial.of([k] * h, [j] * h)
+            if not u_side:
+                full = Monomial(full.ubar, full.u)
+            assert full in got.support()
+
     def test_explicit_quartic_pair(self):
         a = kernel(LAT1, 6, [(mono([1, 0], [1, 1]), 0, 1)])
         b = kernel(LAT1, 6, [(mono([1, 1], [0, 1]), 0, 2)])
@@ -357,7 +392,7 @@ class TestKernelValue:
         k = Kernel.of(LAT1, 4, {m: GR()})
         assert k.is_zero and len(k) == 0
         imag = Kernel.of(LAT1, 4, {m: GR.of(0, 1)})
-        assert imag.im == {m: 1}
+        assert dict(imag.items()) == {m: GR.of(0, 1)}
         with pytest.raises(ValueError, match="real part"):
             Kernel.of(LAT1, 4, {m: GR.of(1, 1)})
 
@@ -376,7 +411,7 @@ class TestKernelValue:
 @given(st.sampled_from((4, 6, 8)).flatmap(kernels_2d))
 def test_part_maps_round_trip(k):
     assert Kernel.of(LAT_2D, k.max_degree, dict(k.items())) == k
-    assert all(k.im.values())
+    assert all(c for _, c in k.items())
     assert k.support() == {m for m, _ in k.items()}
 
 
@@ -393,3 +428,45 @@ def test_phase_additivity_single_contraction(x, y, z):
     pb = phase(next(iter(b.support())))
     for m in poisson_bracket(a, b).support():
         assert phase(m) == pa + pb
+
+
+@st.composite
+def codec_cases(draw):
+    """A lattice of dim 1-3, a cutoff in 4..20 and monomials within it,
+    among them cutoff/2 copies of one mode in the u or the ubar block."""
+    dim = draw(st.integers(1, 3))
+    lat = ModeLattice(dim, draw(st.integers(0, 2 if dim < 3 else 1)))
+    cutoff = draw(st.sampled_from(range(4, 21, 2)))
+    modes = st.sampled_from(lat.modes())
+    monomials = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, cutoff // 2))
+        monomials.append(Monomial.of(
+            draw(st.lists(modes, min_size=n, max_size=n)),
+            draw(st.lists(modes, min_size=n, max_size=n)),
+        ))
+    full, rest = [draw(modes)] * (cutoff // 2), draw(
+        st.lists(modes, min_size=cutoff // 2, max_size=cutoff // 2))
+    monomials += [Monomial.of(full, rest), Monomial.of(rest, full)]
+    return lat, cutoff, monomials
+
+
+@settings(max_examples=200, deadline=None)
+@given(codec_cases())
+def test_codec_round_trip(case):
+    lat, cutoff, monomials = case
+    codec = _codec_for(lat, cutoff)
+    for m in monomials:
+        assert codec.monomial(codec.encode(m)) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(codec_cases())
+def test_key_order_is_degree_order(case):
+    lat, cutoff, monomials = case
+    codec = _codec_for(lat, cutoff)
+    keys = sorted(codec.encode(m) for m in monomials)
+    degrees = [codec.monomial(key).degree for key in keys]
+    assert degrees == sorted(m.degree for m in monomials)
+    k = Kernel.of(lat, cutoff, {m: GR.of(0, 1) for m in monomials})
+    assert (k.min_term_degree(), k.term_degree()) == (degrees[0], degrees[-1])

@@ -287,6 +287,15 @@ class TestCentralVerification:
         oracle = birkhoff_iterate(m, ell, cfg)
         assert compare(ledger.total, oracle.normal_form).equal
 
+    @pytest.mark.parametrize("dim,K_radius,m,ell", [(1, 3, 2, 4), (3, 1, 1, 3)])
+    def test_tree_expansion_equals_iteration_lattices(self, dim, K_radius, m,
+                                                      ell):
+        # a wider 1-D lattice, and the 27 modes of the 3-D cube
+        cfg = make_cfg(K_radius=K_radius, cutoff=2 * ell, dim=dim)
+        ledger = normal_form(m, ell, cfg)
+        oracle = birkhoff_iterate(m, ell, cfg)
+        assert compare(ledger.total, oracle.normal_form).equal
+
     def test_f_transform_and_cancellation_dim2(self):
         cfg = make_cfg(K_radius=1, cutoff=8, dim=2)
         recs = generators_from_recursion(3, cfg)

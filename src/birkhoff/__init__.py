@@ -43,6 +43,7 @@ from .hamiltonian import (
     momentum,
     phase,
     poisson_bracket,
+    resonant_part,
     split_resonant,
 )
 from .evaluator import (

@@ -29,6 +29,7 @@ from .enumeration import (
 )
 from .evaluator import (
     EvalConfig,
+    ExpansionLedger,
     cancellation_check,
     f_transform,
     normal_form,
@@ -76,7 +77,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
@@ -115,8 +116,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(text: str, out: str | None) -> None:
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -144,17 +148,17 @@ def cmd_trees(args: argparse.Namespace) -> int:
     payload = ts.to_json()
     if args.format in ("latex", "dot"):
         payload["renders"] = [render(t, args.format) for t in ts]
-    _emit(payload, args.out)
+    _emit(_json_text(payload), args.out)
     _note(f"count={len(ts)} degrees={payload['degrees']}")
     return 0
 
 
-def _ledger_summary(payload: dict) -> None:
+def _ledger_summary(ledger: ExpansionLedger) -> None:
     _note(f"{'tree':<42} {'S':>4} {'#monomials':>10}")
-    for entry in payload["entries"]:
-        count = len(entry["kernel"]["terms"])
-        _note(f"{entry['tree']:<42} {entry['S']:>4} {count:>10}")
-    _note(f"total monomials: {len(payload['total']['terms'])}")
+    for e in ledger.entries:
+        _note(f"{render(e.tree):<42} {e.weight.denominator:>4} "
+              f"{len(e.kernel):>10}")
+    _note(f"total monomials: {len(ledger.total)}")
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
@@ -163,9 +167,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
         raise CliError("need 1 <= m < ell")
     ec = cfg.eval_config(2 * args.ell)
     ledger = normal_form(args.m, args.ell, ec)
-    payload = ledger.to_json(ec)
-    _emit(payload, args.out)
-    _ledger_summary(payload)
+    _emit(ledger.json_text(ec), args.out)
+    _ledger_summary(ledger)
     return 0
 
 
@@ -175,9 +178,8 @@ def cmd_f_transform(args: argparse.Namespace) -> int:
         raise CliError("need m >= 1")
     ec = cfg.eval_config(2 * (args.m + 1))
     ledger = f_transform(args.m, ec)
-    payload = ledger.to_json(ec)
-    _emit(payload, args.out)
-    _ledger_summary(payload)
+    _emit(ledger.json_text(ec), args.out)
+    _ledger_summary(ledger)
     return 0
 
 
@@ -188,8 +190,8 @@ def _read_ledger(path: str, m: int, ell: int, ec: EvalConfig) -> Kernel:
             data = json.load(fh)
         recorded = {"m": data["m"], "ell": data["ell"], **data["config"]}
         total = Kernel.from_json(data["total"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError, KeyError,
+            TypeError, ValueError) as exc:
         raise CliError(f"cannot read ledger {path}: {exc}") from exc
     for key, want in {"m": m, "ell": ell, **ec.to_json()}.items():
         got = recorded.get(key)
@@ -224,7 +226,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ).equal
     payload = report.to_json()
     payload["checks"] = checks
-    _emit(payload, args.out)
+    _emit(_json_text(payload), args.out)
     ok = all(checks.values())
     _note("all checks passed" if ok else f"FAILED: {checks}")
     return 0 if ok else 1

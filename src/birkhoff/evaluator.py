@@ -23,6 +23,7 @@ same config shares its subtrees.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -44,6 +45,7 @@ from .hamiltonian import (
     h0,
     h1,
     poisson_bracket,
+    resonant_part,
     split_resonant,
 )
 from .trees import (
@@ -124,7 +126,7 @@ def _pi(tree: Tree, cfg: EvalConfig) -> Kernel:
     else:
         out = cfg.h1()
     if dec is Decoration.R:
-        out = split_resonant(out, cfg.resonance).res
+        out = resonant_part(out, cfg.resonance)
     elif dec is Decoration.N:
         out = apply_phase_filter(out, cfg.resonance).scale(GENERATOR_SCALE)
     _KERNELS[key] = out
@@ -161,6 +163,26 @@ class ExpansionLedger:
             ],
             "total": self.total.to_json(),
         }
+
+    def json_text(self, cfg: EvalConfig) -> str:
+        """``json.dumps(self.to_json(cfg), sort_keys=True, indent=2)`` plus
+        a newline, byte for byte, with each kernel written by
+        ``Kernel.json_text``."""
+        config = json.dumps(cfg.to_json(), sort_keys=True, indent=2).replace(
+            "\n", "\n  ")
+        entries = ",".join(
+            f'\n    {{\n      "S": {json.dumps(e.weight.denominator)},'
+            f'\n      "kernel": {e.kernel.json_text(3)},'
+            f'\n      "tree": {json.dumps(render(e.tree))},'
+            f'\n      "weight": {json.dumps(str(e.weight))}\n    }}'
+            for e in self.entries
+        )
+        listing = f"[{entries}\n  ]" if entries else "[]"
+        return (f'{{\n  "config": {config},'
+                f'\n  "ell": {json.dumps(self.ell)},'
+                f'\n  "entries": {listing},'
+                f'\n  "m": {json.dumps(self.m)},'
+                f'\n  "total": {self.total.json_text(1)}\n}}\n')
 
 
 def _assemble(trees: Iterable[Tree], cfg: EvalConfig, **meta) -> ExpansionLedger:

@@ -19,7 +19,8 @@ block.  Keys sort by degree, the product of two monomials is the sum of
 their keys, and a derivative subtracts one shifted unit from a block and
 one from the degree.  ``Monomial`` and ``GaussianRational`` appear only at
 the boundary: ``Kernel.of``, ``from_json``, ``items``, ``coefficient``,
-``support`` and ``to_json``.
+``support`` and ``to_json``; ``json_text`` writes the text of
+``to_json`` straight from the keys.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
@@ -93,6 +94,10 @@ class ResonanceConfig:
     def __post_init__(self) -> None:
         if self.threshold < 0:
             raise ValueError("threshold must be nonnegative")
+
+    def resonant(self, phase: int) -> bool:
+        """The one resonance rule: |phase| <= N."""
+        return abs(phase) <= self.threshold
 
 
 def _norm2(mode: Mode) -> int:
@@ -185,7 +190,8 @@ class _Codec:
 
     def _modes(self, block: int) -> tuple[Mode, ...]:
         # lattice.modes() is in lexicographic order, so this is sorted;
-        # the walk of fields() is inlined, as to_json decodes every key
+        # the walk of fields() is inlined, as to_json and json_text decode
+        # every key
         modes, w, mask = self.modes, self.w, self.mask
         out: tuple[Mode, ...] = ()
         while block:
@@ -218,6 +224,12 @@ class _Codec:
 @functools.cache
 def _codec_for(lattice: ModeLattice, cutoff: int) -> _Codec:
     return _Codec(lattice, cutoff)
+
+
+def _ratio(c: int, den: int) -> str:
+    """c/den in lowest terms, as ``str(Fraction(c, den))`` writes it."""
+    g = math.gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
 def _check_cutoff(max_degree: int) -> None:
@@ -392,16 +404,38 @@ class Kernel:
         den = self.den
         terms = []
         for _, u, ubar, c in self._terms():
-            g = math.gcd(c, den)
-            im = str(c // g) if g == den else f"{c // g}/{den // g}"
             terms.append({"u": [list(a) for a in u],
-                          "ubar": [list(b) for b in ubar], "re": "0", "im": im})
+                          "ubar": [list(b) for b in ubar], "re": "0",
+                          "im": _ratio(c, den)})
         return {
             "dim": self.lattice.dim,
             "radius": self.lattice.radius,
             "max_degree": self.max_degree,
             "terms": terms,
         }
+
+    def json_text(self, depth: int = 0) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True, indent=2)``, byte
+        for byte, for the kernel nested ``depth`` levels deep in a larger
+        document: every line after the first is indented by 2 * depth
+        more spaces.  The text is written from a fixed template, since
+        the json module's indenting encoder runs in pure Python."""
+        pad = "\n" + "  " * depth
+        p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
+        # each mode's "[ ... ]" list item, made once
+        item = {k: f"{p4}[{p5}" + f",{p5}".join(map(str, k)) + f"{p4}]"
+                for k in self._codec.modes}.__getitem__
+        den = self.den
+        terms = [
+            f'{p2}{{{p3}"im": "{_ratio(c, den)}",{p3}"re": "0",'
+            f'{p3}"u": [{",".join(map(item, u))}{p3}],'
+            f'{p3}"ubar": [{",".join(map(item, ubar))}{p3}]{p2}}}'
+            for _, u, ubar, c in self._terms()
+        ]
+        listing = f"[{','.join(terms)}{p1}]" if terms else "[]"
+        return (f'{{{p1}"dim": {self.lattice.dim},{p1}"max_degree": '
+                f'{self.max_degree},{p1}"radius": {self.lattice.radius},'
+                f'{p1}"terms": {listing}{pad}}}')
 
     @staticmethod
     def from_json(data: dict) -> "Kernel":
@@ -530,11 +564,19 @@ class ResonantSplit(NamedTuple):
 def split_resonant(a: Kernel, cfg: ResonanceConfig) -> ResonantSplit:
     """Partition by |phase| <= threshold versus |phase| > threshold."""
     res, nonres = {}, {}
-    codec_phase = a._codec.phase
+    codec_phase, resonant = a._codec.phase, cfg.resonant
     for key, c in a.nums.items():
-        (res if abs(codec_phase(key)) <= cfg.threshold else nonres)[key] = c
+        (res if resonant(codec_phase(key)) else nonres)[key] = c
     return ResonantSplit(Kernel(a.lattice, a.max_degree, res, a.den),
                          Kernel(a.lattice, a.max_degree, nonres, a.den))
+
+
+def resonant_part(a: Kernel, cfg: ResonanceConfig) -> Kernel:
+    """``split_resonant(a, cfg).res``, without building the other part."""
+    codec_phase, resonant = a._codec.phase, cfg.resonant
+    return Kernel(a.lattice, a.max_degree, {
+        key: c for key, c in a.nums.items() if resonant(codec_phase(key))
+    }, a.den)
 
 
 def apply_phase_filter(a: Kernel, cfg: ResonanceConfig) -> Kernel:
@@ -542,11 +584,11 @@ def apply_phase_filter(a: Kernel, cfg: ResonanceConfig) -> Kernel:
 
     The new denominator is a.den times the lcm of the divisors 2*|phase|.
     """
-    codec_phase = a._codec.phase
+    codec_phase, resonant = a._codec.phase, cfg.resonant
     kept = {}
     for key, c in a.nums.items():
         p = codec_phase(key)
-        if abs(p) > cfg.threshold:
+        if not resonant(p):
             kept[key] = (c, 2 * p)
     lcm = math.lcm(*(q for _, q in kept.values()))
     return Kernel(a.lattice, a.max_degree, {

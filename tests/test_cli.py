@@ -5,6 +5,17 @@ import pytest
 from birkhoff.cli import CONFIG_ENV, main
 
 
+# the stderr summary of `expand --m 1 --ell 3`
+SUMMARY_1_3 = (
+    "tree                                          S #monomials\n"
+    "(k)                                           1          4\n"
+    "(r)                                           1         15\n"
+    "(o (o) (n))                                   1        101\n"
+    "(o (o (k) (n)) (n))                           2         73\n"
+    "total monomials: 120\n"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -81,6 +92,14 @@ class TestExpand:
         data = json.loads(out_path.read_text())
         assert len(data["entries"]) == 1 + 1 + 2
         assert "total monomials" in err
+
+    def test_out_matches_stdout(self, capsys, tmp_path):
+        out_path = tmp_path / "ledger.json"
+        code, out, err = run(capsys, "expand", "--m", "1", "--ell", "3")
+        assert code == 0 and err == SUMMARY_1_3
+        assert run(capsys, "expand", "--m", "1", "--ell", "3",
+                   "--out", str(out_path)) == (0, "", SUMMARY_1_3)
+        assert out_path.read_bytes() == out.encode()
 
     def test_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -178,6 +197,16 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["equal"] is True
+
+    @pytest.mark.parametrize("flag", ["--ledger", "--config"])
+    def test_deeply_nested_json(self, capsys, tmp_path, flag):
+        # json.load raises RecursionError, which is bad input, not a
+        # failed identity
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(capsys, "verify", "--m", "1", "--ell", "3",
+                             flag, str(path))
+        assert code == 2 and "cannot read" in err and out == ""
 
     def test_mismatched_ledger(self, capsys, tmp_path):
         ledger = tmp_path / "ledger.json"

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,8 @@ from birkhoff.hamiltonian import (
 from birkhoff.evaluator import (
     CLASS_INDEX_OFFSET,
     EvalConfig,
+    ExpansionLedger,
+    LedgerEntry,
     cancellation_check,
     f_transform,
     normal_form,
@@ -217,6 +221,58 @@ class TestNormalForm:
         assert {"u", "ubar", "re", "im"} <= set(
             data["total"]["terms"][0]
         )
+
+
+def _nf_1_3_dim1():
+    cfg = make_cfg(cutoff=6)
+    return normal_form(1, 3, cfg), cfg
+
+
+def _nf_2_4_dim2():
+    # negative coordinates and two-coordinate modes
+    cfg = EvalConfig(ModeLattice(2, 1), ResonanceConfig(0), 8)
+    return normal_form(2, 4, cfg), cfg
+
+
+def _f2_dim2():
+    # "ell": null
+    cfg = EvalConfig(ModeLattice(2, 1), ResonanceConfig(1), 6)
+    return f_transform(2, cfg), cfg
+
+
+def _zero_kernels():
+    # "terms": [] in the entry and the total
+    cfg = make_cfg(cutoff=6)
+    zero = Kernel.zero(cfg.lattice, cfg.cutoff)
+    return ExpansionLedger((LedgerEntry(leaf(K), Fraction(1, 2), zero),),
+                           zero, m=1, ell=3), cfg
+
+
+def _first_difference(got: str, want: str):
+    """(line number, got line, want line) where the texts first differ,
+    or None.  pytest's own diff of two texts of megabytes takes minutes."""
+    lines = itertools.zip_longest(got.split("\n"), want.split("\n"))
+    return next(((n, a, b) for n, (a, b) in enumerate(lines) if a != b),
+                None)
+
+
+class TestLedgerText:
+    """``json_text`` against the json module's indenting encoder."""
+
+    @pytest.mark.parametrize(
+        "build", [_nf_1_3_dim1, _nf_2_4_dim2, _f2_dim2, _zero_kernels],
+        ids=["nf-1-3-dim1", "nf-2-4-dim2", "f2-dim2-N1", "zero-kernels"],
+    )
+    def test_matches_json_dumps(self, build):
+        ledger, cfg = build()
+        want = json.dumps(ledger.to_json(cfg), sort_keys=True, indent=2)
+        assert _first_difference(ledger.json_text(cfg), want + "\n") is None
+
+    def test_cases_hold_integer_and_fractional_coefficients(self):
+        ims = {term["im"] for build in (_nf_1_3_dim1, _nf_2_4_dim2, _f2_dim2)
+               for term in build()[0].total.to_json()["terms"]}
+        assert any("/" in im for im in ims)
+        assert any("/" not in im for im in ims)
 
 
 class TestPropositionCheck:

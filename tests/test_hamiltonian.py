@@ -20,6 +20,7 @@ from birkhoff.hamiltonian import (
     momentum,
     phase,
     poisson_bracket,
+    resonant_part,
     split_resonant,
 )
 
@@ -283,6 +284,7 @@ class TestSplitAndFilter:
         for n in (0, 1, 3):
             res, nonres = split_resonant(a, ResonanceConfig(n))
             assert res + nonres == a
+            assert resonant_part(a, ResonanceConfig(n)) == res
             assert res.support() & nonres.support() == set()
             for m in res.support():
                 assert abs(phase(m)) <= n

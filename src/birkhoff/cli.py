@@ -77,7 +77,8 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")

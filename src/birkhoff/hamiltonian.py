@@ -20,7 +20,10 @@ their keys, and a derivative subtracts one shifted unit from a block and
 one from the degree.  ``Monomial`` and ``GaussianRational`` appear only at
 the boundary: ``Kernel.of``, ``from_json``, ``items``, ``coefficient``,
 ``support`` and ``to_json``; ``json_text`` writes the text of
-``to_json`` straight from the keys.
+``to_json`` straight from the keys.  Each codec decodes an exponent
+block (the u or the ubar half of a key) once, into tables keyed by the
+block int that fill lazily and live as long as the codec: they hold one
+entry per distinct block met: hundreds at dim 1, thousands at dim 2, K 2.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
@@ -154,6 +157,20 @@ def momentum(m: Monomial) -> Mode:
     return m.momentum()
 
 
+class _Table(dict):
+    """A dict that fills a missing key with ``fill(key)`` and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
+
+
 class _Codec:
     """Packed monomial keys for one (lattice, cutoff).
 
@@ -161,24 +178,34 @@ class _Codec:
     (the low M*w bits) and of the ubar block (the next M*w); the degree
     sits above both, at ``shift``.  Since 2**w > cutoff/2, no exponent of
     a monomial within the cutoff reaches the next field.
+
+    A block is decoded once per codec: ``fields``, ``factors`` and
+    ``norm`` are tables keyed by block int, filled on first lookup, so
+    each holds one entry per distinct exponent block the codec has met.
     """
 
     def __init__(self, lattice: ModeLattice, cutoff: int):
-        self.modes = lattice.modes()
-        self.index = {k: j for j, k in enumerate(self.modes)}
-        self.norm2 = [_norm2(k) for k in self.modes]
+        self.modes = modes = lattice.modes()
+        self.index = {k: j for j, k in enumerate(modes)}
+        self.norm2 = norm2 = [_norm2(k) for k in modes]
         self.w = w = (cutoff // 2).bit_length()
         self.mask = (1 << w) - 1
-        self.ubar_shift = len(self.modes) * w
+        self.ubar_shift = len(modes) * w
         self.block = (1 << self.ubar_shift) - 1
         self.shift = 2 * self.ubar_shift
         # one more degree, one more u_j, one more ubar_j
         self.unit = 1 << self.shift
-        self.u_units = [1 << (w * j) for j in range(len(self.modes))]
+        self.u_units = [1 << (w * j) for j in range(len(modes))]
         self.ubar_units = [u << self.ubar_shift for u in self.u_units]
+        # (mode index j, exponent) for each nonzero field of a block
+        self.fields = fields = _Table(self._walk)
+        # the block's factors as a mode tuple, sorted as lattice.modes() is
+        self.factors = _Table(lambda b: tuple(
+            modes[j] for j, e in fields[b] for _ in range(e)))
+        # sum of e * |k_j|^2 over the block's fields
+        self.norm = _Table(lambda b: sum(e * norm2[j] for j, e in fields[b]))
 
-    def fields(self, block: int) -> list[tuple[int, int]]:
-        """(mode index j, exponent) for each nonzero field of a block."""
+    def _walk(self, block: int) -> tuple[tuple[int, int], ...]:
         w, mask = self.w, self.mask
         out = []
         while block:
@@ -186,25 +213,12 @@ class _Codec:
             e = (block >> (w * j)) & mask
             out.append((j, e))
             block -= e << (w * j)
-        return out
-
-    def _modes(self, block: int) -> tuple[Mode, ...]:
-        # lattice.modes() is in lexicographic order, so this is sorted;
-        # the walk of fields() is inlined, as to_json and json_text decode
-        # every key
-        modes, w, mask = self.modes, self.w, self.mask
-        out: tuple[Mode, ...] = ()
-        while block:
-            j = ((block & -block).bit_length() - 1) // w
-            e = (block >> (w * j)) & mask
-            out += (modes[j],) * e
-            block -= e << (w * j)
-        return out
+        return tuple(out)
 
     def monomial(self, key: int) -> Monomial:
         """The monomial of a key."""
-        return Monomial(self._modes(key & self.block),
-                        self._modes(key >> self.ubar_shift & self.block))
+        return Monomial(self.factors[key & self.block],
+                        self.factors[key >> self.ubar_shift & self.block])
 
     def encode(self, m: Monomial) -> int:
         """The key of a monomial whose modes and degree fit this codec."""
@@ -214,11 +228,8 @@ class _Codec:
         ) + sum(ubar_units[index[k]] for k in m.ubar)
 
     def phase(self, key: int) -> int:
-        norm2 = self.norm2
-        return sum(e * norm2[j] for j, e in self.fields(key & self.block)) - sum(
-            e * norm2[j]
-            for j, e in self.fields(key >> self.ubar_shift & self.block)
-        )
+        return (self.norm[key & self.block]
+                - self.norm[key >> self.ubar_shift & self.block])
 
 
 @functools.cache
@@ -303,21 +314,21 @@ class Kernel:
     def zero(lattice: ModeLattice, max_degree: int) -> "Kernel":
         return Kernel(lattice, max_degree)
 
-    def _terms(self) -> list[tuple[int, tuple[Mode, ...], tuple[Mode, ...],
-                                   int]]:
-        """(degree, u, ubar, numerator) per term, in ``Monomial.sort_key``
-        order."""
+    def _sorted_keys(self) -> list[int]:
+        """The keys in ``Monomial.sort_key`` order."""
         codec = self._codec
-        modes, block, ubar_shift = codec._modes, codec.block, codec.ubar_shift
+        factors, block, ubar_shift = (codec.factors, codec.block,
+                                      codec.ubar_shift)
         shift = codec.shift
-        return sorted((key >> shift, modes(key & block),
-                       modes(key >> ubar_shift & block), c)
-                      for key, c in self.nums.items())
+        return sorted(self.nums, key=lambda key: (
+            key >> shift, factors[key & block],
+            factors[key >> ubar_shift & block]))
 
     def items(self) -> list[tuple[Monomial, GaussianRational]]:
-        den = self.den
-        return [(Monomial(u, ubar), GaussianRational(_ZERO, Fraction(c, den)))
-                for _, u, ubar, c in self._terms()]
+        monomial, nums, den = self._codec.monomial, self.nums, self.den
+        return [(monomial(key),
+                 GaussianRational(_ZERO, Fraction(nums[key], den)))
+                for key in self._sorted_keys()]
 
     def coefficient(self, m: Monomial) -> GaussianRational:
         codec = self._codec
@@ -401,17 +412,14 @@ class Kernel:
         return f"Kernel({len(self)} terms, cutoff {self.max_degree})"
 
     def to_json(self) -> dict:
-        den = self.den
-        terms = []
-        for _, u, ubar, c in self._terms():
-            terms.append({"u": [list(a) for a in u],
-                          "ubar": [list(b) for b in ubar], "re": "0",
-                          "im": _ratio(c, den)})
+        monomial, nums, den = self._codec.monomial, self.nums, self.den
         return {
             "dim": self.lattice.dim,
             "radius": self.lattice.radius,
             "max_degree": self.max_degree,
-            "terms": terms,
+            "terms": [{**monomial(key).to_json(), "re": "0",
+                       "im": _ratio(nums[key], den)}
+                      for key in self._sorted_keys()],
         }
 
     def json_text(self, depth: int = 0) -> str:
@@ -422,15 +430,19 @@ class Kernel:
         the json module's indenting encoder runs in pure Python."""
         pad = "\n" + "  " * depth
         p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
-        # each mode's "[ ... ]" list item, made once
+        codec = self._codec
+        factors, block, ubar_shift = (codec.factors, codec.block,
+                                      codec.ubar_shift)
+        # each mode's "[ ... ]" list item, and each block's list of them
         item = {k: f"{p4}[{p5}" + f",{p5}".join(map(str, k)) + f"{p4}]"
-                for k in self._codec.modes}.__getitem__
-        den = self.den
+                for k in codec.modes}.__getitem__
+        text = _Table(lambda b: ",".join(map(item, factors[b])))
+        nums, den = self.nums, self.den
         terms = [
-            f'{p2}{{{p3}"im": "{_ratio(c, den)}",{p3}"re": "0",'
-            f'{p3}"u": [{",".join(map(item, u))}{p3}],'
-            f'{p3}"ubar": [{",".join(map(item, ubar))}{p3}]{p2}}}'
-            for _, u, ubar, c in self._terms()
+            f'{p2}{{{p3}"im": "{_ratio(nums[key], den)}",{p3}"re": "0",'
+            f'{p3}"u": [{text[key & block]}{p3}],'
+            f'{p3}"ubar": [{text[key >> ubar_shift & block]}{p3}]{p2}}}'
+            for key in self._sorted_keys()
         ]
         listing = f"[{','.join(terms)}{p1}]" if terms else "[]"
         return (f'{{{p1}"dim": {self.lattice.dim},{p1}"max_degree": '
@@ -506,7 +518,7 @@ def _index(nums: dict, codec: _Codec) -> dict:
     for key in sorted(nums):
         c = nums[key]
         d = key >> shift
-        for j, e in fields(key & block):
+        for j, e in fields[key & block]:
             by_u.setdefault(j, []).append((d, key - unit - u_units[j], c * e))
     return by_u
 
@@ -524,7 +536,7 @@ def _contract(x: dict, y_by_u: dict, codec: _Codec, cutoff: int, sign: int,
     for key1, c1 in x.items():
         # m2 contributes only if deg(m1) + deg(m2) - 2 <= cutoff
         limit = cutoff + 2 - (key1 >> shift)
-        for j, e in fields(key1 >> ubar_shift & block):
+        for j, e in fields[key1 >> ubar_shift & block]:
             entries = y_by_u.get(j)
             if entries is None:
                 continue

@@ -366,6 +366,19 @@ class TestConfigPrecedence:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_config_file_not_utf8(self, capsys, tmp_path, monkeypatch,
+                                  source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        argv = ["f-transform", "--m", "1"]
+        if source == "flag":
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv(CONFIG_ENV, str(cfg))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "cannot read config file" in err and out == ""
+
     def test_bad_values(self, capsys):
         code, _, _ = run(capsys, "expand", "--m", "1", "--ell", "3",
                          "--K", "0")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -472,3 +473,37 @@ def test_key_order_is_degree_order(case):
     assert degrees == sorted(m.degree for m in monomials)
     k = Kernel.of(lat, cutoff, {m: GR.of(0, 1) for m in monomials})
     assert (k.min_term_degree(), k.term_degree()) == (degrees[0], degrees[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(codec_cases())
+def test_codec_tables_match_direct_walk(case):
+    # every field read off the bits one by one, against the tables
+    lat, cutoff, monomials = case
+    codec = _codec_for(lat, cutoff)
+    modes, w = lat.modes(), codec.w
+    for m in monomials:
+        key = codec.encode(m)
+        blocks = (key & codec.block, key >> codec.ubar_shift & codec.block)
+        for block, factors in zip(blocks, (m.u, m.ubar)):
+            walk = [(j, block >> (w * j) & codec.mask)
+                    for j in range(len(modes))]
+            walk = tuple((j, e) for j, e in walk if e)
+            assert codec.fields[block] == walk
+            assert list(walk) == sorted(
+                (modes.index(k), n) for k, n in Counter(factors).items())
+            assert codec.factors[block] == factors
+            assert codec.norm[block] == sum(
+                e * sum(c * c for c in modes[j]) for j, e in walk)
+        assert codec.phase(key) == m.phase()
+
+
+def test_codec_tables_are_per_codec():
+    # block 0b10 is one factor of mode 0 at field width 1 (cutoff 2) but
+    # two factors of mode -1 at width 2 (cutoff 4)
+    narrow, wide = _codec_for(LAT1, 2), _codec_for(LAT1, 4)
+    assert (narrow.w, wide.w) == (1, 2)
+    assert narrow.factors[0b10] == ((0,),)
+    assert wide.factors[0b10] == ((-1,), (-1,))
+    assert (narrow.norm[0b10], wide.norm[0b10]) == (0, 2)
+    assert (narrow.fields[0b10], wide.fields[0b10]) == (((1, 1),), ((0, 2),))

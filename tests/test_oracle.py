@@ -287,12 +287,16 @@ class TestCentralVerification:
         oracle = birkhoff_iterate(m, ell, cfg)
         assert compare(ledger.total, oracle.normal_form).equal
 
-    @pytest.mark.parametrize("dim,K_radius,m,ell",
-                             [(1, 3, 2, 4), (3, 1, 1, 3), (2, 2, 1, 3)])
+    @pytest.mark.parametrize("dim,K_radius,m,ell", [
+        (1, 3, 2, 4), (3, 1, 1, 3), (2, 2, 1, 3), (1, 2, 4, 6),
+        pytest.param(1, 2, 5, 7, marks=pytest.mark.slow),
+        pytest.param(2, 1, 3, 5, marks=pytest.mark.slow),
+    ])
     def test_tree_expansion_equals_iteration_lattices(self, dim, K_radius, m,
                                                       ell):
-        # a wider 1-D lattice, the 27 modes of the 3-D cube, and the 25
-        # modes of the dim 2, K 2 square
+        # a wider 1-D lattice, the 27 modes of the 3-D cube, the 25 modes
+        # of the dim 2, K 2 square, and higher orders, where the tree
+        # count rather than the kernel width is the cost
         cfg = make_cfg(K_radius=K_radius, cutoff=2 * ell, dim=dim)
         ledger = normal_form(m, ell, cfg)
         oracle = birkhoff_iterate(m, ell, cfg)

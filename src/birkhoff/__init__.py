@@ -1,7 +1,6 @@
 """Exact decorated-tree engine for Birkhoff normal forms of truncated
 cubic NLS, verified against a brute-force iteration oracle."""
 
-from .coeff import GaussianRational
 from .trees import (
     Decoration,
     ParseError,

@@ -17,13 +17,14 @@ exponent up to cutoff/2, a key is degree << 2Mw | ubar-block << Mw |
 u-block, the exponent of mode j sitting in bits [wj, w(j+1)) of its
 block.  Keys sort by degree, the product of two monomials is the sum of
 their keys, and a derivative subtracts one shifted unit from a block and
-one from the degree.  ``Monomial`` and ``GaussianRational`` appear only at
-the boundary: ``Kernel.of``, ``from_json``, ``items``, ``coefficient``,
-``support`` and ``to_json``; ``json_text`` writes the text of
-``to_json`` straight from the keys.  Each codec decodes an exponent
-block (the u or the ubar half of a key) once, into tables keyed by the
-block int that fill lazily and live as long as the codec: they hold one
-entry per distinct block met: hundreds at dim 1, thousands at dim 2, K 2.
+one from the degree.  ``Monomial`` and the rational c of each i*c appear
+only at the boundary: ``Kernel.of``, ``from_json``, ``items``,
+``coefficient``, ``support`` and ``to_json``; ``json_text`` writes the
+text of ``to_json`` straight from the keys.  Each codec decodes an
+exponent block (the u or the ubar half of a key) once, into tables keyed
+by the block int that fill lazily and live as long as the codec: they
+hold one entry per distinct block met: hundreds at dim 1, thousands at
+dim 2, K 2.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
@@ -50,9 +51,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping, NamedTuple
-
-from .coeff import GaussianRational
 
 Mode = tuple[int, ...]
 
@@ -61,8 +61,6 @@ H0_FILTER_FACTOR = Fraction(1, 4)
 # scale turning a filtered kernel into a flow generator:
 # {h0, GENERATOR_SCALE * apply_phase_filter(A, cfg)} == -nonres(A).
 GENERATOR_SCALE = -1 / H0_FILTER_FACTOR
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -249,16 +247,18 @@ def _check_cutoff(max_degree: int) -> None:
 
 
 class Kernel:
-    """Immutable finite map Monomial -> purely imaginary Gaussian rational.
+    """Immutable finite map Monomial -> purely imaginary coefficient i*c.
 
     The coefficient of the monomial with packed key ``key`` is
     i * nums[key] / den, held in canonical form: every numerator is a
     nonzero int, ``den`` is a positive int, and gcd(den, *nums) == 1, so
     equal kernels hold equal maps and denominators.  The constructor
-    takes keys of the (lattice, max_degree) codec; ``Kernel.of`` and
-    ``from_json`` build a kernel from monomials, and ``items()`` and
-    ``coefficient()`` return ``GaussianRational`` values with real part
-    0.  The cutoff ``max_degree`` is even, and no monomial exceeds it.
+    takes keys of the (lattice, max_degree) codec.  At the boundary a
+    coefficient is the ``Fraction`` c that stands for i*c: ``Kernel.of``
+    takes a Monomial -> c map, ``items()`` and ``coefficient()`` return
+    c, and ``from_json`` reads c from the "im" string of each term and
+    refuses an "re" that does not read as zero.  The cutoff
+    ``max_degree`` is even, and no monomial exceeds it.
     """
 
     __slots__ = ("lattice", "max_degree", "nums", "den", "_codec")
@@ -285,14 +285,12 @@ class Kernel:
 
     @staticmethod
     def of(lattice: ModeLattice, max_degree: int,
-           terms: Mapping[Monomial, GaussianRational]) -> "Kernel":
-        """The kernel with these purely imaginary coefficients; the
-        inverse of ``items()``.  Zero coefficients are dropped."""
-        for m, c in terms.items():
-            if c.real:
-                raise ValueError(f"nonzero real part in {m}: {c}")
+           terms: Mapping[Monomial, Rational]) -> "Kernel":
+        """The kernel with coefficient i*c on each monomial m, for the
+        rationals c = terms[m]; the inverse of ``items()``.  Zero
+        coefficients are dropped."""
         _check_cutoff(max_degree)
-        im = {m: c.imag for m, c in terms.items() if c.imag}
+        im = {m: c for m, c in terms.items() if c}
         modes: set[Mode] = set()
         for m in im:
             if m.degree > max_degree:
@@ -324,20 +322,21 @@ class Kernel:
             key >> shift, factors[key & block],
             factors[key >> ubar_shift & block]))
 
-    def items(self) -> list[tuple[Monomial, GaussianRational]]:
+    def items(self) -> list[tuple[Monomial, Fraction]]:
+        """(m, c) pairs in ``Monomial.sort_key`` order; i*c is the
+        coefficient of m."""
         monomial, nums, den = self._codec.monomial, self.nums, self.den
-        return [(monomial(key),
-                 GaussianRational(_ZERO, Fraction(nums[key], den)))
+        return [(monomial(key), Fraction(nums[key], den))
                 for key in self._sorted_keys()]
 
-    def coefficient(self, m: Monomial) -> GaussianRational:
+    def coefficient(self, m: Monomial) -> Fraction:
+        """The c of m's coefficient i*c; 0 for a monomial not held."""
         codec = self._codec
         if m.degree > self.max_degree or not all(
             k in codec.index for k in (*m.u, *m.ubar)
         ):
-            return GaussianRational(_ZERO, _ZERO)
-        c = self.nums.get(codec.encode(m), 0)
-        return GaussianRational(_ZERO, Fraction(c, self.den))
+            return Fraction(0)
+        return Fraction(self.nums.get(codec.encode(m), 0), self.den)
 
     def support(self) -> set[Monomial]:
         monomial = self._codec.monomial
@@ -466,10 +465,18 @@ class Kernel:
             m = Monomial.of(u, ubar)
             if m in terms:
                 raise ValueError(f"monomial {m} listed twice")
+            # JSON strings only: Fraction would take 2.0 and true, and read
+            # a float such as 0.1 as its binary value
+            for key in ("re", "im"):
+                if type(entry[key]) is not str:
+                    raise ValueError(
+                        f"{key} must be a string: {entry[key]!r}")
             try:
-                terms[m] = GaussianRational.from_json(entry)
+                real, terms[m] = Fraction(entry["re"]), Fraction(entry["im"])
             except ZeroDivisionError as exc:
                 raise ValueError(f"zero denominator: {entry}") from exc
+            if real:
+                raise ValueError(f"nonzero real part in {m}: {real}")
         return Kernel.of(lattice, data["max_degree"], terms)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .coeff import GaussianRational
 from .evaluator import EvalConfig
 from .hamiltonian import (
     GENERATOR_SCALE,
@@ -153,11 +152,12 @@ def generators_from_recursion(m: int, cfg: EvalConfig) -> tuple[Kernel, ...]:
 
 @dataclass(frozen=True)
 class DiffReport:
+    """a - b, and its largest entries as (m, c_a, c_b): the rationals of
+    m's coefficients i*c_a in a and i*c_b in b."""
+
     equal: bool
     residual: Kernel
-    worst_monomials: tuple[
-        tuple[Monomial, GaussianRational, GaussianRational], ...
-    ]
+    worst_monomials: tuple[tuple[Monomial, Fraction, Fraction], ...]
 
     def to_json(self) -> dict:
         return {
@@ -166,8 +166,8 @@ class DiffReport:
             "worst_monomials": [
                 {
                     **m.to_json(),
-                    "coeff_a": ca.to_json(),
-                    "coeff_b": cb.to_json(),
+                    "coeff_a": {"re": "0", "im": str(ca)},
+                    "coeff_b": {"re": "0", "im": str(cb)},
                 }
                 for m, ca, cb in self.worst_monomials
             ],
@@ -177,16 +177,14 @@ class DiffReport:
 def compare(a: Kernel, b: Kernel, worst: int = 3) -> DiffReport:
     """Exact coefficient-wise difference a - b.
 
-    The worst monomials are the largest residual entries by
-    ``magnitude_key``; ties go to the smaller ``Monomial.sort_key``, so
-    the report does not depend on the order the kernels were built in.
+    The worst monomials are the largest residual entries i*c by |c|;
+    ties go to the smaller ``Monomial.sort_key``, so the report does not
+    depend on the order the kernels were built in.
     """
     a._check_compatible(b)
     residual = a - b
     # items() is in sort_key order, and a stable sort keeps it among ties
-    ranked = sorted(
-        residual.items(), key=lambda mc: mc[1].magnitude_key(), reverse=True
-    )
+    ranked = sorted(residual.items(), key=lambda mc: abs(mc[1]), reverse=True)
     worst_monomials = tuple(
         (m, a.coefficient(m), b.coefficient(m)) for m, _ in ranked[:worst]
     )

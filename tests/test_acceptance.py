@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from birkhoff.cli import main as cli_main
-from birkhoff.coeff import GaussianRational as GR
 from birkhoff.enumeration import (
     circ_exact,
     circ_range,
@@ -186,9 +185,7 @@ def _random_kernel(rng, lat, cutoff, terms, max_half, zero_momentum=False):
         else:
             v = [(rng.randint(-lat.radius, lat.radius),) for _ in range(n)]
         nonzero = rng.choice([x for x in range(-6, 7) if x])
-        entries[Monomial.of(u, v)] = GR.of(
-            0, Fraction(nonzero, rng.randint(1, 5))
-        )
+        entries[Monomial.of(u, v)] = Fraction(nonzero, rng.randint(1, 5))
     return Kernel.of(lat, cutoff, entries)
 
 

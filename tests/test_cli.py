@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -162,8 +163,15 @@ def _float_cutoff(total):
     total["max_degree"] = 6.0
 
 
-def _real_part(total):
-    total["terms"][0]["re"] = "1"
+def _real_part_as(value):
+    # the total's first "re" set to value; None drops the key
+    def edit(total):
+        first = total["terms"][0]
+        if value is None:
+            del first["re"]
+        else:
+            first["re"] = value
+    return edit
 
 
 def _coefficient_as(value):
@@ -270,13 +278,20 @@ class TestVerify:
         (_fractional_mode, "integers"),
         (_boolean_mode, "integers"),
         (_float_cutoff, "max_degree must be an integer"),
-        (_real_part, "real part"),
+        (_real_part_as("1"), "real part"),
+        (_real_part_as(0), "re must be a string"),
+        (_real_part_as(False), "re must be a string"),
+        (_real_part_as("0/0"), "zero denominator"),
+        (_real_part_as("x"), "Invalid literal"),
+        (_real_part_as(None), "'re'"),
         (_coefficient_as(2), "im must be a string"),
         (_coefficient_as(2.0), "im must be a string"),
         (_coefficient_as(True), "im must be a string"),
     ], ids=["radius", "max-degree", "split-term", "zero-denominator",
             "fractional-mode", "boolean-mode", "float-max-degree",
-            "real-part", "integer-coefficient", "float-coefficient",
+            "real-part", "integer-real-part", "boolean-real-part",
+            "zero-denominator-real-part", "non-number-real-part",
+            "missing-real-part", "integer-coefficient", "float-coefficient",
             "boolean-coefficient"])
     def test_bad_ledger_total(self, capsys, tmp_path, edit, message):
         ledger = tmp_path / "ledger.json"
@@ -288,6 +303,43 @@ class TestVerify:
             capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
         )
         assert code == 2 and message in err and out == ""
+
+    def test_zero_real_part_as_a_fraction(self, capsys, tmp_path):
+        # "0/7" is a string that reads as zero, so it is accepted
+        ledger = tmp_path / "ledger.json"
+        run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
+        data = json.loads(ledger.read_text())
+        _real_part_as("0/7")(data["total"])
+        ledger.write_text(json.dumps(data))
+        code, out, _ = run(
+            capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
+        )
+        assert code == 0 and json.loads(out)["equal"] is True
+
+    def test_failed_identity_report(self, capsys, tmp_path):
+        # the total's 2i on u_{-2} ubar_{-2} written as -i/3: a valid
+        # ledger whose identity fails, so the report names that monomial
+        ledger = tmp_path / "ledger.json"
+        run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
+        data = json.loads(ledger.read_text())
+        first = data["total"]["terms"][0]
+        assert (first["u"], first["ubar"], first["im"]) == ([[-2]], [[-2]], "2")
+        first["im"] = "-1/3"
+        ledger.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
+        )
+        assert code == 1 and "FAILED" in err
+        report = json.loads(out)
+        assert report["worst_monomials"] == [{
+            "u": [[-2]], "ubar": [[-2]],
+            "coeff_a": {"re": "0", "im": "-1/3"},
+            "coeff_b": {"re": "0", "im": "2"},
+        }]
+        assert [t["im"] for t in report["residual"]["terms"]] == ["-7/3"]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "467f1a582d82668eb561d35c7cf69a495bbb99f3d560797f381b26cdcb6f0e4d"
+        )
 
     def test_corrupted_ledger(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from birkhoff.coeff import GaussianRational as GR
 from birkhoff.hamiltonian import (
     GENERATOR_SCALE,
     H0_FILTER_FACTOR,
@@ -35,42 +34,15 @@ def mono(u, ubar):
 
 
 def kernel(lat, cutoff, entries):
-    return Kernel.of(
-        lat, cutoff, {m: GR.of(re, im) for m, re, im in entries}
-    )
-
-
-class TestCoefficients:
-    def test_arithmetic(self):
-        a, b = GR.of(1, 2), GR.of(Fraction(1, 3), -1)
-        assert a + b == GR.of(Fraction(4, 3), 1)
-        assert a * b == GR.of(Fraction(1, 3) + 2, Fraction(2, 3) - 1)
-        assert -a == GR.of(-1, -2)
-        assert a - a == GR()
-        assert not (a - a)
-
-    def test_division(self):
-        a = GR.of(1, 1)
-        assert a / GR.of(0, 1) == GR.of(1, -1)
-        assert a / 2 == GR.of(Fraction(1, 2), Fraction(1, 2))
-        with pytest.raises(ZeroDivisionError):
-            a / GR()
-
-    def test_scalar_product_commutes(self):
-        a = GR.of(Fraction(2, 3), -5)
-        assert 3 * a == a * 3 == GR.of(2, -15)
-
-    def test_json_round_trip(self):
-        a = GR.of(Fraction(-7, 2), Fraction(1, 6))
-        assert GR.from_json(a.to_json()) == a
-        assert a.to_json() == {"re": "-7/2", "im": "1/6"}
+    """The kernel with coefficient i*c on each (monomial, c) entry."""
+    return Kernel.of(lat, cutoff, dict(entries))
 
 
 class TestGenerators:
     def test_h0_small(self):
         k = h0(LAT1, 6)
         assert k.support() == {mono([1], [1]), mono([-1], [-1])}
-        assert k.coefficient(mono([1], [1])) == GR.of(0, Fraction(1, 2))
+        assert k.coefficient(mono([1], [1])) == Fraction(1, 2)
 
     def test_h0_zero_mode_dropped(self):
         assert len(h0(LAT2, 4)) == 4
@@ -81,7 +53,7 @@ class TestGenerators:
     def test_h1_trivial_lattice(self):
         k = h1(ModeLattice(1, 0), 4)
         assert k.support() == {mono([0, 0], [0, 0])}
-        assert k.coefficient(mono([0, 0], [0, 0])) == GR.of(0, Fraction(1, 4))
+        assert k.coefficient(mono([0, 0], [0, 0])) == Fraction(1, 4)
 
     def test_h1_momentum_conservation(self):
         for m in h1(LAT2, 4).support():
@@ -90,7 +62,7 @@ class TestGenerators:
     def test_h1_folded_coefficient(self):
         # two ordered representatives (1,0,-1,0) and (-1,0,1,0)
         k = h1(LAT1, 4)
-        assert k.coefficient(mono([1, -1], [0, 0])) == GR.of(0, Fraction(1, 2))
+        assert k.coefficient(mono([1, -1], [0, 0])) == Fraction(1, 2)
 
     def test_h1_against_tuple_scan(self):
         acc = {}
@@ -102,7 +74,7 @@ class TestGenerators:
         built = h1(LAT2, 4)
         assert built.support() == set(acc)
         for m, c in acc.items():
-            assert built.coefficient(m) == GR.of(0, c)
+            assert built.coefficient(m) == c
 
 
 class TestPhase:
@@ -138,10 +110,9 @@ def naive_bracket(a, b):
                         v = xb + yb[:j] + yb[j + 1:]
                         if len(u) + len(v) > a.max_degree:
                             continue
+                        # i * (i c1) * (i c2) = -i * c1 * c2
                         key = Monomial.of(u, v)
-                        out[key] = out.get(key, GR()) + (
-                            GR.of(0, sign) * c1 * c2
-                        )
+                        out[key] = out.get(key, 0) - sign * c1 * c2
     return Kernel.of(a.lattice, a.max_degree, out)
 
 
@@ -156,7 +127,7 @@ def random_kernel(rng, lat=LAT2, cutoff=12, terms=3, max_half=3,
             rng.shuffle(v)
         else:
             v = [(rng.randint(-lat.radius, lat.radius),) for _ in range(n)]
-        c = GR.of(0, Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
         entries[Monomial.of(u, v)] = c
     return Kernel.of(lat, cutoff, entries)
 
@@ -171,14 +142,14 @@ nonzero_fractions = st.builds(
 
 @st.composite
 def kernels_2d(draw, cutoff):
-    """Kernels on LAT_2D with nonzero imaginary coefficients."""
+    """Kernels on LAT_2D with nonzero coefficients."""
     modes = st.sampled_from(LAT_2D.modes())
     entries = {}
     for _ in range(draw(st.integers(1, 6))):
         n = draw(st.integers(1, cutoff // 2))
         u = draw(st.lists(modes, min_size=n, max_size=n))
         ubar = draw(st.lists(modes, min_size=n, max_size=n))
-        entries[Monomial.of(u, ubar)] = GR.of(0, draw(nonzero_fractions))
+        entries[Monomial.of(u, ubar)] = draw(nonzero_fractions)
     return Kernel.of(LAT_2D, cutoff, entries)
 
 
@@ -212,8 +183,8 @@ class TestBracket:
         # {h0, i u_1 ubar_0} = (i/2) u_1 ubar_0: of the two modes only u_1
         # meets h0's (i/2)|k|^2, and a global sign flip turns this around
         m = mono([1], [0])
-        got = poisson_bracket(h0(LAT1, 4), kernel(LAT1, 4, [(m, 0, 1)]))
-        assert got == kernel(LAT1, 4, [(m, 0, Fraction(1, 2))])
+        got = poisson_bracket(h0(LAT1, 4), kernel(LAT1, 4, [(m, 1)]))
+        assert got == kernel(LAT1, 4, [(m, Fraction(1, 2))])
 
     @pytest.mark.parametrize("cutoff", [4, 6, 8, 14, 16])
     @pytest.mark.parametrize("dim", [1, 3])
@@ -232,7 +203,7 @@ class TestBracket:
             def term(u, ubar):
                 u, ubar = (u, ubar) if u_side else (ubar, u)
                 return Kernel.of(lat, cutoff,
-                                 {Monomial.of(u, ubar): GR.of(0, 1)})
+                                 {Monomial.of(u, ubar): 1})
             a = term([k] * (h - 1), [j] * (h - 1))
             b = term([k, j], [j, j])
             got = poisson_bracket(a, b)
@@ -243,8 +214,8 @@ class TestBracket:
             assert full in got.support()
 
     def test_explicit_quartic_pair(self):
-        a = kernel(LAT1, 6, [(mono([1, 0], [1, 1]), 0, 1)])
-        b = kernel(LAT1, 6, [(mono([1, 1], [0, 1]), 0, 2)])
+        a = kernel(LAT1, 6, [(mono([1, 0], [1, 1]), 1)])
+        b = kernel(LAT1, 6, [(mono([1, 1], [0, 1]), 2)])
         got = poisson_bracket(a, b)
         assert got == naive_bracket(a, b)
         assert not got.is_zero
@@ -304,9 +275,9 @@ class TestSplitAndFilter:
 
     def test_filter_scaling_example(self):
         m = mono([2], [1])  # phase 3
-        a = kernel(LAT2, 4, [(m, 0, Fraction(1, 4))])
+        a = kernel(LAT2, 4, [(m, Fraction(1, 4))])
         out = apply_phase_filter(a, N0)
-        assert out.coefficient(m) == GR.of(0, Fraction(1, 24))
+        assert out.coefficient(m) == Fraction(1, 24)
 
     def test_filter_support_matches_nonres(self):
         a = h1(LAT2, 4)
@@ -368,21 +339,21 @@ class TestKernelValue:
 
     def test_invariant_enforcement(self):
         with pytest.raises(ValueError):
-            Kernel.of(LAT1, 2, {mono([1, 1], [0, 2]): GR.of(0, 1)})
+            Kernel.of(LAT1, 2, {mono([1, 1], [0, 2]): 1})
         with pytest.raises(ValueError):
-            Kernel.of(LAT1, 4, {mono([2], [2]): GR.of(0, 1)})
+            Kernel.of(LAT1, 4, {mono([2], [2]): 1})
         with pytest.raises(ValueError):
             Kernel(LAT1, 3, {})
         # the only bad mode sits in the ubar of the second monomial
         with pytest.raises(ValueError, match=r"mode \(2,\) outside lattice"):
             Kernel.of(LAT1, 4, {
-                mono([1], [1]): GR.of(0, 1),
-                mono([0, 1], [-1, 2]): GR.of(0, 1),
+                mono([1], [1]): 1,
+                mono([0, 1], [-1, 2]): 1,
             })
 
     def test_equality_needs_the_same_cutoff(self):
-        a = Kernel.of(LAT1, 4, {mono([1], [1]): GR.of(0, 1)})
-        b = Kernel.of(LAT1, 6, {mono([1], [1]): GR.of(0, 1)})
+        a = Kernel.of(LAT1, 4, {mono([1], [1]): 1})
+        b = Kernel.of(LAT1, 6, {mono([1], [1]): 1})
         assert a != b and a == b.with_cutoff(4)
 
     def test_with_cutoff_zero_rejected(self):
@@ -392,12 +363,14 @@ class TestKernelValue:
 
     def test_zero_dropped(self):
         m = mono([1], [1])
-        k = Kernel.of(LAT1, 4, {m: GR()})
+        k = Kernel.of(LAT1, 4, {m: Fraction(0)})
         assert k.is_zero and len(k) == 0
-        imag = Kernel.of(LAT1, 4, {m: GR.of(0, 1)})
-        assert dict(imag.items()) == {m: GR.of(0, 1)}
+        imag = Kernel.of(LAT1, 4, {m: 1})
+        assert dict(imag.items()) == {m: 1}
+        data = imag.to_json()
+        data["terms"][0]["re"] = "1"
         with pytest.raises(ValueError, match="real part"):
-            Kernel.of(LAT1, 4, {m: GR.of(1, 1)})
+            Kernel.from_json(data)
 
     def test_json_round_trip(self):
         a = h1(LAT2, 4) + h0(LAT2, 4)
@@ -423,9 +396,9 @@ def test_part_maps_round_trip(k):
 def test_phase_additivity_single_contraction(x, y, z):
     # single-monomial kernels sharing exactly one contraction index
     shared = (z,)
-    a = Kernel.of(LAT2, 20, {Monomial.of([(x,)], [shared]): GR.of(0, 1)})
+    a = Kernel.of(LAT2, 20, {Monomial.of([(x,)], [shared]): 1})
     b = Kernel.of(
-        LAT2, 20, {Monomial.of([shared, shared], [(y,), (y,)]): GR.of(0, 1)}
+        LAT2, 20, {Monomial.of([shared, shared], [(y,), (y,)]): 1}
     )
     pa = phase(next(iter(a.support())))
     pb = phase(next(iter(b.support())))
@@ -471,7 +444,7 @@ def test_key_order_is_degree_order(case):
     keys = sorted(codec.encode(m) for m in monomials)
     degrees = [codec.monomial(key).degree for key in keys]
     assert degrees == sorted(m.degree for m in monomials)
-    k = Kernel.of(lat, cutoff, {m: GR.of(0, 1) for m in monomials})
+    k = Kernel.of(lat, cutoff, {m: 1 for m in monomials})
     assert (k.min_term_degree(), k.term_degree()) == (degrees[0], degrees[-1])
 
 

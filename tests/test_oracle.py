@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from birkhoff.coeff import GaussianRational as GR
 from birkhoff.hamiltonian import (
     GENERATOR_SCALE,
     Kernel,
@@ -223,14 +222,12 @@ class TestCompare:
     def test_single_monomial_difference(self):
         cfg = make_cfg(cutoff=4)
         m = Monomial.of([(1,), (-1,)], [(0,), (0,)])
-        bumped = cfg.h1() + Kernel.of(
-            cfg.lattice, 4, {m: GR.of(0, Fraction(1, 3))}
-        )
+        bumped = cfg.h1() + Kernel.of(cfg.lattice, 4, {m: Fraction(1, 3)})
         report = compare(cfg.h1(), bumped)
         assert not report.equal
         assert len(report.residual) == 1
         mono, ca, cb = report.worst_monomials[0]
-        assert mono == m and cb - ca == GR.of(0, Fraction(1, 3))
+        assert mono == m and cb - ca == Fraction(1, 3)
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -247,6 +244,19 @@ class TestCompare:
         assert report.to_json() == compare(backward, zero).to_json()
         ranked = [m.sort_key() for m, _, _ in report.worst_monomials]
         assert ranked == sorted(ranked)
+
+    def test_ranked_by_magnitude(self):
+        # the large negative entry comes second in items() and would come
+        # last by signed value; only its magnitude puts it first
+        cfg = make_cfg(cutoff=4)
+        small = Monomial.of([(-1,)], [(-1,)])
+        big = Monomial.of([(1,)], [(1,)])
+        residual = Kernel.of(cfg.lattice, 4, {small: Fraction(1, 3), big: -5})
+        assert [m for m, _ in residual.items()] == [small, big]
+        report = compare(residual, Kernel.zero(cfg.lattice, 4))
+        assert report.worst_monomials == (
+            (big, -5, 0), (small, Fraction(1, 3), 0)
+        )
 
     def test_json(self):
         report = compare(make_cfg(cutoff=4).h1(), make_cfg(cutoff=4).h1())
@@ -313,8 +323,9 @@ class TestCentralVerification:
 class TestInvariants:
     @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
     def test_zero_real_part(self, dim, K_radius):
-        # a Kernel stores only imaginary parts, so this holds by
-        # construction; it pins that items() reports real part 0
+        # a Kernel stores only the rational c of each i*c, so this holds
+        # by construction; it pins that items() reports c as a Fraction
+        # and that to_json writes real part "0"
         cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
         ledger = normal_form(2, 4, cfg)
         kernels = [e.kernel for e in ledger.entries] + [
@@ -322,7 +333,8 @@ class TestInvariants:
             birkhoff_iterate(2, 4, cfg).normal_form,
         ]
         for kernel in kernels:
-            assert all(c.real == 0 for _, c in kernel.items())
+            assert all(type(c) is Fraction for _, c in kernel.items())
+            assert {t["re"] for t in kernel.to_json()["terms"]} <= {"0"}
 
     @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
     def test_swap_parity(self, dim, K_radius):

@@ -6,7 +6,6 @@ from .trees import (
     ParseError,
     Tree,
     TreeError,
-    ValidationReport,
     degree,
     leaf,
     node,
@@ -39,10 +38,7 @@ from .hamiltonian import (
     apply_phase_filter,
     h0,
     h1,
-    momentum,
-    phase,
     poisson_bracket,
-    resonant_part,
     split_resonant,
 )
 from .evaluator import (

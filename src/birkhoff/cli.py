@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .enumeration import (
     ClassKind,
@@ -40,33 +39,12 @@ from .trees import NESTED_RULE, ParseError, parse, render
 
 CONFIG_ENV = "BIRKHOFF_CONFIG"
 
-_DEFAULTS = {
-    "dim": 1,
-    "K": 2,
-    "N": 0,
-    "assumption_mode": NESTED_RULE,
-    "cap": DEFAULT_CAP,
-}
+# the config-file keys, each also a flag of the same name
+_DEFAULTS = {"dim": 1, "K": 2, "N": 0, "cap": DEFAULT_CAP}
 
 
 class CliError(Exception):
     """User-facing configuration or input error; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    dim: int
-    K: int
-    N: int
-    cap: int
-
-    def lattice(self) -> ModeLattice:
-        return ModeLattice(self.dim, self.K)
-
-    def eval_config(self, cutoff: int) -> EvalConfig:
-        return EvalConfig(
-            self.lattice(), ResonanceConfig(self.N), cutoff, self.cap
-        )
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -85,36 +63,33 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
+def _resolve(args: argparse.Namespace) -> dict:
+    """The checked settings: flags over the config file over defaults."""
     loaded = _load_config_file(args.config)
     unknown = sorted(set(loaded) - set(_DEFAULTS))
     if unknown:
         raise CliError(f"unknown config key {unknown[0]!r}")
-    merged.update(loaded)
-    for key, flag in [
-        ("dim", args.dim),
-        ("K", args.K),
-        ("N", args.N),
-        ("assumption_mode", args.assumption_mode),
-        ("cap", args.cap),
-    ]:
-        if flag is not None:
-            merged[key] = flag
-    # the flag and key stay for existing command lines; rule (i) has
-    # one reading
-    if merged["assumption_mode"] != NESTED_RULE:
+    # the flag stays for existing command lines; rule (i) has one reading
+    if args.assumption_mode not in (None, NESTED_RULE):
         raise CliError(f"assumption mode must be {NESTED_RULE}: "
-                       f"{merged['assumption_mode']!r}")
+                       f"{args.assumption_mode!r}")
+    merged = {**_DEFAULTS, **loaded}
+    for key in _DEFAULTS:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     # JSON integers only: int() would truncate 1.9 and take true as 1
-    for key in ("dim", "K", "N", "cap"):
-        if type(merged[key]) is not int:
+    for key, value in merged.items():
+        if type(value) is not int:
             raise CliError(f"dim, K, N and cap must be integers: "
-                           f"{key} is {merged[key]!r}")
-    cfg = RunConfig(merged["dim"], merged["K"], merged["N"], merged["cap"])
-    if cfg.dim < 1 or cfg.K < 1 or cfg.N < 0 or cfg.cap < 1:
+                           f"{key} is {value!r}")
+    if merged["N"] < 0 or min(merged["dim"], merged["K"], merged["cap"]) < 1:
         raise CliError("need dim >= 1, K >= 1, N >= 0, cap >= 1")
-    return cfg
+    return merged
+
+
+def _eval_config(settings: dict, cutoff: int) -> EvalConfig:
+    return EvalConfig(ModeLattice(settings["dim"], settings["K"]),
+                      ResonanceConfig(settings["N"]), cutoff, settings["cap"])
 
 
 def _json_text(payload: dict) -> str:
@@ -137,15 +112,12 @@ def _note(message: str) -> None:
 
 
 def cmd_trees(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    kind = ClassKind(args.kind)
-    if kind is ClassKind.CIRC_RANGE and args.ell is None:
-        raise CliError("--ell is required for circ-range")
+    cap = _resolve(args)["cap"]
     try:
-        query = TreeClassQuery(kind, args.m, args.ell)
+        query = TreeClassQuery(ClassKind(args.kind), args.m, args.ell)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    ts = tree_class(query, cfg.cap)
+    ts = tree_class(query, cap)
     payload = ts.to_json()
     if args.format in ("latex", "dot"):
         payload["renders"] = [render(t, args.format) for t in ts]
@@ -163,10 +135,10 @@ def _ledger_summary(ledger: ExpansionLedger) -> None:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    settings = _resolve(args)
     if args.m < 1 or args.ell <= args.m:
         raise CliError("need 1 <= m < ell")
-    ec = cfg.eval_config(2 * args.ell)
+    ec = _eval_config(settings, 2 * args.ell)
     ledger = normal_form(args.m, args.ell, ec)
     _emit(ledger.json_text(ec), args.out)
     _ledger_summary(ledger)
@@ -174,10 +146,10 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_f_transform(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    settings = _resolve(args)
     if args.m < 1:
         raise CliError("need m >= 1")
-    ec = cfg.eval_config(2 * (args.m + 1))
+    ec = _eval_config(settings, 2 * (args.m + 1))
     ledger = f_transform(args.m, ec)
     _emit(ledger.json_text(ec), args.out)
     _ledger_summary(ledger)
@@ -190,7 +162,16 @@ def _read_ledger(path: str, m: int, ell: int, ec: EvalConfig) -> Kernel:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         recorded = {"m": data["m"], "ell": data["ell"], **data["config"]}
-        total = Kernel.from_json(data["total"])
+        raw = data["total"]
+        # a codec spans all (2K+1)^dim modes, so the total's lattice is
+        # checked before one is built; from_json refuses a non-integer
+        on_lattice = all(
+            type(raw[key]) is not int or raw[key] == want
+            for key, want in [("dim", ec.lattice.dim),
+                              ("radius", ec.lattice.radius),
+                              ("max_degree", ec.cutoff)])
+        if on_lattice:
+            total = Kernel.from_json(raw)
     except (OSError, json.JSONDecodeError, RecursionError, KeyError,
             TypeError, ValueError) as exc:
         raise CliError(f"cannot read ledger {path}: {exc}") from exc
@@ -200,17 +181,17 @@ def _read_ledger(path: str, m: int, ell: int, ec: EvalConfig) -> Kernel:
         if type(got) is not type(want) or got != want:
             raise CliError(f"ledger {path} has {key} {got!r}, "
                            f"the request {want!r}")
-    if total.lattice != ec.lattice or total.max_degree != ec.cutoff:
+    if not on_lattice:
         raise CliError(f"ledger {path} total is not on its config's "
                        f"lattice and cutoff")
     return total
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    settings = _resolve(args)
     if args.m < 1 or args.ell <= args.m:
         raise CliError("need 1 <= m < ell")
-    ec = cfg.eval_config(2 * args.ell)
+    ec = _eval_config(settings, 2 * args.ell)
     # a saved ledger is checked against the request before the oracle runs
     total = _read_ledger(args.ledger, args.m, args.ell, ec) if args.ledger else None
     oracle = birkhoff_iterate(args.m, args.ell, ec)
@@ -238,6 +219,9 @@ def cmd_render(args: argparse.Namespace) -> int:
         tree = parse(args.tree)
     except ParseError as exc:
         raise CliError(str(exc)) from exc
+    except RecursionError as exc:
+        # parse recurses once per level, render no deeper
+        raise CliError(f"tree nested too deeply: {exc}") from exc
     print(render(tree, args.format))
     return 0
 

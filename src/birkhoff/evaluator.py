@@ -6,7 +6,9 @@ The map ``pi`` reads a tree as an iterated Poisson bracket:
   resonant part of h1; n -> the phase-filtered h1 scaled by
   GENERATOR_SCALE (the generator building block);
 * internal nodes: circ -> bracket of the children; r -> resonant part of
-  the bracket; n -> GENERATOR_SCALE times the filtered bracket.
+  the bracket; n -> GENERATOR_SCALE times the filtered bracket.  Each
+  resonant part, like ``cancellation_check``'s non-resonant one, is one
+  side of ``split_resonant``.
 
 On top of pi sit the generator ledgers F_i (sum over n-rooted trees of
 degree 2(i+1), weights 1/S), the truncated normal form (kinetic term plus
@@ -45,7 +47,6 @@ from .hamiltonian import (
     h0,
     h1,
     poisson_bracket,
-    resonant_part,
     split_resonant,
 )
 from .trees import (
@@ -107,9 +108,9 @@ def pi(tree: Tree, cfg: EvalConfig) -> Kernel:
     kernels; since the tree degree bounds every monomial degree of the
     result, a tree wholly above the cutoff gives the zero kernel.
     """
-    report = validate_tree(tree)
-    if not report.valid:
-        raise TreeError(f"invalid tree {render(tree)}: {report.violations}")
+    violations = validate_tree(tree)
+    if violations:
+        raise TreeError(f"invalid tree {render(tree)}: {violations}")
     return _pi(tree, cfg)
 
 
@@ -126,7 +127,7 @@ def _pi(tree: Tree, cfg: EvalConfig) -> Kernel:
     else:
         out = cfg.h1()
     if dec is Decoration.R:
-        out = resonant_part(out, cfg.resonance)
+        out = split_resonant(out, cfg.resonance).res
     elif dec is Decoration.N:
         out = apply_phase_filter(out, cfg.resonance).scale(GENERATOR_SCALE)
     _KERNELS[key] = out

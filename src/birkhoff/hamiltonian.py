@@ -6,8 +6,9 @@ truncated integer mode lattice.  A kernel is a finite map from monomials
 factors) to purely imaginary exact coefficients i*c: h0 and h1 are
 imaginary, and so are rational multiples, sums, the phase filter and the
 bracket of imaginary kernels.  The module provides the cubic NLS
-generators, the canonical Poisson bracket, the phase function, resonant
-splitting, and the small-divisor phase filter.
+generators, the canonical Poisson bracket, and the two functions that
+apply the resonance rule |phase| <= N: the resonant split and the
+small-divisor phase filter.
 
 Inside a kernel a monomial is one packed int, its key, and the rationals
 c are int numerators over one common int denominator.  Each (lattice,
@@ -145,14 +146,6 @@ class Monomial:
 
     def to_json(self) -> dict:
         return {"u": [list(a) for a in self.u], "ubar": [list(b) for b in self.ubar]}
-
-
-def phase(m: Monomial) -> int:
-    return m.phase()
-
-
-def momentum(m: Monomial) -> Mode:
-    return m.momentum()
 
 
 class _Table(dict):
@@ -588,14 +581,6 @@ def split_resonant(a: Kernel, cfg: ResonanceConfig) -> ResonantSplit:
         (res if resonant(codec_phase(key)) else nonres)[key] = c
     return ResonantSplit(Kernel(a.lattice, a.max_degree, res, a.den),
                          Kernel(a.lattice, a.max_degree, nonres, a.den))
-
-
-def resonant_part(a: Kernel, cfg: ResonanceConfig) -> Kernel:
-    """``split_resonant(a, cfg).res``, without building the other part."""
-    codec_phase, resonant = a._codec.phase, cfg.resonant
-    return Kernel(a.lattice, a.max_degree, {
-        key: c for key, c in a.nums.items() if resonant(codec_phase(key))
-    }, a.den)
 
 
 def apply_phase_filter(a: Kernel, cfg: ResonanceConfig) -> Kernel:

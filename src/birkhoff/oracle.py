@@ -150,6 +150,9 @@ def generators_from_recursion(m: int, cfg: EvalConfig) -> tuple[Kernel, ...]:
     return tuple(f_list)
 
 
+WORST = 3
+
+
 @dataclass(frozen=True)
 class DiffReport:
     """a - b, and its largest entries as (m, c_a, c_b): the rationals of
@@ -174,10 +177,10 @@ class DiffReport:
         }
 
 
-def compare(a: Kernel, b: Kernel, worst: int = 3) -> DiffReport:
+def compare(a: Kernel, b: Kernel) -> DiffReport:
     """Exact coefficient-wise difference a - b.
 
-    The worst monomials are the largest residual entries i*c by |c|;
+    Its worst monomials are the WORST largest residual entries i*c by |c|;
     ties go to the smaller ``Monomial.sort_key``, so the report does not
     depend on the order the kernels were built in.
     """
@@ -186,6 +189,6 @@ def compare(a: Kernel, b: Kernel, worst: int = 3) -> DiffReport:
     # items() is in sort_key order, and a stable sort keeps it among ties
     ranked = sorted(residual.items(), key=lambda mc: abs(mc[1]), reverse=True)
     worst_monomials = tuple(
-        (m, a.coefficient(m), b.coefficient(m)) for m, _ in ranked[:worst]
+        (m, a.coefficient(m), b.coefficient(m)) for m, _ in ranked[:WORST]
     )
     return DiffReport(residual.is_zero, residual, worst_monomials)

@@ -19,8 +19,9 @@ Structural rules for a valid tree:
 
 Every rule is local to one node, given its children's decorations and
 subtree degrees, so all of them live in one function,
-:func:`node_violations`.  :func:`validate_tree` walks a tree with it, and
-the enumeration checks each node it builds with it.
+:func:`node_violations`.  :func:`validate_tree` walks a tree with it and
+returns the sorted violations, none for a valid tree; the enumeration
+checks each node it builds with it.
 
 The nested comparison of rule (i) fixes the order of the flows a tree
 expands along.  It reads |T3| <= |T2| (``NESTED_RULE``, the name ledgers
@@ -43,10 +44,6 @@ class Decoration(enum.Enum):
     K = "k"
     N = "n"
     R = "r"
-
-    @property
-    def rank(self) -> int:
-        return _RANK[self]
 
     def __repr__(self) -> str:
         return f"Decoration.{self.name}"
@@ -125,15 +122,6 @@ def degree(tree: Tree) -> int:
 NESTED_RULE = "nested-le"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[tuple[str, str], ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
 def node_violations(t: Tree, is_root: bool) -> list[tuple[str, str]]:
     """Rule violations at node t alone, as (path from t, rule id).
 
@@ -166,12 +154,10 @@ def node_violations(t: Tree, is_root: bool) -> list[tuple[str, str]]:
     return out
 
 
-def validate_tree(tree: Tree) -> ValidationReport:
-    """Check every node with :func:`node_violations`.
-
-    Violations are (node path, rule id); node paths are strings over
-    {l, r} from the root, rule ids a, b, c, i, ii as in the module
-    docstring.
+def validate_tree(tree: Tree) -> tuple[tuple[str, str], ...]:
+    """Every node's :func:`node_violations`, sorted, as (node path, rule
+    id); a valid tree has none.  Node paths are strings over {l, r} from
+    the root, rule ids a, b, c, i, ii as in the module docstring.
     """
     violations: list[tuple[str, str]] = []
     stack = [(tree, "")]
@@ -182,7 +168,7 @@ def validate_tree(tree: Tree) -> ValidationReport:
         if not t.is_leaf:
             stack.append((t.right, path + "r"))
             stack.append((t.left, path + "l"))
-    return ValidationReport(tuple(sorted(violations)))
+    return tuple(sorted(violations))
 
 
 def symmetry_factor(tree: Tree, j: int = 0) -> int:
@@ -197,9 +183,9 @@ def symmetry_factor(tree: Tree, j: int = 0) -> int:
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    report = validate_tree(tree)
-    if not report.valid:
-        raise TreeError(f"invalid tree {render(tree)}: {report.violations}")
+    violations = validate_tree(tree)
+    if violations:
+        raise TreeError(f"invalid tree {render(tree)}: {violations}")
     return _symmetry(tree, j)
 
 
@@ -222,9 +208,10 @@ def relabel_root(tree: Tree, decoration: Decoration) -> Tree:
 
 def canonical_key(tree: Tree):
     """Sort key following the decoration order circ < k < n < r."""
+    rank = _RANK[tree.decoration]
     if tree.is_leaf:
-        return (tree.decoration.rank, (), ())
-    return (tree.decoration.rank, canonical_key(tree.left), canonical_key(tree.right))
+        return (rank, (), ())
+    return (rank, canonical_key(tree.left), canonical_key(tree.right))
 
 
 def render(tree: Tree, fmt: str = "canonical") -> str:

@@ -26,8 +26,6 @@ from birkhoff.hamiltonian import (
     ModeLattice,
     Monomial,
     ResonanceConfig,
-    momentum,
-    phase,
     poisson_bracket,
 )
 from birkhoff.oracle import (
@@ -121,7 +119,7 @@ def test_criterion_2_symmetry_factors():
                 for tail in itertools.product(tails, repeat=p):
                     for root_dec in (O, N, R):
                         comb = graft_comb(base, list(tail), root_dec)
-                        if not validate_tree(comb).valid:
+                        if validate_tree(comb):
                             continue
                         want = symmetry_factor(base)
                         for t in tail:
@@ -224,7 +222,7 @@ def test_criterion_7_bracket_algebra_suite():
         a = _random_kernel(rng, lat, 12, 2, 3, zero_momentum=True)
         b = _random_kernel(rng, lat, 12, 2, 3, zero_momentum=True)
         for m in poisson_bracket(a, b).support():
-            assert momentum(m) == (0,)
+            assert m.momentum() == (0,)
 
     for _ in range(1000):  # phase additivity on single-monomial pairs
         a = _random_kernel(rng, lat, 20, 1, 2)
@@ -232,7 +230,7 @@ def test_criterion_7_bracket_algebra_suite():
         (ma,) = a.support()
         (mb,) = b.support()
         for m in poisson_bracket(a, b).support():
-            assert phase(m) == phase(ma) + phase(mb)
+            assert m.phase() == ma.phase() + mb.phase()
     done()
 
 

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from birkhoff import hamiltonian
 from birkhoff.cli import CONFIG_ENV, main
+from birkhoff.hamiltonian import ModeLattice
 
 
 # the stderr summary of `expand --m 1 --ell 3`
@@ -349,6 +351,33 @@ class TestVerify:
         )
         assert code == 2 and "error" in err
 
+    def test_total_off_the_lattice_builds_no_codec(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # the total is a valid kernel on the 5-D lattice; its codec spans
+        # all 5^5 modes, and a 7-D one exhausted memory
+        ledger = tmp_path / "ledger.json"
+        run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
+        data = json.loads(ledger.read_text())
+        total = data["total"]
+        total["dim"] = 5
+        for term in total["terms"]:
+            for side in ("u", "ubar"):
+                term[side] = [mode + [0] * 4 for mode in term[side]]
+        ledger.write_text(json.dumps(data))
+        built = []
+        codec_for = hamiltonian._codec_for
+
+        def spy(lattice, cutoff):
+            built.append(lattice)
+            return codec_for(lattice, cutoff)
+
+        monkeypatch.setattr(hamiltonian, "_codec_for", spy)
+        code, out, err = run(
+            capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
+        )
+        assert code == 2 and "lattice and cutoff" in err and out == ""
+        assert ModeLattice(5, 2) not in built
+
 
 class TestRender:
     def test_canonical(self, capsys):
@@ -365,6 +394,12 @@ class TestRender:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "render", "--tree", "(o (x) (n))")
         assert code == 2 and "position" in err
+
+    def test_deeply_nested_tree(self, capsys):
+        # the parser recurses once per level
+        code, out, err = run(capsys, "render", "--tree",
+                             "(o " * 3000 + "(o)")
+        assert code == 2 and err.startswith("error:") and out == ""
 
     def test_takes_no_config_flags(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -445,14 +480,25 @@ class TestConfigPrecedence:
         )
         assert code == 2 and "'radius'" in err and out == ""
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_nested_ge_is_refused(self, capsys, tmp_path, source):
+    @pytest.mark.parametrize("source, message", [
+        ("flag", "nested-le"),
+        ("config", "unknown config key 'assumption_mode'"),
+    ], ids=["flag", "config"])
+    def test_nested_ge_is_refused(self, capsys, tmp_path, source, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"assumption_mode": "nested-ge"}))
         argv = (["--assumption-mode", "nested-ge"] if source == "flag"
                 else ["--config", str(cfg)])
         code, out, err = run(capsys, "expand", "--m", "2", "--ell", "4", *argv)
-        assert code == 2 and "nested-le" in err and out == ""
+        assert code == 2 and message in err and out == ""
+
+    def test_assumption_mode_is_not_a_config_key(self, capsys, tmp_path):
+        # only the flag remains; the one value it takes is refused in a file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"assumption_mode": "nested-le"}))
+        code, out, err = run(capsys, "expand", "--m", "1", "--ell", "3",
+                             "--config", str(cfg))
+        assert code == 2 and "'assumption_mode'" in err and out == ""
 
     @pytest.mark.parametrize("value", [None, "x", 1.9, True])
     def test_non_integer_value(self, capsys, tmp_path, value):

@@ -85,7 +85,7 @@ class TestEnumerateValid:
 
     def test_all_members_valid(self):
         for t in enumerate_valid(10):
-            assert validate_tree(t).valid, render(t)
+            assert not validate_tree(t), render(t)
 
     def test_no_duplicates_and_sorted(self):
         ts = enumerate_valid(10)
@@ -105,7 +105,7 @@ class TestEnumerateValid:
             naive = {
                 render(t)
                 for t in _naive_pool(d)
-                if _naive_standalone(t) and validate_tree(t).valid
+                if _naive_standalone(t) and not validate_tree(t)
             }
             assert naive == set(canon(enumerate_valid(d)))
 
@@ -227,7 +227,7 @@ class TestGraftComb:
                     continue
                 for t2 in tree_class(n_exact(m2)):
                     g = graft_comb(t1, [t2], O)
-                    if validate_tree(g).valid:
+                    if not validate_tree(g):
                         grafts.add(render(g))
         assert r_left == grafts
         assert len(members) == 14

@@ -14,7 +14,6 @@ from birkhoff.hamiltonian import (
     apply_phase_filter,
     h0,
     h1,
-    phase,
     poisson_bracket,
     split_resonant,
 )
@@ -152,7 +151,7 @@ class TestFTransform:
             total = f_transform(i, cfg).total
             for m in total.support():
                 assert m.degree == 2 * i + 2
-                assert abs(phase(m)) > cfg.resonance.threshold
+                assert abs(m.phase()) > cfg.resonance.threshold
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
@@ -202,7 +201,7 @@ class TestNormalForm:
             total = normal_form(1, 3, cfg).total
             for m in total.support():
                 if m.degree <= 2 * (1 + CLASS_INDEX_OFFSET) - 2:
-                    assert abs(phase(m)) <= threshold
+                    assert abs(m.phase()) <= threshold
 
     def test_preconditions(self):
         cfg = make_cfg(cutoff=6)

@@ -12,7 +12,6 @@ from birkhoff.hamiltonian import (
     Monomial,
     ResonanceConfig,
     apply_phase_filter,
-    phase,
     poisson_bracket,
 )
 from birkhoff.evaluator import (
@@ -189,7 +188,7 @@ class TestBirkhoffIterate:
         for i, f in enumerate(birkhoff_iterate(3, 4, cfg).f_list, start=1):
             for m in f.support():
                 assert m.degree == 2 * i + 2
-                assert abs(phase(m)) > 3
+                assert abs(m.phase()) > 3
 
     def test_low_orders_resonant_after_iteration(self):
         for threshold in (0, 3):
@@ -197,7 +196,7 @@ class TestBirkhoffIterate:
             h = birkhoff_iterate(2, 4, cfg).normal_form
             for m in h.support():
                 if m.degree <= 2 * (2 + 1):
-                    assert abs(phase(m)) <= threshold
+                    assert abs(m.phase()) <= threshold
 
     def test_deterministic(self):
         cfg1, cfg2 = make_cfg(), make_cfg()

@@ -6,7 +6,6 @@ from .trees import (
     ParseError,
     Tree,
     TreeError,
-    degree,
     leaf,
     node,
     parse,
@@ -54,7 +53,6 @@ from .evaluator import (
 from .oracle import (
     BirkhoffResult,
     DiffReport,
-    SequenceFamily,
     SequenceInfo,
     birkhoff_iterate,
     compare,

@@ -126,7 +126,8 @@ def cmd_trees(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ledger_summary(ledger: ExpansionLedger) -> None:
+def _write_ledger(ledger: ExpansionLedger, out: str | None) -> None:
+    _emit(ledger.json_text(), out)
     _note(f"{'tree':<42} {'S':>4} {'#monomials':>10}")
     for e in ledger.entries:
         _note(f"{render(e.tree):<42} {e.weight.denominator:>4} "
@@ -139,9 +140,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if args.m < 1 or args.ell <= args.m:
         raise CliError("need 1 <= m < ell")
     ec = _eval_config(settings, 2 * args.ell)
-    ledger = normal_form(args.m, args.ell, ec)
-    _emit(ledger.json_text(ec), args.out)
-    _ledger_summary(ledger)
+    _write_ledger(normal_form(args.m, ec), args.out)
     return 0
 
 
@@ -150,13 +149,11 @@ def cmd_f_transform(args: argparse.Namespace) -> int:
     if args.m < 1:
         raise CliError("need m >= 1")
     ec = _eval_config(settings, 2 * (args.m + 1))
-    ledger = f_transform(args.m, ec)
-    _emit(ledger.json_text(ec), args.out)
-    _ledger_summary(ledger)
+    _write_ledger(f_transform(args.m, ec), args.out)
     return 0
 
 
-def _read_ledger(path: str, m: int, ell: int, ec: EvalConfig) -> Kernel:
+def _read_ledger(path: str, m: int, ec: EvalConfig) -> Kernel:
     """The total of a saved expand ledger made at exactly this request."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -175,7 +172,7 @@ def _read_ledger(path: str, m: int, ell: int, ec: EvalConfig) -> Kernel:
     except (OSError, json.JSONDecodeError, RecursionError, KeyError,
             TypeError, ValueError) as exc:
         raise CliError(f"cannot read ledger {path}: {exc}") from exc
-    for key, want in {"m": m, "ell": ell, **ec.to_json()}.items():
+    for key, want in {"m": m, "ell": ec.cutoff // 2, **ec.to_json()}.items():
         got = recorded.get(key)
         # same type too: 2.0 and true compare equal to 2 and 1
         if type(got) is not type(want) or got != want:
@@ -193,10 +190,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError("need 1 <= m < ell")
     ec = _eval_config(settings, 2 * args.ell)
     # a saved ledger is checked against the request before the oracle runs
-    total = _read_ledger(args.ledger, args.m, args.ell, ec) if args.ledger else None
-    oracle = birkhoff_iterate(args.m, args.ell, ec)
+    total = _read_ledger(args.ledger, args.m, ec) if args.ledger else None
+    oracle = birkhoff_iterate(args.m, ec)
     if total is None:
-        total = normal_form(args.m, args.ell, ec).total
+        total = normal_form(args.m, ec).total
     report = compare(total, oracle.normal_form)
     checks = {"normal_form": report.equal}
     if not args.ledger:

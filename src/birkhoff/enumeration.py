@@ -25,7 +25,6 @@ from .trees import (
     Tree,
     TreeError,
     canonical_key,
-    degree,
     iter_nodes,
     leaf,
     node,
@@ -85,7 +84,7 @@ class TreeSet:
         return {
             "query": self.query,
             "trees": [render(t) for t in self.trees],
-            "degrees": [degree(t) for t in self.trees],
+            "degrees": [t.degree for t in self.trees],
             "symmetry_factors": [symmetry_factor(t) for t in self.trees],
         }
 
@@ -100,20 +99,19 @@ def _subtree_pools(max_degree: int, cap: int) -> dict[int, list[Tree]]:
     pools: dict[int, list[Tree]] = {}
     count = 0
 
-    def add(d: int, t: Tree) -> None:
+    def add(t: Tree) -> None:
         nonlocal count
         count += 1
         if count > cap:
             raise EnumerationCapError(
-                f"tree cap {cap} exceeded at degree {d}"
+                f"tree cap {cap} exceeded at degree {t.degree}"
             )
-        pools.setdefault(d, []).append(t)
+        pools.setdefault(t.degree, []).append(t)
 
-    if max_degree >= 2:
-        add(2, leaf(Decoration.K))
-    if max_degree >= 4:
-        for dec in (Decoration.CIRC, Decoration.N, Decoration.R):
-            add(4, leaf(dec))
+    # leaves by degree (the k-leaf first), so the cap trips in degree order
+    for t in sorted(map(leaf, Decoration), key=lambda t: t.degree):
+        if t.degree <= max_degree:
+            add(t)
     for d in range(4, max_degree + 1, 2):
         for root in (Decoration.N, Decoration.R, Decoration.CIRC):
             for d1 in range(2, d + 1, 2):
@@ -124,7 +122,7 @@ def _subtree_pools(max_degree: int, cap: int) -> dict[int, list[Tree]]:
                     for t2 in rights:
                         t = node(root, t1, t2)
                         if not node_violations(t, False):
-                            add(d, t)
+                            add(t)
     return pools
 
 
@@ -160,7 +158,7 @@ def tree_class(query: TreeClassQuery, cap: int = DEFAULT_CAP) -> TreeSet:
     picked = [
         t
         for t in enumerate_valid(hi, cap)
-        if t.decoration is root and lo < degree(t) <= hi
+        if t.decoration is root and lo < t.degree <= hi
     ]
     if query.kind is ClassKind.CIRC_RANGE:
         picked = [t for t in picked if not _has_big_n_node(t, 2 * query.m)]
@@ -169,7 +167,7 @@ def tree_class(query: TreeClassQuery, cap: int = DEFAULT_CAP) -> TreeSet:
 
 def _has_big_n_node(t: Tree, threshold: int) -> bool:
     return any(
-        not v.is_leaf and v.decoration is Decoration.N and degree(v) >= threshold
+        not v.is_leaf and v.decoration is Decoration.N and v.degree >= threshold
         for v in iter_nodes(t)
     )
 

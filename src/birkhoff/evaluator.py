@@ -12,9 +12,10 @@ The map ``pi`` reads a tree as an iterated Poisson bracket:
 
 On top of pi sit the generator ledgers F_i (sum over n-rooted trees of
 degree 2(i+1), weights 1/S), the truncated normal form (kinetic term plus
-sums over the res_below / circ_exact / circ_range classes at index m + 2),
-and the cancellation check {h0, F_i} + non-resonant circ_exact block = 0.
-All three are one weighted sum, ``_assemble``.
+sums over the res_below / circ_exact / circ_range classes at index m + 2,
+up to the cutoff 2*ell), and the cancellation check {h0, F_i} +
+non-resonant circ_exact block = 0.  All three are one weighted sum,
+``_assemble``, into a ledger that keeps the config it was built with.
 
 ``EvalConfig`` is frozen and holds no state.  Kernels are memoized at
 module level: ``h0``/``h1`` per (lattice, cutoff), and each tree's kernel
@@ -145,14 +146,15 @@ class LedgerEntry:
 class ExpansionLedger:
     entries: tuple[LedgerEntry, ...]
     total: Kernel
+    cfg: EvalConfig
     m: Optional[int] = None
     ell: Optional[int] = None
 
-    def to_json(self, cfg: EvalConfig) -> dict:
+    def to_json(self) -> dict:
         return {
             "m": self.m,
             "ell": self.ell,
-            "config": cfg.to_json(),
+            "config": self.cfg.to_json(),
             "entries": [
                 {
                     "tree": render(e.tree),
@@ -165,12 +167,12 @@ class ExpansionLedger:
             "total": self.total.to_json(),
         }
 
-    def json_text(self, cfg: EvalConfig) -> str:
-        """``json.dumps(self.to_json(cfg), sort_keys=True, indent=2)`` plus
-        a newline, byte for byte, with each kernel written by
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True, indent=2)`` plus a
+        newline, byte for byte, with each kernel written by
         ``Kernel.json_text``."""
-        config = json.dumps(cfg.to_json(), sort_keys=True, indent=2).replace(
-            "\n", "\n  ")
+        config = json.dumps(self.cfg.to_json(), sort_keys=True,
+                            indent=2).replace("\n", "\n  ")
         entries = ",".join(
             f'\n    {{\n      "S": {json.dumps(e.weight.denominator)},'
             f'\n      "kernel": {e.kernel.json_text(3)},'
@@ -189,13 +191,13 @@ class ExpansionLedger:
 def _assemble(trees: Iterable[Tree], cfg: EvalConfig, **meta) -> ExpansionLedger:
     """Ledger of the trees, each weighted 1/S, and their weighted sum."""
     entries = []
-    total = Kernel.zero(cfg.lattice, cfg.cutoff)
+    total = Kernel(cfg.lattice, cfg.cutoff)
     for t in trees:
         weight = Fraction(1, symmetry_factor(t))
         kernel = pi(t, cfg)
         entries.append(LedgerEntry(t, weight, kernel))
         total = total + kernel.scale(weight)
-    return ExpansionLedger(tuple(entries), total, **meta)
+    return ExpansionLedger(tuple(entries), total, cfg, **meta)
 
 
 def f_transform(i: int, cfg: EvalConfig) -> ExpansionLedger:
@@ -206,17 +208,17 @@ def f_transform(i: int, cfg: EvalConfig) -> ExpansionLedger:
     return _assemble(trees, cfg, m=i)
 
 
-def normal_form(m: int, ell: int, cfg: EvalConfig) -> ExpansionLedger:
-    """Truncated normal form after m transforms at cutoff degree 2*ell.
+def normal_form(m: int, cfg: EvalConfig) -> ExpansionLedger:
+    """Truncated normal form after m transforms at cutoff degree 2*ell,
+    which cfg.cutoff holds.
 
     The ledger holds the kinetic entry (bare k-leaf, weight 1) and one
     entry per tree of res_below(m+2), circ_exact(m+2), and, when
     m + 2 < ell, circ_range(m+2, ell).
     """
+    ell = cfg.cutoff // 2
     if m < 1 or ell <= m:
         raise ValueError("need 1 <= m < ell")
-    if cfg.cutoff != 2 * ell:
-        raise ValueError("cfg.cutoff must equal 2*ell")
     idx = m + CLASS_INDEX_OFFSET
     trees = [
         leaf(Decoration.K),

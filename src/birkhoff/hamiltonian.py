@@ -301,10 +301,6 @@ class Kernel:
             for m, c in im.items()
         }, den)
 
-    @staticmethod
-    def zero(lattice: ModeLattice, max_degree: int) -> "Kernel":
-        return Kernel(lattice, max_degree)
-
     def _sorted_keys(self) -> list[int]:
         """The keys in ``Monomial.sort_key`` order."""
         codec = self._codec
@@ -490,7 +486,7 @@ def h1(lattice: ModeLattice, cutoff: int) -> Kernel:
     times the number of ordered representatives.
     """
     if cutoff < 4:
-        return Kernel.zero(lattice, cutoff)
+        return Kernel(lattice, cutoff)
     codec = _codec_for(lattice, cutoff)
     index, u_units, ubar_units = codec.index, codec.u_units, codec.ubar_units
     nums: dict[int, int] = {}

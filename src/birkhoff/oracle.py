@@ -31,15 +31,9 @@ class SequenceInfo:
     q: int
 
 
-@dataclass(frozen=True)
-class SequenceFamily:
-    n: int
-    m: int
-    sequences: tuple[SequenceInfo, ...]
-
-
-def sequences(n: int, m: int) -> SequenceFamily:
-    """Non-decreasing tuples with entries in 1..n summing to m.
+def sequences(n: int, m: int) -> tuple[SequenceInfo, ...]:
+    """Non-decreasing tuples with entries in 1..n summing to m, in
+    lexicographic order.
 
     c is the product over distinct values of (multiplicity)!, q the
     length; these are the denominators and bracket counts of the
@@ -53,11 +47,11 @@ def sequences(n: int, m: int) -> SequenceFamily:
         for v in set(z):
             c *= math.factorial(z.count(v))
         infos.append(SequenceInfo(z, c, len(z)))
-    infos.sort(key=lambda info: info.z)
-    return SequenceFamily(n, m, tuple(infos))
+    return tuple(infos)
 
 
 def _nondecreasing(n: int, m: int, lo: int):
+    # the first entry rises through lo..n, so the tuples come out sorted
     if m == 0:
         yield ()
         return
@@ -72,8 +66,8 @@ def truncation_term(
     """R_n^m(g): sum over z in s_n^m of {...{g, F_z1}, ..., F_zq} / c_z."""
     if len(f_list) < n:
         raise ValueError(f"need at least {n} generators")
-    total = Kernel.zero(g.lattice, g.max_degree)
-    for info in sequences(n, m).sequences:
+    total = Kernel(g.lattice, g.max_degree)
+    for info in sequences(n, m):
         nested = g
         for zi in info.z:
             nested = poisson_bracket(nested, f_list[zi - 1])
@@ -107,17 +101,16 @@ class BirkhoffResult:
     f_list: tuple[Kernel, ...]
 
 
-def birkhoff_iterate(m: int, ell: int, cfg: EvalConfig) -> BirkhoffResult:
-    """Iterate the normal form reduction m times at cutoff 2*ell.
+def birkhoff_iterate(m: int, cfg: EvalConfig) -> BirkhoffResult:
+    """Iterate the normal form reduction m times at cutoff 2*ell, which
+    cfg.cutoff holds.
 
     At step i the generator is the phase-filtered degree-(2i+2) slice of
     the accumulated Hamiltonian, scaled by GENERATOR_SCALE; the
     Hamiltonian is then Taylor-composed with it.  No trees anywhere.
     """
-    if m < 1 or ell <= m:
+    if m < 1 or cfg.cutoff // 2 <= m:
         raise ValueError("need 1 <= m < ell")
-    if cfg.cutoff != 2 * ell:
-        raise ValueError("cfg.cutoff must equal 2*ell")
     h = cfg.h0() + cfg.h1()
     f_list = []
     for i in range(1, m + 1):

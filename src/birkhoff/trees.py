@@ -3,8 +3,8 @@
 Trees carry decorations from {circ, k, n, r} and encode iterated Poisson
 brackets: internal nodes are brackets (plain, resonant-projected, or
 phase-filtered) and leaves are the generating Hamiltonian kernels.  This
-module defines the tree type, the structural validity rules, the degree,
-the symmetry factor recursion, and canonical text serialization.
+module defines the tree type, which stores its degree |T|, the structural
+validity rules, the symmetry factor recursion, and text serialization.
 
 Structural rules for a valid tree:
 
@@ -18,9 +18,9 @@ Structural rules for a valid tree:
 * (ii) at a node whose left child T1 is rooted r: |T1| < |T2|.
 
 Every rule is local to one node, given its children's decorations and
-subtree degrees, so all of them live in one function,
-:func:`node_violations`.  :func:`validate_tree` walks a tree with it and
-returns the sorted violations, none for a valid tree; the enumeration
+stored subtree degrees, so all of them live in one function,
+:func:`node_violations`.  :func:`validate_tree` walks a tree with it once
+and returns the sorted violations, none for a valid tree; the enumeration
 checks each node it builds with it.
 
 The nested comparison of rule (i) fixes the order of the flows a tree
@@ -35,7 +35,7 @@ fails the identity with it from m = 2 on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 
@@ -70,15 +70,23 @@ class ParseError(TreeError):
 
 @dataclass(frozen=True)
 class Tree:
-    """A decorated planar binary tree; a leaf has both children None."""
+    """A decorated planar binary tree; a leaf has both children None.
+    ``degree`` is |T|: 2 for a k-leaf, 4 for any other leaf, and
+    |T1| + |T2| - 2 at a node.  Equality and hashing ignore it."""
 
     decoration: Decoration
     left: Optional["Tree"] = None
     right: Optional["Tree"] = None
+    degree: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.left is None) != (self.right is None):
             raise TreeError("a node needs either zero or two children")
+        if self.left is not None:
+            d = self.left.degree + self.right.degree - 2
+        else:
+            d = 2 if self.decoration is Decoration.K else 4
+        object.__setattr__(self, "degree", d)
 
     @property
     def is_leaf(self) -> bool:
@@ -107,17 +115,6 @@ def iter_nodes(tree: Tree) -> Iterator[Tree]:
             stack.append(t.left)
 
 
-def degree(tree: Tree) -> int:
-    """2 per k-leaf, 4 per other leaf, minus the number of edges.
-
-    Equivalently: leaves contribute 2 or 4 and every internal node
-    subtracts 2, so degree(node(d, a, b)) = degree(a) + degree(b) - 2.
-    """
-    if tree.is_leaf:
-        return 2 if tree.decoration is Decoration.K else 4
-    return degree(tree.left) + degree(tree.right) - 2
-
-
 # the one reading of rule (i)'s nested comparison, |T3| <= |T2|
 NESTED_RULE = "nested-le"
 
@@ -143,11 +140,11 @@ def node_violations(t: Tree, is_root: bool) -> list[tuple[str, str]]:
         not t1.is_leaf or t.decoration is not Decoration.CIRC or is_root
     ):
         out.append(("l", "c"))
-    d1, d2 = degree(t1), degree(t2)
+    d1, d2 = t1.degree, t2.degree
     if t1.decoration is Decoration.CIRC:
         if d1 < d2:
             out.append(("", "i"))
-        if not t1.is_leaf and degree(t1.right) > d2:
+        if not t1.is_leaf and t1.right.degree > d2:
             out.append(("", "i"))
     elif t1.decoration is Decoration.R and not d1 < d2:
         out.append(("", "ii"))
@@ -171,35 +168,38 @@ def validate_tree(tree: Tree) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(violations))
 
 
-def symmetry_factor(tree: Tree, j: int = 0) -> int:
-    """The coefficient S^j(T); S(T) = symmetry_factor(T, 0).
+def symmetry_factor(tree: Tree) -> int:
+    """The coefficient S(T) = S^0(T) of a valid tree.
 
-    Leaves give j + 1.  At an internal node (d; T1, T2) with T1 itself an
-    internal circ-rooted node whose right subtree T4 satisfies
+    Leaves give S^j = j + 1.  At an internal node (d; T1, T2) with T1
+    itself an internal circ-rooted node whose right subtree T4 satisfies
     |T4| = |T2|, the left recursion deepens: (j+1) S^{j+1}(T1) S^0(T2).
     Otherwise (j+1) S^0(T1) S^0(T2).  The deepening case applies for every
     node decoration d, which is what makes the left-comb product formula
     S(comb) = p! * prod S(T_i) come out for equal-degree tails.
     """
-    if j < 0:
-        raise ValueError("j must be nonnegative")
     violations = validate_tree(tree)
     if violations:
         raise TreeError(f"invalid tree {render(tree)}: {violations}")
-    return _symmetry(tree, j)
+    return _symmetry(tree)
 
 
-def _symmetry(tree: Tree, j: int) -> int:
-    if tree.is_leaf:
-        return j + 1
-    t1, t2 = tree.left, tree.right
-    if (
-        not t1.is_leaf
-        and t1.decoration is Decoration.CIRC
-        and degree(t1.right) == degree(t2)
-    ):
-        return (j + 1) * _symmetry(t1, j + 1) * _symmetry(t2, 0)
-    return (j + 1) * _symmetry(t1, 0) * _symmetry(t2, 0)
+def _symmetry(tree: Tree) -> int:
+    """S^0 unrolled: the product over nodes v of (j_v + 1), where j is 0
+    at the root and at each right child, and a left child's j is its
+    parent's plus one where the parent deepens, else 0."""
+    s = 1
+    stack = [(tree, 0)]
+    while stack:
+        t, j = stack.pop()
+        s *= j + 1
+        if not t.is_leaf:
+            t1, t2 = t.left, t.right
+            deepens = (not t1.is_leaf and t1.decoration is Decoration.CIRC
+                       and t1.right.degree == t2.degree)
+            stack.append((t1, j + 1 if deepens else 0))
+            stack.append((t2, 0))
+    return s
 
 
 def relabel_root(tree: Tree, decoration: Decoration) -> Tree:
@@ -219,7 +219,8 @@ def render(tree: Tree, fmt: str = "canonical") -> str:
     if fmt == "canonical":
         return _render_canonical(tree)
     if fmt == "latex":
-        return "\\begin{forest}\n" + _render_forest(tree, 1) + "\n\\end{forest}"
+        return "\n".join(["\\begin{forest}", *_render_forest(tree),
+                          "\\end{forest}"])
     if fmt == "dot":
         lines = ["digraph tree {", "  node [shape=circle];"]
         _render_dot(tree, lines, [0])
@@ -243,18 +244,21 @@ _LATEX_LABEL = {
 }
 
 
-def _render_forest(tree: Tree, depth: int) -> str:
-    pad = "  " * depth
-    label = _LATEX_LABEL[tree.decoration]
-    if tree.is_leaf:
-        return f"{pad}[{{{label}}}]"
-    return (
-        f"{pad}[{{{label}}}\n"
-        + _render_forest(tree.left, depth + 1)
-        + "\n"
-        + _render_forest(tree.right, depth + 1)
-        + f"\n{pad}]"
-    )
+def _render_forest(tree: Tree) -> list[str]:
+    """The forest lines, one per leaf and two per node, in one walk."""
+    lines = []
+    stack = [(tree, 1)]  # a None tree closes the bracket at its depth
+    while stack:
+        t, depth = stack.pop()
+        pad = "  " * depth
+        if t is None:
+            lines.append(f"{pad}]")
+        elif t.is_leaf:
+            lines.append(f"{pad}[{{{_LATEX_LABEL[t.decoration]}}}]")
+        else:
+            lines.append(f"{pad}[{{{_LATEX_LABEL[t.decoration]}}}")
+            stack += [(None, depth), (t.right, depth + 1), (t.left, depth + 1)]
+    return lines
 
 
 def _render_dot(tree: Tree, lines: list[str], counter: list[int]) -> int:

@@ -37,7 +37,6 @@ from birkhoff.oracle import (
 )
 from birkhoff.trees import (
     Decoration,
-    degree,
     iter_nodes,
     parse,
     render,
@@ -103,14 +102,14 @@ def test_criterion_2_symmetry_factors():
     tails_by_degree = {}
     for t in pieces:
         if t.decoration is N:
-            tails_by_degree.setdefault(degree(t), []).append(t)
+            tails_by_degree.setdefault(t.degree, []).append(t)
     checked = 0
     for base in bases:
         for tail_degree, tails in tails_by_degree.items():
             if (
                 base.decoration is O
                 and not base.is_leaf
-                and degree(base.right) == tail_degree
+                and base.right.degree == tail_degree
             ):
                 # the left-comb deepening continues into the base itself;
                 # such trees are longer combs, not combs with this base
@@ -133,12 +132,12 @@ def test_criterion_2_symmetry_factors():
 
 
 def test_criterion_3_degree_formula():
-    assert degree(parse("(o (o) (n))")) == 6
-    assert degree(parse("(r (o (k) (n)) (n))")) == 6
+    assert parse("(o (o) (n))").degree == 6
+    assert parse("(r (o (k) (n)) (n))").degree == 6
     for t in enumerate_valid(12):
         for v in iter_nodes(t):
             if not v.is_leaf:
-                assert degree(v) == degree(v.left) + degree(v.right) - 2
+                assert v.degree == v.left.degree + v.right.degree - 2
 
 
 def test_criterion_4_cancellation_identities():
@@ -156,8 +155,8 @@ def test_criterion_5_main_theorem_desk_scale():
     for m, ell, threshold in cases:
         cfg = make_cfg(threshold=threshold, cutoff=2 * ell)
         report = compare(
-            normal_form(m, ell, cfg).total,
-            birkhoff_iterate(m, ell, cfg).normal_form,
+            normal_form(m, cfg).total,
+            birkhoff_iterate(m, cfg).normal_form,
         )
         assert report.equal, (m, ell, threshold)
     done()
@@ -235,8 +234,7 @@ def test_criterion_7_bracket_algebra_suite():
 
 
 def test_criterion_8_truncation_combinatorics():
-    fam = sequences(3, 3)
-    assert {info.z: (info.c, info.q) for info in fam.sequences} == {
+    assert {info.z: (info.c, info.q) for info in sequences(3, 3)} == {
         (1, 1, 1): (6, 3),
         (1, 2): (1, 2),
         (3,): (1, 1),

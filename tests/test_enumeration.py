@@ -15,7 +15,6 @@ from birkhoff.enumeration import (
 from birkhoff.trees import (
     Decoration,
     TreeError,
-    degree,
     leaf,
     node,
     parse,
@@ -94,7 +93,7 @@ class TestEnumerateValid:
         assert list(ts.trees) == sorted(ts.trees, key=_key)
 
     def test_monotone(self):
-        big = {render(t) for t in enumerate_valid(12) if degree(t) <= 8}
+        big = {render(t) for t in enumerate_valid(12) if t.degree <= 8}
         assert big == set(canon(enumerate_valid(8)))
 
     def test_against_naive_generator(self):
@@ -112,6 +111,13 @@ class TestEnumerateValid:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             enumerate_valid(12, cap=10)
+
+    def test_cap_counts_leaves_in_degree_order(self):
+        # the k-leaf (degree 2) is counted first, so the second tree, the
+        # one past a cap of 1, is a degree-4 leaf
+        with pytest.raises(EnumerationCapError, match="cap 1 exceeded at "
+                           "degree 4$"):
+            enumerate_valid(4, cap=1)
 
     def test_bad_degree(self):
         with pytest.raises(ValueError):
@@ -171,7 +177,7 @@ class TestInvariants:
     def test_circ_range_excludes_big_n_nodes(self):
         for t in tree_class(circ_range(3, 5)):
             for v in _internal_n_nodes(t):
-                assert degree(v) < 6
+                assert v.degree < 6
 
 
 def _internal_n_nodes(t):
@@ -223,7 +229,7 @@ class TestGraftComb:
         grafts = set()
         for t1 in tree_class(res_below(5)):
             for m2 in (2, 3, 4):
-                if degree(t1) + 2 * m2 - 2 != 10:
+                if t1.degree + 2 * m2 - 2 != 10:
                     continue
                 for t2 in tree_class(n_exact(m2)):
                     g = graft_comb(t1, [t2], O)

@@ -30,7 +30,6 @@ from birkhoff.evaluator import (
 from birkhoff.trees import (
     Decoration,
     TreeError,
-    degree,
     leaf,
     node,
     parse,
@@ -85,9 +84,9 @@ class TestPi:
         cfg = make_cfg(K_radius=1, cutoff=12)
         for t in enumerate_valid(8):
             k = pi(t, cfg)
-            assert k.term_degree() <= degree(t)
+            assert k.term_degree() <= t.degree
             if not k.is_zero:
-                assert k.term_degree() == degree(t)
+                assert k.term_degree() == t.degree
 
     def test_truncation_matches_restriction(self):
         full = make_cfg(cutoff=10)
@@ -164,7 +163,7 @@ class TestNormalForm:
 
     def test_ledger_structure_1_3(self):
         cfg = make_cfg(cutoff=6)
-        ledger = normal_form(1, 3, cfg)
+        ledger = normal_form(1, cfg)
         trees = [render(e.tree) for e in ledger.entries]
         assert trees == [
             "(k)",
@@ -175,7 +174,7 @@ class TestNormalForm:
         assert [str(e.weight) for e in ledger.entries] == ["1", "1", "1", "1/2"]
 
     def test_ledger_structure_2_4(self):
-        ledger = normal_form(2, 4, make_cfg(cutoff=8))
+        ledger = normal_form(2, make_cfg(cutoff=8))
         weights = [str(e.weight) for e in ledger.entries]
         # kinetic + 3 resonant trees + 4 bracket trees
         assert len(ledger.entries) == 1 + 3 + 4
@@ -183,36 +182,36 @@ class TestNormalForm:
 
     def test_total_is_weighted_sum(self):
         cfg = make_cfg(cutoff=6)
-        ledger = normal_form(1, 3, cfg)
-        total = Kernel.zero(cfg.lattice, cfg.cutoff)
+        ledger = normal_form(1, cfg)
+        total = Kernel(cfg.lattice, cfg.cutoff)
         for e in reversed(ledger.entries):
             total = total + e.kernel.scale(e.weight)
         assert total == ledger.total
 
     def test_range_trees_appear(self):
         cfg = make_cfg(K_radius=1, cutoff=10)
-        ledger = normal_form(1, 5, cfg)
-        degs = sorted({degree(e.tree) for e in ledger.entries})
+        ledger = normal_form(1, cfg)
+        degs = sorted({e.tree.degree for e in ledger.entries})
         assert degs == [2, 4, 6, 8, 10]
 
     def test_low_degree_block_is_resonant(self):
         for threshold in (0, 3):
             cfg = make_cfg(threshold=threshold, cutoff=6)
-            total = normal_form(1, 3, cfg).total
+            total = normal_form(1, cfg).total
             for m in total.support():
                 if m.degree <= 2 * (1 + CLASS_INDEX_OFFSET) - 2:
                     assert abs(m.phase()) <= threshold
 
     def test_preconditions(self):
         cfg = make_cfg(cutoff=6)
-        with pytest.raises(ValueError):
-            normal_form(3, 3, cfg)
-        with pytest.raises(ValueError):
-            normal_form(1, 4, cfg)  # cutoff mismatch
+        with pytest.raises(ValueError, match="1 <= m < ell"):
+            normal_form(3, cfg)  # m = ell = cutoff / 2
+        with pytest.raises(ValueError, match="1 <= m < ell"):
+            normal_form(0, cfg)
 
     def test_json_shape(self):
         cfg = make_cfg(cutoff=6)
-        data = normal_form(1, 3, cfg).to_json(cfg)
+        data = normal_form(1, cfg).to_json()
         assert data["m"] == 1 and data["ell"] == 3
         assert data["config"]["radius"] == 2
         assert data["entries"][0]["tree"] == "(k)"
@@ -224,27 +223,27 @@ class TestNormalForm:
 
 def _nf_1_3_dim1():
     cfg = make_cfg(cutoff=6)
-    return normal_form(1, 3, cfg), cfg
+    return normal_form(1, cfg)
 
 
 def _nf_2_4_dim2():
     # negative coordinates and two-coordinate modes
     cfg = EvalConfig(ModeLattice(2, 1), ResonanceConfig(0), 8)
-    return normal_form(2, 4, cfg), cfg
+    return normal_form(2, cfg)
 
 
 def _f2_dim2():
     # "ell": null
     cfg = EvalConfig(ModeLattice(2, 1), ResonanceConfig(1), 6)
-    return f_transform(2, cfg), cfg
+    return f_transform(2, cfg)
 
 
 def _zero_kernels():
     # "terms": [] in the entry and the total
     cfg = make_cfg(cutoff=6)
-    zero = Kernel.zero(cfg.lattice, cfg.cutoff)
+    zero = Kernel(cfg.lattice, cfg.cutoff)
     return ExpansionLedger((LedgerEntry(leaf(K), Fraction(1, 2), zero),),
-                           zero, m=1, ell=3), cfg
+                           zero, cfg, m=1, ell=3)
 
 
 def _first_difference(got: str, want: str):
@@ -263,13 +262,13 @@ class TestLedgerText:
         ids=["nf-1-3-dim1", "nf-2-4-dim2", "f2-dim2-N1", "zero-kernels"],
     )
     def test_matches_json_dumps(self, build):
-        ledger, cfg = build()
-        want = json.dumps(ledger.to_json(cfg), sort_keys=True, indent=2)
-        assert _first_difference(ledger.json_text(cfg), want + "\n") is None
+        ledger = build()
+        want = json.dumps(ledger.to_json(), sort_keys=True, indent=2)
+        assert _first_difference(ledger.json_text(), want + "\n") is None
 
     def test_cases_hold_integer_and_fractional_coefficients(self):
         ims = {term["im"] for build in (_nf_1_3_dim1, _nf_2_4_dim2, _f2_dim2)
-               for term in build()[0].total.to_json()["terms"]}
+               for term in build().total.to_json()["terms"]}
         assert any("/" in im for im in ims)
         assert any("/" not in im for im in ims)
 

@@ -323,7 +323,7 @@ class TestKernelValue:
     def test_additive_inverse(self):
         a = h1(LAT2, 4)
         assert (a + (-a)).is_zero
-        assert a - a == Kernel.zero(LAT2, 4)
+        assert a - a == Kernel(LAT2, 4)
 
     def test_insertion_order_irrelevant(self):
         rng = random.Random(4)

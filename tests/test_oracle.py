@@ -38,15 +38,12 @@ def make_cfg(K_radius=2, threshold=0, cutoff=8, dim=1):
 
 class TestSequences:
     def test_3_3_display(self):
-        fam = sequences(3, 3)
-        got = {info.z: (info.c, info.q) for info in fam.sequences}
+        got = {info.z: (info.c, info.q) for info in sequences(3, 3)}
         assert got == {(1, 1, 1): (6, 3), (1, 2): (1, 2), (3,): (1, 1)}
 
     def test_single_part(self):
         for m in (1, 2, 5):
-            fam = sequences(1, m)
-            assert len(fam.sequences) == 1
-            info = fam.sequences[0]
+            (info,) = sequences(1, m)
             assert info.z == (1,) * m
             assert info.c == math.factorial(m) and info.q == m
 
@@ -60,11 +57,17 @@ class TestSequences:
         ]
         naive = {tuple(sorted(z)) for z in ordered}
         fam = sequences(2, 4)
-        assert {info.z for info in fam.sequences} == naive
+        assert {info.z for info in fam} == naive
         # multiplicity bookkeeping: q!/c counts the distinct orderings
-        for info in fam.sequences:
+        for info in fam:
             count = sum(1 for z in ordered if tuple(sorted(z)) == info.z)
             assert count == math.factorial(info.q) // info.c
+
+    def test_lexicographic_order(self):
+        for n in range(1, 7):
+            for m in range(1, 7):
+                zs = [info.z for info in sequences(n, m)]
+                assert zs == sorted(zs)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -95,7 +98,7 @@ class TestTruncationTerm:
     def test_zero_input(self):
         cfg = make_cfg()
         f = list(generators_from_recursion(2, cfg))
-        zero = Kernel.zero(cfg.lattice, cfg.cutoff)
+        zero = Kernel(cfg.lattice, cfg.cutoff)
         assert truncation_term(zero, 2, 2, f).is_zero
 
     def test_r12(self):
@@ -117,7 +120,7 @@ class TestTaylorCompose:
     def test_zero_generator(self):
         cfg = make_cfg()
         g = cfg.h0() + cfg.h1()
-        assert taylor_compose(g, Kernel.zero(cfg.lattice, cfg.cutoff)) == g
+        assert taylor_compose(g, Kernel(cfg.lattice, cfg.cutoff)) == g
 
     def test_cutoff_saturated(self):
         # with g homogeneous at the cutoff degree every bracket overflows
@@ -150,17 +153,17 @@ class TestTaylorCompose:
     def test_sequential_equals_iterate(self):
         cfg = make_cfg(cutoff=8)
         g = cfg.h0() + cfg.h1()
-        f1, f2 = birkhoff_iterate(2, 4, cfg).f_list
+        f1, f2 = birkhoff_iterate(2, cfg).f_list
         assert (
             taylor_compose(taylor_compose(g, f1), f2)
-            == birkhoff_iterate(2, 4, cfg).normal_form
+            == birkhoff_iterate(2, cfg).normal_form
         )
 
 
 class TestBirkhoffIterate:
     def test_f1_matches_filtered_h1(self):
         cfg = make_cfg(cutoff=6)
-        result = birkhoff_iterate(1, 3, cfg)
+        result = birkhoff_iterate(1, cfg)
         want = apply_phase_filter(cfg.h1(), cfg.resonance).scale(
             GENERATOR_SCALE
         )
@@ -174,18 +177,18 @@ class TestBirkhoffIterate:
             poisson_bracket(cfg.h0(), f1), f1
         ).scale(Fraction(1, 2))
         want = apply_phase_filter(block, cfg.resonance).scale(GENERATOR_SCALE)
-        assert birkhoff_iterate(2, 3, cfg).f_list[1] == want
+        assert birkhoff_iterate(2, cfg).f_list[1] == want
 
     def test_recursion_matches_slices(self):
         cfg = make_cfg(cutoff=8)
-        slices = birkhoff_iterate(3, 4, cfg).f_list
+        slices = birkhoff_iterate(3, cfg).f_list
         recs = generators_from_recursion(3, cfg)
         for a, b in zip(slices, recs):
             assert a == b
 
     def test_generator_degree_and_phase(self):
         cfg = make_cfg(threshold=3, cutoff=8)
-        for i, f in enumerate(birkhoff_iterate(3, 4, cfg).f_list, start=1):
+        for i, f in enumerate(birkhoff_iterate(3, cfg).f_list, start=1):
             for m in f.support():
                 assert m.degree == 2 * i + 2
                 assert abs(m.phase()) > 3
@@ -193,22 +196,22 @@ class TestBirkhoffIterate:
     def test_low_orders_resonant_after_iteration(self):
         for threshold in (0, 3):
             cfg = make_cfg(threshold=threshold, cutoff=8)
-            h = birkhoff_iterate(2, 4, cfg).normal_form
+            h = birkhoff_iterate(2, cfg).normal_form
             for m in h.support():
                 if m.degree <= 2 * (2 + 1):
                     assert abs(m.phase()) <= threshold
 
     def test_deterministic(self):
         cfg1, cfg2 = make_cfg(), make_cfg()
-        a = birkhoff_iterate(2, 4, cfg1).normal_form
-        b = birkhoff_iterate(2, 4, cfg2).normal_form
+        a = birkhoff_iterate(2, cfg1).normal_form
+        b = birkhoff_iterate(2, cfg2).normal_form
         assert a == b
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            birkhoff_iterate(2, 2, make_cfg())
-        with pytest.raises(ValueError):
-            birkhoff_iterate(1, 3, make_cfg(cutoff=8))
+        with pytest.raises(ValueError, match="1 <= m < ell"):
+            birkhoff_iterate(4, make_cfg())  # m = ell = cutoff / 2
+        with pytest.raises(ValueError, match="1 <= m < ell"):
+            birkhoff_iterate(0, make_cfg())
 
 
 class TestCompare:
@@ -238,7 +241,7 @@ class TestCompare:
         items = cfg.h1().items()
         forward = Kernel.of(cfg.lattice, 4, dict(items))
         backward = Kernel.of(cfg.lattice, 4, dict(reversed(items)))
-        zero = Kernel.zero(cfg.lattice, 4)
+        zero = Kernel(cfg.lattice, 4)
         report = compare(forward, zero)
         assert report.to_json() == compare(backward, zero).to_json()
         ranked = [m.sort_key() for m, _, _ in report.worst_monomials]
@@ -252,7 +255,7 @@ class TestCompare:
         big = Monomial.of([(1,)], [(1,)])
         residual = Kernel.of(cfg.lattice, 4, {small: Fraction(1, 3), big: -5})
         assert [m for m, _ in residual.items()] == [small, big]
-        report = compare(residual, Kernel.zero(cfg.lattice, 4))
+        report = compare(residual, Kernel(cfg.lattice, 4))
         assert report.worst_monomials == (
             (big, -5, 0), (small, Fraction(1, 3), 0)
         )
@@ -271,15 +274,15 @@ class TestCentralVerification:
     )
     def test_tree_expansion_equals_iteration(self, m, ell, threshold):
         cfg = make_cfg(threshold=threshold, cutoff=2 * ell)
-        ledger = normal_form(m, ell, cfg)
-        oracle = birkhoff_iterate(m, ell, cfg)
+        ledger = normal_form(m, cfg)
+        oracle = birkhoff_iterate(m, cfg)
         assert compare(ledger.total, oracle.normal_form).equal
 
     def test_range_class_active_case(self):
         # ell - m > 2 exercises the range trees end to end
         cfg = make_cfg(K_radius=1, cutoff=10)
-        ledger = normal_form(2, 5, cfg)
-        oracle = birkhoff_iterate(2, 5, cfg)
+        ledger = normal_form(2, cfg)
+        oracle = birkhoff_iterate(2, cfg)
         assert compare(ledger.total, oracle.normal_form).equal
 
     def test_f_transform_matches_recursion(self):
@@ -292,8 +295,8 @@ class TestCentralVerification:
     @pytest.mark.parametrize("m,ell", [(1, 3), (2, 4)])
     def test_tree_expansion_equals_iteration_dim2(self, m, ell):
         cfg = make_cfg(K_radius=1, cutoff=2 * ell, dim=2)
-        ledger = normal_form(m, ell, cfg)
-        oracle = birkhoff_iterate(m, ell, cfg)
+        ledger = normal_form(m, cfg)
+        oracle = birkhoff_iterate(m, cfg)
         assert compare(ledger.total, oracle.normal_form).equal
 
     @pytest.mark.parametrize("dim,K_radius,m,ell", [
@@ -307,8 +310,8 @@ class TestCentralVerification:
         # of the dim 2, K 2 square, and higher orders, where the tree
         # count rather than the kernel width is the cost
         cfg = make_cfg(K_radius=K_radius, cutoff=2 * ell, dim=dim)
-        ledger = normal_form(m, ell, cfg)
-        oracle = birkhoff_iterate(m, ell, cfg)
+        ledger = normal_form(m, cfg)
+        oracle = birkhoff_iterate(m, cfg)
         assert compare(ledger.total, oracle.normal_form).equal
 
     def test_f_transform_and_cancellation_dim2(self):
@@ -326,10 +329,10 @@ class TestInvariants:
         # by construction; it pins that items() reports c as a Fraction
         # and that to_json writes real part "0"
         cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
-        ledger = normal_form(2, 4, cfg)
+        ledger = normal_form(2, cfg)
         kernels = [e.kernel for e in ledger.entries] + [
             ledger.total,
-            birkhoff_iterate(2, 4, cfg).normal_form,
+            birkhoff_iterate(2, cfg).normal_form,
         ]
         for kernel in kernels:
             assert all(type(c) is Fraction for _, c in kernel.items())
@@ -340,10 +343,10 @@ class TestInvariants:
         # swapping u and ubar in a monomial keeps its coefficient on the
         # normal form side and flips its sign on the generator side
         cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
-        ledger = normal_form(2, 4, cfg)
+        ledger = normal_form(2, cfg)
         even = [e.kernel for e in ledger.entries] + [
             ledger.total,
-            birkhoff_iterate(2, 4, cfg).normal_form,
+            birkhoff_iterate(2, cfg).normal_form,
         ]
         odd = list(generators_from_recursion(2, cfg))
         for i in (1, 2):

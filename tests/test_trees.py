@@ -1,3 +1,7 @@
+import hashlib
+import math
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +11,7 @@ from birkhoff.trees import (
     Tree,
     TreeError,
     canonical_key,
-    degree,
+    iter_nodes,
     leaf,
     node,
     parse,
@@ -25,6 +29,40 @@ T_BAR = node(R, node(O, leaf(K), leaf(N)), leaf(N))
 # comb with k base and two degree-8 tails whose symmetry factors multiply
 # to 3!; the left-comb depth contributes the extra 2!.
 T_COMB12 = parse("(o (o (k) (n (r) (n (o) (n)))) (n (o (o (k) (n)) (n)) (n)))")
+# sha256 of the latex renders of enumerate_valid(10), one per line, as the
+# recursive string-joining renderer wrote them
+LATEX_VALID_10_SHA256 = (
+    "865f82fb59c6fa72dac416ec82e92d4b1d5bfb7511b689b945c55802c421d00f"
+)
+
+
+def comb(depth):
+    """The left comb of circ nodes over a circ leaf with n-leaf tails;
+    comb(990) is "(o " * 990 + "(o)" + " (n))" * 990, too deep for
+    parse under pytest's own frames."""
+    t = leaf(O)
+    for _ in range(depth):
+        t = node(O, t, leaf(N))
+    return t
+
+
+def fastest(fn, *args, runs=3):
+    """The shortest of a few wall times of fn(*args), in seconds."""
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def counted_degree(t):
+    """2 per k-leaf, 4 per other leaf, -2 per internal node."""
+    nodes = list(iter_nodes(t))
+    leaves = [v for v in nodes if v.is_leaf]
+    k_leaves = sum(1 for v in leaves if v.decoration is K)
+    return (2 * k_leaves + 4 * (len(leaves) - k_leaves)
+            - 2 * (len(nodes) - len(leaves)))
 
 
 def any_tree(max_leaves=6):
@@ -40,22 +78,53 @@ def any_tree(max_leaves=6):
 
 class TestDegree:
     def test_displayed_examples(self):
-        assert degree(T_CIRC_N) == 6
-        assert degree(T_BAR) == 6
+        assert T_CIRC_N.degree == 6
+        assert T_BAR.degree == 6
 
     def test_leaves(self):
-        assert degree(leaf(K)) == 2
+        assert leaf(K).degree == 2
         for d in (O, N, R):
-            assert degree(leaf(d)) == 4
+            assert leaf(d).degree == 4
 
     @given(any_tree(), any_tree(), st.sampled_from([O, N, R]))
     def test_additivity(self, t1, t2, dec):
-        assert degree(node(dec, t1, t2)) == degree(t1) + degree(t2) - 2
+        assert node(dec, t1, t2).degree == t1.degree + t2.degree - 2
 
     def test_even_and_positive_exhaustive(self):
         for t in enumerate_valid(12):
-            d = degree(t)
+            d = t.degree
             assert d >= 2 and d % 2 == 0
+
+    def test_matches_count_exhaustive(self):
+        for t in enumerate_valid(12):
+            assert t.degree == counted_degree(t)
+
+    @given(any_tree())
+    def test_matches_count_any(self, t):
+        assert t.degree == counted_degree(t)
+
+
+class TestDeepTrees:
+    """Each walk reads stored degrees and keeps its own stack."""
+
+    def test_validate_5000_deep(self):
+        t = comb(5000)
+        assert validate_tree(t) == ()
+        assert t.degree == 10004
+
+    def test_990_deep_in_linear_time(self):
+        t = comb(990)
+        assert fastest(validate_tree, t) < 0.1
+        assert fastest(symmetry_factor, t) < 0.1
+        assert fastest(render, t, "latex") < 0.1
+
+    def test_990_deep_values(self):
+        t = comb(990)
+        # p = 990 equal-degree tails, each of S 1, give S = p!
+        assert symmetry_factor(t) == math.factorial(990)
+        lines = render(t, "latex").split("\n")
+        assert len(lines) == 2 + 2 * 990 + 991
+        assert lines[990] == "  " * 990 + "[{$\\circ$}"
 
 
 class TestValidation:
@@ -105,15 +174,10 @@ class TestSymmetryFactor:
     def test_leaves(self):
         for d in Decoration:
             assert symmetry_factor(leaf(d)) == 1
-            assert symmetry_factor(leaf(d), 4) == 5
 
     def test_rejects_invalid(self):
         with pytest.raises(TreeError):
             symmetry_factor(node(O, leaf(N), leaf(N)))
-
-    def test_rejects_negative_j(self):
-        with pytest.raises(ValueError):
-            symmetry_factor(leaf(O), -1)
 
     def test_deepening_applies_at_any_root_decoration(self):
         base = node(O, leaf(K), leaf(N))
@@ -152,6 +216,11 @@ class TestSerialization:
         text = render(T_CIRC_N, "latex")
         assert text.startswith("\\begin{forest}")
         assert text.count("$\\circ$") == 2 and "$n$" in text
+
+    def test_latex_bytes_pinned(self):
+        text = "\n".join(render(t, "latex") for t in enumerate_valid(10))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == LATEX_VALID_10_SHA256
 
     def test_dot_format(self):
         text = render(T_BAR, "dot")

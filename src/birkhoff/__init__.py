@@ -18,7 +18,6 @@ from .enumeration import (
     ClassKind,
     EnumerationCapError,
     TreeClassQuery,
-    TreeSet,
     circ_exact,
     circ_range,
     enumerate_valid,

@@ -117,12 +117,12 @@ def cmd_trees(args: argparse.Namespace) -> int:
         query = TreeClassQuery(ClassKind(args.kind), args.m, args.ell)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    ts = tree_class(query, cap)
-    payload = ts.to_json()
+    trees = tree_class(query, cap)
+    payload = query.to_json(trees)
     if args.format in ("latex", "dot"):
-        payload["renders"] = [render(t, args.format) for t in ts]
+        payload["renders"] = [render(t, args.format) for t in trees]
     _emit(_json_text(payload), args.out)
-    _note(f"count={len(ts)} degrees={payload['degrees']}")
+    _note(f"count={len(trees)} degrees={payload['degrees']}")
     return 0
 
 
@@ -216,9 +216,6 @@ def cmd_render(args: argparse.Namespace) -> int:
         tree = parse(args.tree)
     except ParseError as exc:
         raise CliError(str(exc)) from exc
-    except RecursionError as exc:
-        # parse recurses once per level, render no deeper
-        raise CliError(f"tree nested too deeply: {exc}") from exc
     print(render(tree, args.format))
     return 0
 

@@ -10,8 +10,11 @@ The classes are:
 
 Generation is a degree-indexed dynamic program: each new node joins two
 smaller trees and is kept only if :func:`trees.node_violations` reports
-nothing at it.  ``graft_comb`` implements the left-comb construction used
-as an independent cross-check.
+nothing at it.  :func:`enumerate_valid` and :func:`tree_class` return
+plain tuples of trees sorted by :func:`trees.canonical_key`, and
+``TreeClassQuery.to_json`` lists a class as the ``trees`` command prints
+it.  ``graft_comb`` implements the left-comb construction used as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -63,29 +66,15 @@ class TreeClassQuery:
         elif self.ell is not None:
             raise ValueError("ell only applies to circ-range")
 
-    def describe(self) -> str:
-        if self.kind is ClassKind.CIRC_RANGE:
-            return f"{self.kind.value}(m={self.m}, ell={self.ell})"
-        return f"{self.kind.value}(m={self.m})"
-
-
-@dataclass(frozen=True)
-class TreeSet:
-    trees: tuple[Tree, ...]
-    query: str
-
-    def __len__(self) -> int:
-        return len(self.trees)
-
-    def __iter__(self):
-        return iter(self.trees)
-
-    def to_json(self) -> dict:
+    def to_json(self, trees: tuple[Tree, ...]) -> dict:
+        """The listing of this class's trees, as the ``trees`` command
+        prints it."""
+        ell = f", ell={self.ell}" if self.kind is ClassKind.CIRC_RANGE else ""
         return {
-            "query": self.query,
-            "trees": [render(t) for t in self.trees],
-            "degrees": [t.degree for t in self.trees],
-            "symmetry_factors": [symmetry_factor(t) for t in self.trees],
+            "query": f"{self.kind.value}(m={self.m}{ell})",
+            "trees": [render(t) for t in trees],
+            "degrees": [t.degree for t in trees],
+            "symmetry_factors": [symmetry_factor(t) for t in trees],
         }
 
 
@@ -126,8 +115,10 @@ def _subtree_pools(max_degree: int, cap: int) -> dict[int, list[Tree]]:
     return pools
 
 
-def enumerate_valid(max_degree: int, cap: int = DEFAULT_CAP) -> TreeSet:
-    """All standalone-valid trees with degree <= max_degree."""
+def enumerate_valid(max_degree: int,
+                    cap: int = DEFAULT_CAP) -> tuple[Tree, ...]:
+    """All standalone-valid trees with degree <= max_degree, sorted by
+    :func:`trees.canonical_key`."""
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
     pools = _subtree_pools(max_degree, cap)
@@ -138,7 +129,7 @@ def enumerate_valid(max_degree: int, cap: int = DEFAULT_CAP) -> TreeSet:
         if not node_violations(t, True)
     ]
     trees.sort(key=canonical_key)
-    return TreeSet(tuple(trees), f"valid(max_degree={max_degree})")
+    return tuple(trees)
 
 
 # each class: its root decoration and its degree window lo < degree <= hi
@@ -150,11 +141,13 @@ _CLASSES = {
 }
 
 
-def tree_class(query: TreeClassQuery, cap: int = DEFAULT_CAP) -> TreeSet:
+def tree_class(query: TreeClassQuery,
+               cap: int = DEFAULT_CAP) -> tuple[Tree, ...]:
+    """The class's trees in enumeration order."""
     root, window = _CLASSES[query.kind]
     lo, hi = window(query)
     if hi < 2:  # res_below(1): no tree has degree in (0, 0]
-        return TreeSet((), query.describe())
+        return ()
     picked = [
         t
         for t in enumerate_valid(hi, cap)
@@ -162,7 +155,7 @@ def tree_class(query: TreeClassQuery, cap: int = DEFAULT_CAP) -> TreeSet:
     ]
     if query.kind is ClassKind.CIRC_RANGE:
         picked = [t for t in picked if not _has_big_n_node(t, 2 * query.m)]
-    return TreeSet(tuple(picked), query.describe())
+    return tuple(picked)
 
 
 def _has_big_n_node(t: Tree, threshold: int) -> bool:

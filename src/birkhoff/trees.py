@@ -6,6 +6,10 @@ phase-filtered) and leaves are the generating Hamiltonian kernels.  This
 module defines the tree type, which stores its degree |T|, the structural
 validity rules, the symmetry factor recursion, and text serialization.
 
+No walk recurses, so any depth is handled: :func:`render`,
+:func:`iter_nodes` and :func:`canonical_key` (so ``==`` and ``hash``) read
+one document-order walker, and :func:`parse` is one loop.
+
 Structural rules for a valid tree:
 
 * every internal node has exactly two children (intrinsic to the type);
@@ -35,6 +39,8 @@ fails the identity with it from m = 2 on.
 from __future__ import annotations
 
 import enum
+import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -51,6 +57,7 @@ class Decoration(enum.Enum):
 
 _RANK = {Decoration.CIRC: 0, Decoration.K: 1, Decoration.N: 2, Decoration.R: 3}
 _BY_LETTER = {d.value: d for d in Decoration}
+_SPACES = re.compile(" *")
 
 INTERNAL_DECORATIONS = (Decoration.CIRC, Decoration.N, Decoration.R)
 LEFT_DECORATIONS = (Decoration.R, Decoration.CIRC, Decoration.K)
@@ -68,16 +75,17 @@ class ParseError(TreeError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
     """A decorated planar binary tree; a leaf has both children None.
     ``degree`` is |T|: 2 for a k-leaf, 4 for any other leaf, and
-    |T1| + |T2| - 2 at a node.  Equality and hashing ignore it."""
+    |T1| + |T2| - 2 at a node.  Equality and hashing read
+    :func:`canonical_key`, which the decorations and shape fix."""
 
     decoration: Decoration
     left: Optional["Tree"] = None
     right: Optional["Tree"] = None
-    degree: int = field(init=False, compare=False)
+    degree: int = field(init=False)
 
     def __post_init__(self) -> None:
         if (self.left is None) != (self.right is None):
@@ -92,6 +100,14 @@ class Tree:
     def is_leaf(self) -> bool:
         return self.left is None
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return canonical_key(self) == canonical_key(other)
+
+    def __hash__(self) -> int:
+        return hash(canonical_key(self))
+
     def __repr__(self) -> str:
         return f"Tree({render(self)!r})"
 
@@ -104,15 +120,21 @@ def node(decoration: Decoration, left: Tree, right: Tree) -> Tree:
     return Tree(decoration, left, right)
 
 
+def _walk(tree: Tree) -> Iterator[tuple[Tree, int, bool]]:
+    """Document order: (t, depth, False) on entering each node, and
+    (t, depth, True) once more after an internal node's children."""
+    stack = [(tree, 0, False)]
+    while stack:
+        item = t, depth, closing = stack.pop()
+        yield item
+        if not (closing or t.is_leaf):
+            stack += [(t, depth, True), (t.right, depth + 1, False),
+                      (t.left, depth + 1, False)]
+
+
 def iter_nodes(tree: Tree) -> Iterator[Tree]:
     """Preorder traversal."""
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        yield t
-        if not t.is_leaf:
-            stack.append(t.right)
-            stack.append(t.left)
+    return (t for t, _, closing in _walk(tree) if not closing)
 
 
 # the one reading of rule (i)'s nested comparison, |T3| <= |T2|
@@ -177,17 +199,14 @@ def symmetry_factor(tree: Tree) -> int:
     Otherwise (j+1) S^0(T1) S^0(T2).  The deepening case applies for every
     node decoration d, which is what makes the left-comb product formula
     S(comb) = p! * prod S(T_i) come out for equal-degree tails.
+
+    Unrolled, S^0 is the product over nodes v of (j_v + 1), where j is 0
+    at the root and at each right child, and a left child's j is its
+    parent's plus one where the parent deepens, else 0.
     """
     violations = validate_tree(tree)
     if violations:
         raise TreeError(f"invalid tree {render(tree)}: {violations}")
-    return _symmetry(tree)
-
-
-def _symmetry(tree: Tree) -> int:
-    """S^0 unrolled: the product over nodes v of (j_v + 1), where j is 0
-    at the root and at each right child, and a left child's j is its
-    parent's plus one where the parent deepens, else 0."""
     s = 1
     stack = [(tree, 0)]
     while stack:
@@ -206,104 +225,94 @@ def relabel_root(tree: Tree, decoration: Decoration) -> Tree:
     return Tree(decoration, tree.left, tree.right)
 
 
-def canonical_key(tree: Tree):
-    """Sort key following the decoration order circ < k < n < r."""
-    rank = _RANK[tree.decoration]
-    if tree.is_leaf:
-        return (rank, (), ())
-    return (rank, canonical_key(tree.left), canonical_key(tree.right))
+def canonical_key(tree: Tree) -> tuple[tuple[int, bool], ...]:
+    """Sort key following the decoration order circ < k < n < r: the
+    preorder (rank, is internal) pairs.  A full binary tree's preorder
+    is prefix-free, so these sort as nested (rank, left, right) keys
+    would, a leaf before an internal node of the same rank."""
+    return tuple((_RANK[t.decoration], not t.is_leaf) for t in iter_nodes(tree))
+
+
+# each letter in math mode, circ as \circ
+_LATEX_LABEL = {**{d: f"${d.value}$" for d in Decoration},
+                Decoration.CIRC: "$\\circ$"}
 
 
 def render(tree: Tree, fmt: str = "canonical") -> str:
     """Serialize a tree; formats: canonical, latex, dot."""
     if fmt == "canonical":
-        return _render_canonical(tree)
+        parts = []
+        for t, depth, closing in _walk(tree):
+            if closing:
+                parts.append(")")
+            else:  # every node but the root follows a space
+                parts.append(f"{' ' if depth else ''}({t.decoration.value}"
+                             f"{')' if t.is_leaf else ''}")
+        return "".join(parts)
     if fmt == "latex":
-        return "\n".join(["\\begin{forest}", *_render_forest(tree),
-                          "\\end{forest}"])
+        lines = ["\\begin{forest}"]
+        for t, depth, closing in _walk(tree):
+            pad = "  " * (depth + 1)
+            if closing:
+                lines.append(f"{pad}]")
+            else:
+                lines.append(f"{pad}[{{{_LATEX_LABEL[t.decoration]}}}"
+                             f"{']' if t.is_leaf else ''}")
+        lines.append("\\end{forest}")
+        return "\n".join(lines)
     if fmt == "dot":
         lines = ["digraph tree {", "  node [shape=circle];"]
-        _render_dot(tree, lines, [0])
+        ids = itertools.count()  # in preorder
+        stack: list[int] = []  # the ids of open nodes and finished subtrees
+        for t, _, closing in _walk(tree):
+            if closing:  # its children are done; its own id stays on top
+                right, left = stack.pop(), stack.pop()
+                lines += [f"  v{stack[-1]} -> v{left};",
+                          f"  v{stack[-1]} -> v{right};"]
+            else:
+                stack.append(next(ids))
+                lines.append(f'  v{stack[-1]} [label="{t.decoration.value}"];')
         lines.append("}")
         return "\n".join(lines)
     raise ValueError(f"unknown format: {fmt}")
 
 
-def _render_canonical(tree: Tree) -> str:
-    d = tree.decoration.value
-    if tree.is_leaf:
-        return f"({d})"
-    return f"({d} {_render_canonical(tree.left)} {_render_canonical(tree.right)})"
-
-
-_LATEX_LABEL = {
-    Decoration.CIRC: "$\\circ$",
-    Decoration.K: "$k$",
-    Decoration.N: "$n$",
-    Decoration.R: "$r$",
-}
-
-
-def _render_forest(tree: Tree) -> list[str]:
-    """The forest lines, one per leaf and two per node, in one walk."""
-    lines = []
-    stack = [(tree, 1)]  # a None tree closes the bracket at its depth
-    while stack:
-        t, depth = stack.pop()
-        pad = "  " * depth
-        if t is None:
-            lines.append(f"{pad}]")
-        elif t.is_leaf:
-            lines.append(f"{pad}[{{{_LATEX_LABEL[t.decoration]}}}]")
-        else:
-            lines.append(f"{pad}[{{{_LATEX_LABEL[t.decoration]}}}")
-            stack += [(None, depth), (t.right, depth + 1), (t.left, depth + 1)]
-    return lines
-
-
-def _render_dot(tree: Tree, lines: list[str], counter: list[int]) -> int:
-    ident = counter[0]
-    counter[0] += 1
-    lines.append(f'  v{ident} [label="{tree.decoration.value}"];')
-    if not tree.is_leaf:
-        left_id = _render_dot(tree.left, lines, counter)
-        right_id = _render_dot(tree.right, lines, counter)
-        lines.append(f"  v{ident} -> v{left_id};")
-        lines.append(f"  v{ident} -> v{right_id};")
-    return ident
-
-
 def parse(text: str) -> Tree:
-    """Inverse of canonical render; reports the position of the first error."""
-    tree, pos = _parse_tree(text, _skip_spaces(text, 0))
-    pos = _skip_spaces(text, pos)
+    """Inverse of canonical render; reports the position of the first error.
+
+    One loop over a stack of open nodes, each [decoration, left subtree
+    or None]; a finished subtree closes every open node it completes.
+    """
+    stack: list[list] = []
+    pos = _SPACES.match(text, 0).end()
+    while True:
+        if text[pos:pos + 1] != "(":
+            raise ParseError("expected '('", pos)
+        if text[pos + 1:pos + 2] not in _BY_LETTER:
+            raise ParseError("expected decoration letter o/k/n/r", pos + 1)
+        dec = _BY_LETTER[text[pos + 1]]
+        pos += 2
+        if text[pos:pos + 1] != ")":
+            if text[pos:pos + 1] != " ":
+                raise ParseError("expected ')' or ' '", pos)
+            stack.append([dec, None])
+            pos = _SPACES.match(text, pos).end()
+            continue
+        tree = Tree(dec)
+        pos += 1
+        while stack and stack[-1][1] is not None:
+            if text[pos:pos + 1] != ")":
+                raise ParseError("expected ')'", pos)
+            dec, left = stack.pop()
+            tree = Tree(dec, left, tree)
+            pos += 1
+        if not stack:
+            break
+        stack[-1][1] = tree
+        if text[pos:pos + 1] != " ":
+            raise ParseError("expected ' ' before right subtree", pos)
+        pos = _SPACES.match(text, pos).end()
+    pos = _SPACES.match(text, pos).end()
     if pos != len(text):
         raise ParseError("trailing input after tree", pos)
     return tree
-
-
-def _skip_spaces(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos] == " ":
-        pos += 1
-    return pos
-
-
-def _parse_tree(text: str, pos: int) -> tuple[Tree, int]:
-    if pos >= len(text) or text[pos] != "(":
-        raise ParseError("expected '('", pos)
-    pos += 1
-    if pos >= len(text) or text[pos] not in _BY_LETTER:
-        raise ParseError("expected decoration letter o/k/n/r", pos)
-    dec = _BY_LETTER[text[pos]]
-    pos += 1
-    if pos < len(text) and text[pos] == ")":
-        return Tree(dec), pos + 1
-    if pos >= len(text) or text[pos] != " ":
-        raise ParseError("expected ')' or ' '", pos)
-    left, pos = _parse_tree(text, _skip_spaces(text, pos))
-    if pos >= len(text) or text[pos] != " ":
-        raise ParseError("expected ' ' before right subtree", pos)
-    right, pos = _parse_tree(text, _skip_spaces(text, pos))
-    if pos >= len(text) or text[pos] != ")":
-        raise ParseError("expected ')'", pos)
-    return Tree(dec, left, right), pos + 1

@@ -19,6 +19,29 @@ SUMMARY_1_3 = (
 )
 
 
+# sha256 of `trees` stdout per command line, and its stderr note
+TREES_STDOUT = {
+    ("--kind", "res-below", "--m", "4"): (
+        "5fd580fc1fd30c65eb60ef82c09a0fec2ea3415b43451504a09de8171427c5a8",
+        "count=3 degrees=[4, 6, 6]"),
+    ("--kind", "circ", "--m", "4"): (
+        "06a6640c87c8be859c9f25f2023ea5b7ce11fda906b07db8f108ca7f3701503e",
+        "count=4 degrees=[8, 8, 8, 8]"),
+    ("--kind", "n", "--m", "4"): (
+        "abc535c43978eb856781f7429ad0d299e8c54b98ff1f7004591ad39e324a84a0",
+        "count=4 degrees=[8, 8, 8, 8]"),
+    ("--kind", "circ-range", "--m", "3", "--ell", "5"): (
+        "ee4c86cddc23573c2c2a66a06865886fd04723e0e4d491ec7df7506c33fa191d",
+        "count=4 degrees=[8, 10, 10, 8]"),
+    ("--kind", "circ-range", "--m", "3", "--ell", "5", "--format", "latex"): (
+        "81bd37595f8dbf7b095a7b3081cc1aaf959d74ce7a1a79e399b4e8d6a56f9575",
+        "count=4 degrees=[8, 10, 10, 8]"),
+    ("--kind", "circ-range", "--m", "3", "--ell", "5", "--format", "dot"): (
+        "b7c7db4782e6da4258d38bb7104614bb75579aaf59ec9b4821239a5955eba742",
+        "count=4 degrees=[8, 10, 10, 8]"),
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -56,6 +79,14 @@ class TestTrees:
     def test_circ_range_needs_ell(self, capsys, argv):
         code, _, err = run(capsys, "trees", *argv)
         assert code == 2 and "ell" in err
+
+    @pytest.mark.parametrize("argv", sorted(TREES_STDOUT),
+                             ids=" ".join)
+    def test_bytes_pinned(self, capsys, argv):
+        code, out, err = run(capsys, "trees", *argv)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest, err) == (0, TREES_STDOUT[argv][0],
+                                       TREES_STDOUT[argv][1] + "\n")
 
     def test_latex_renders(self, capsys):
         code, out, _ = run(
@@ -396,10 +427,15 @@ class TestRender:
         assert code == 2 and "position" in err
 
     def test_deeply_nested_tree(self, capsys):
-        # the parser recurses once per level
         code, out, err = run(capsys, "render", "--tree",
                              "(o " * 3000 + "(o)")
         assert code == 2 and err.startswith("error:") and out == ""
+        assert "(at position 9003)" in err
+
+    def test_deep_tree(self, capsys):
+        tree = "(o " * 3000 + "(o)" + " (n))" * 3000
+        code, out, err = run(capsys, "render", "--tree", tree)
+        assert (code, out, err) == (0, tree + "\n", "")
 
     def test_takes_no_config_flags(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

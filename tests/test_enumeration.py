@@ -90,7 +90,7 @@ class TestEnumerateValid:
         ts = enumerate_valid(10)
         strings = canon(ts)
         assert len(strings) == len(set(strings))
-        assert list(ts.trees) == sorted(ts.trees, key=_key)
+        assert list(ts) == sorted(ts, key=_key)
 
     def test_monotone(self):
         big = {render(t) for t in enumerate_valid(12) if t.degree <= 8}
@@ -249,7 +249,7 @@ class TestQueriesAndJson:
             TreeClassQuery(ClassKind.CIRC_EXACT, 0)
 
     def test_tree_set_json(self):
-        data = tree_class(circ_exact(3)).to_json()
+        data = circ_exact(3).to_json(tree_class(circ_exact(3)))
         assert data["trees"] == CIRC_3
         assert data["degrees"] == [6, 6]
         assert data["symmetry_factors"] == [1, 2]

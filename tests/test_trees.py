@@ -34,12 +34,32 @@ T_COMB12 = parse("(o (o (k) (n (r) (n (o) (n)))) (n (o (o (k) (n)) (n)) (n)))")
 LATEX_VALID_10_SHA256 = (
     "865f82fb59c6fa72dac416ec82e92d4b1d5bfb7511b689b945c55802c421d00f"
 )
+# sha256 of the canonical and dot renders of enumerate_valid(12), one per
+# line in enumeration order, as the recursive renderers wrote them; the
+# order also pins canonical_key
+VALID_12_SHA256 = {
+    "canonical":
+        "951b3086002a4cf193c6aacfcb9b5c1d794989b71a2a6364c919562c0857df31",
+    "dot": "e8a319ade157dee64a58f59b5e671388d6805d8a3e83c490397cd8fee722a106",
+}
+# each parse error as (input, message, position), as the recursive parser
+# reported them
+PARSE_ERRORS = [
+    ("(x)", "expected decoration letter o/k/n/r", 1),
+    ("(o (o) (n)", "expected ')'", 10),
+    ("(o) extra", "trailing input after tree", 4),
+    ("", "expected '('", 0),
+    ("(", "expected decoration letter o/k/n/r", 1),
+    ("(o", "expected ')' or ' '", 2),
+    ("(o )", "expected '('", 3),
+    ("(o (o)(n))", "expected ' ' before right subtree", 6),
+    ("(o (o) (n) )", "expected ')'", 10),
+]
 
 
 def comb(depth):
     """The left comb of circ nodes over a circ leaf with n-leaf tails;
-    comb(990) is "(o " * 990 + "(o)" + " (n))" * 990, too deep for
-    parse under pytest's own frames."""
+    comb(990) is "(o " * 990 + "(o)" + " (n))" * 990."""
     t = leaf(O)
     for _ in range(depth):
         t = node(O, t, leaf(N))
@@ -117,6 +137,23 @@ class TestDeepTrees:
         assert fastest(validate_tree, t) < 0.1
         assert fastest(symmetry_factor, t) < 0.1
         assert fastest(render, t, "latex") < 0.1
+
+    def test_5000_deep_codecs(self):
+        t = comb(5000)
+        text = "(o " * 5000 + "(o)" + " (n))" * 5000
+        assert render(t) == text
+        assert parse(text) == t and hash(parse(text)) == hash(t)
+        assert repr(t) == f"Tree({text!r})"
+        assert len(canonical_key(t)) == 10001
+        for fn in (lambda: parse(render(t)), lambda: hash(t), lambda: repr(t),
+                   lambda: canonical_key(t)):
+            assert fastest(fn) < 0.5
+
+    def test_5000_deep_dot(self):
+        lines = render(comb(5000), "dot").split("\n")
+        assert len(lines) == 3 + 10001 + 2 * 5000
+        assert lines[2] == '  v0 [label="o"];'
+        assert lines[-3:-1] == ["  v0 -> v1;", "  v0 -> v10000;"]
 
     def test_990_deep_values(self):
         t = comb(990)
@@ -221,6 +258,23 @@ class TestSerialization:
         text = "\n".join(render(t, "latex") for t in enumerate_valid(10))
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == LATEX_VALID_10_SHA256
+
+    @pytest.mark.parametrize("fmt", sorted(VALID_12_SHA256))
+    def test_bytes_pinned(self, fmt):
+        text = "\n".join(render(t, fmt) for t in enumerate_valid(12))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == VALID_12_SHA256[fmt]
+
+    @pytest.mark.parametrize("text,message,position", PARSE_ERRORS)
+    def test_parse_error_table(self, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
+    def test_parse_skips_runs_of_spaces(self):
+        assert parse("(o  (o)  (n))") == T_CIRC_N
+        assert parse("  (o)  ") == leaf(O)
 
     def test_dot_format(self):
         text = render(T_BAR, "dot")

@@ -9,7 +9,6 @@ from .trees import (
     leaf,
     node,
     parse,
-    relabel_root,
     render,
     symmetry_factor,
     validate_tree,

@@ -9,7 +9,8 @@ Configuration precedence: explicit flags > JSON config file (--config or
 the BIRKHOFF_CONFIG environment variable) > defaults (dim 1, K 2, N 0,
 cap 10^6).  All JSON output is deterministic: sorted keys, exact
 rationals as strings.  Exit codes: 0 success / all residuals empty,
-1 nonempty verification residual, 2 configuration or input errors.
+1 nonempty verification residual, 2 configuration or input errors,
+3 an internal error (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     unknown = sorted(set(loaded) - set(_DEFAULTS))
     if unknown:
         raise CliError(f"unknown config key {unknown[0]!r}")
-    # the flag stays for existing command lines; rule (i) has one reading
-    if args.assumption_mode not in (None, NESTED_RULE):
-        raise CliError(f"assumption mode must be {NESTED_RULE}: "
-                       f"{args.assumption_mode!r}")
     merged = {**_DEFAULTS, **loaded}
     for key in _DEFAULTS:
         if getattr(args, key) is not None:
@@ -225,8 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dim", type=int, help="lattice dimension")
     common.add_argument("--K", type=int, help="lattice radius")
     common.add_argument("--N", type=int, help="resonance threshold")
-    common.add_argument("--assumption-mode",
-                        help=f"nested size rule; only {NESTED_RULE}")
+    # the flag stays for existing command lines; rule (i) has one reading
+    common.add_argument("--assumption-mode", choices=[NESTED_RULE],
+                        help="nested size rule")
     common.add_argument("--cap", type=int, help="tree enumeration cap")
     common.add_argument("--config", help="JSON config file path")
     common.add_argument("--out", help="output file (default stdout)")
@@ -280,6 +278,11 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, EnumerationCapError) as exc:
         _note(f"error: {exc}")
         return 2
+    except Exception:  # a bug, not a failed identity or bad input
+        import traceback  # off the start-up path
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

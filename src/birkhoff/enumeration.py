@@ -13,8 +13,9 @@ smaller trees and is kept only if :func:`trees.node_violations` reports
 nothing at it.  :func:`enumerate_valid` and :func:`tree_class` return
 plain tuples of trees sorted by :func:`trees.canonical_key`, and
 ``TreeClassQuery.to_json`` lists a class as the ``trees`` command prints
-it.  ``graft_comb`` implements the left-comb construction used as an
-independent cross-check.
+it.  ``graft_comb`` builds the left combs used as an independent
+cross-check; it applies no rule, and :func:`trees.validate_tree` judges
+what it builds.
 """
 
 from __future__ import annotations
@@ -184,16 +185,10 @@ def circ_range(m: int, ell: int) -> TreeClassQuery:
 def graft_comb(t1: Tree, tail: list[Tree], root_dec: Decoration) -> Tree:
     """Left comb ((t1, tail[0]), tail[1]), ...; inner nodes circ, the
     outermost node root_dec.  Encodes {...{X, F}, ..., F} with optional
-    projection at the top."""
+    projection at the top.  Like :func:`trees.node` it only builds:
+    :func:`trees.validate_tree` judges the comb."""
     if not tail:
         raise TreeError("tail must be nonempty")
-    if t1.decoration not in (Decoration.R, Decoration.CIRC, Decoration.K):
-        raise TreeError("comb base must be rooted r, circ, or k")
-    if root_dec not in (Decoration.CIRC, Decoration.N, Decoration.R):
-        raise TreeError("comb root must be an internal decoration")
-    for t in tail:
-        if t.decoration is not Decoration.N:
-            raise TreeError("comb tail elements must be rooted n")
     out = t1
     for i, t in enumerate(tail):
         dec = root_dec if i == len(tail) - 1 else Decoration.CIRC

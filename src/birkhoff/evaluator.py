@@ -16,6 +16,7 @@ sums over the res_below / circ_exact / circ_range classes at index m + 2,
 up to the cutoff 2*ell), and the cancellation check {h0, F_i} +
 non-resonant circ_exact block = 0.  All three are one weighted sum,
 ``_assemble``, into a ledger that keeps the config it was built with.
+Each, like the oracle's two, first calls ``EvalConfig.check_order``.
 
 ``EvalConfig`` is frozen and holds no state.  Kernels are memoized at
 module level: ``h0``/``h1`` per (lattice, cutoff), and each tree's kernel
@@ -77,6 +78,12 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.cutoff < 4 or self.cutoff % 2:
             raise ValueError("cutoff must be an even integer >= 4")
+
+    def check_order(self, m: int) -> None:
+        """Order m reaches degree 2(m + 1), so it needs 1 <= m < ell;
+        a higher one would give a vacuous zero kernel."""
+        if not 1 <= m < self.cutoff // 2:
+            raise ValueError("need 1 <= m < ell")
 
     def to_json(self) -> dict:
         return {
@@ -202,8 +209,7 @@ def _assemble(trees: Iterable[Tree], cfg: EvalConfig, **meta) -> ExpansionLedger
 
 def f_transform(i: int, cfg: EvalConfig) -> ExpansionLedger:
     """Generator ledger F_i over n-rooted trees of degree 2(i + 1)."""
-    if i < 1:
-        raise ValueError("i must be positive")
+    cfg.check_order(i)
     trees = tree_class(n_exact(i + 1), cfg.cap)
     return _assemble(trees, cfg, m=i)
 
@@ -216,9 +222,8 @@ def normal_form(m: int, cfg: EvalConfig) -> ExpansionLedger:
     entry per tree of res_below(m+2), circ_exact(m+2), and, when
     m + 2 < ell, circ_range(m+2, ell).
     """
+    cfg.check_order(m)
     ell = cfg.cutoff // 2
-    if m < 1 or ell <= m:
-        raise ValueError("need 1 <= m < ell")
     idx = m + CLASS_INDEX_OFFSET
     trees = [
         leaf(Decoration.K),
@@ -238,7 +243,7 @@ def cancellation_check(i: int, cfg: EvalConfig) -> Kernel:
     non-resonant block exactly.  The split is linear, so taking the
     non-resonant part of the weighted sum equals summing the parts.
     """
-    f = f_transform(i, cfg)
+    f = f_transform(i, cfg)  # refuses an i outside 1 <= i < ell
     trees = tree_class(circ_exact(i + 1), cfg.cap)
     block = _assemble(trees, cfg).total
     return poisson_bracket(cfg.h0(), f.total) + split_resonant(

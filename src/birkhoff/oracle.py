@@ -109,8 +109,7 @@ def birkhoff_iterate(m: int, cfg: EvalConfig) -> BirkhoffResult:
     the accumulated Hamiltonian, scaled by GENERATOR_SCALE; the
     Hamiltonian is then Taylor-composed with it.  No trees anywhere.
     """
-    if m < 1 or cfg.cutoff // 2 <= m:
-        raise ValueError("need 1 <= m < ell")
+    cfg.check_order(m)
     h = cfg.h0() + cfg.h1()
     f_list = []
     for i in range(1, m + 1):
@@ -127,8 +126,9 @@ def generators_from_recursion(m: int, cfg: EvalConfig) -> tuple[Kernel, ...]:
 
     F_i = GENERATOR_SCALE * filter(R_{i-1}^i(h0) + R_{i-1}^{i-1}(h1)),
     with F_1 = GENERATOR_SCALE * filter(h1).  Cross-checks the slice
-    construction used by birkhoff_iterate.
+    construction used by birkhoff_iterate; both take 1 <= m < ell.
     """
+    cfg.check_order(m)
     f_list: list[Kernel] = []
     for i in range(1, m + 1):
         if i == 1:

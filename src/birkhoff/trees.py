@@ -221,10 +221,6 @@ def symmetry_factor(tree: Tree) -> int:
     return s
 
 
-def relabel_root(tree: Tree, decoration: Decoration) -> Tree:
-    return Tree(decoration, tree.left, tree.right)
-
-
 def canonical_key(tree: Tree) -> tuple[tuple[int, bool], ...]:
     """Sort key following the decoration order circ < k < n < r: the
     preorder (rank, is internal) pairs.  A full binary tree's preorder

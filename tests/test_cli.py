@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from birkhoff import hamiltonian
+from birkhoff import cli, hamiltonian
 from birkhoff.cli import CONFIG_ENV, main
 from birkhoff.hamiltonian import ModeLattice
 
@@ -144,8 +144,14 @@ class TestExpand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_orders(self, capsys):
-        code, _, _ = run(capsys, "expand", "--m", "3", "--ell", "3")
-        assert code == 2
+        # the CLI's own checks run before a config exists
+        for argv, message in [
+            (("expand", "--m", "3", "--ell", "3"), "need 1 <= m < ell"),
+            (("verify", "--m", "3", "--ell", "3"), "need 1 <= m < ell"),
+            (("f-transform", "--m", "0"), "need m >= 1"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -228,6 +234,25 @@ class TestVerify:
         assert data["equal"] is True
         assert all(data["checks"].values())
         assert "all checks passed" in err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        # a bug is neither a failed identity (1) nor bad input (2)
+        def broken(m, cfg):
+            raise RuntimeError("broken normal form")
+
+        monkeypatch.setattr(cli, "normal_form", broken)
+        code, out, err = run(capsys, "verify", "--m", "1", "--ell", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("Traceback")
+        assert err.endswith("RuntimeError: broken normal form\n")
+
+    def test_interrupt_passes_through(self, monkeypatch):
+        def interrupted(m, cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "normal_form", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--m", "1", "--ell", "2"])
 
     def test_saved_ledger_round_trip(self, capsys, tmp_path):
         ledger = tmp_path / "ledger.json"
@@ -521,11 +546,19 @@ class TestConfigPrecedence:
         ("config", "unknown config key 'assumption_mode'"),
     ], ids=["flag", "config"])
     def test_nested_ge_is_refused(self, capsys, tmp_path, source, message):
+        # the flag's one value is an argparse choice, so a bad one is a
+        # usage error: main exits 2 rather than returning
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"assumption_mode": "nested-ge"}))
-        argv = (["--assumption-mode", "nested-ge"] if source == "flag"
-                else ["--config", str(cfg)])
-        code, out, err = run(capsys, "expand", "--m", "2", "--ell", "4", *argv)
+        extra = (["--assumption-mode", "nested-ge"] if source == "flag"
+                 else ["--config", str(cfg)])
+        argv = ["expand", "--m", "2", "--ell", "4", *extra]
+        if source == "flag":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            code, (out, err) = exc.value.code, capsys.readouterr()
+        else:
+            code, out, err = run(capsys, *argv)
         assert code == 2 and message in err and out == ""
 
     def test_assumption_mode_is_not_a_config_key(self, capsys, tmp_path):

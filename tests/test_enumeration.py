@@ -14,11 +14,11 @@ from birkhoff.enumeration import (
 )
 from birkhoff.trees import (
     Decoration,
+    Tree,
     TreeError,
     leaf,
     node,
     parse,
-    relabel_root,
     render,
     validate_tree,
 )
@@ -163,14 +163,16 @@ class TestInvariants:
         for m in range(2, 6):
             lower = set(canon(tree_class(res_below(m))))
             relabeled = {
-                render(relabel_root(t, R)) for t in tree_class(circ_exact(m))
+                render(Tree(R, t.left, t.right))
+                for t in tree_class(circ_exact(m))
             }
             assert set(canon(tree_class(res_below(m + 1)))) == lower | relabeled
 
     def test_root_relabel_bijection(self):
         for m in range(2, 7):
             from_n = {
-                render(relabel_root(t, O)) for t in tree_class(n_exact(m))
+                render(Tree(O, t.left, t.right))
+                for t in tree_class(n_exact(m))
             }
             assert from_n == set(canon(tree_class(circ_exact(m))))
 
@@ -197,16 +199,18 @@ class TestGraftComb:
         assert render(t) == "(r (o (k) (n)) (n))"
 
     def test_rejects_bad_tail(self):
+        # an empty tail builds nothing; a comb that breaks a rule is built
+        # and validate_tree, the one home of the rules, reports it
         with pytest.raises(TreeError):
             graft_comb(leaf(O), [], O)
-        with pytest.raises(TreeError):
-            graft_comb(leaf(O), [leaf(O)], O)
+        assert validate_tree(graft_comb(leaf(O), [leaf(O)], O)) == (
+            ("r", "a"),)
 
     def test_rejects_bad_base_and_root(self):
-        with pytest.raises(TreeError):
-            graft_comb(leaf(N), [leaf(N)], O)
-        with pytest.raises(TreeError):
-            graft_comb(leaf(O), [leaf(N)], K)
+        assert validate_tree(graft_comb(leaf(N), [leaf(N)], O)) == (
+            ("l", "b"),)
+        assert validate_tree(graft_comb(leaf(O), [leaf(N)], K)) == (
+            ("", "c"),)
 
     def test_circ_4_decomposition(self):
         # degree-8 circ trees split into the range trees of the lower

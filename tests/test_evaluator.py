@@ -29,11 +29,11 @@ from birkhoff.evaluator import (
 )
 from birkhoff.trees import (
     Decoration,
+    Tree,
     TreeError,
     leaf,
     node,
     parse,
-    relabel_root,
     render,
     symmetry_factor,
 )
@@ -99,10 +99,10 @@ class TestPi:
         for m in (3, 4):
             for t in tree_class(circ_exact(m)):
                 base = pi(t, cfg)
-                assert pi(relabel_root(t, R), cfg) == split_resonant(
+                assert pi(Tree(R, t.left, t.right), cfg) == split_resonant(
                     base, cfg.resonance
                 ).res
-                assert pi(relabel_root(t, N), cfg) == apply_phase_filter(
+                assert pi(Tree(N, t.left, t.right), cfg) == apply_phase_filter(
                     base, cfg.resonance
                 ).scale(GENERATOR_SCALE)
 
@@ -208,6 +208,11 @@ class TestNormalForm:
             normal_form(3, cfg)  # m = ell = cutoff / 2
         with pytest.raises(ValueError, match="1 <= m < ell"):
             normal_form(0, cfg)
+
+    @pytest.mark.parametrize("cutoff", [2, 5, 7])
+    def test_cutoff_even_and_at_least_4(self, cutoff):
+        with pytest.raises(ValueError, match="even integer >= 4"):
+            make_cfg(cutoff=cutoff)
 
     def test_json_shape(self):
         cfg = make_cfg(cutoff=6)

@@ -340,12 +340,33 @@ class TestKernelValue:
             Kernel.of(LAT1, 4, {mono([2], [2]): 1})
         with pytest.raises(ValueError):
             Kernel(LAT1, 3, {})
+        key = _codec_for(LAT1, 4).encode(mono([1, 1, 1], [1, 1, 1]))
+        with pytest.raises(ValueError, match="degree 6 above cutoff"):
+            Kernel(LAT1, 4, {key: 1})
         # the only bad mode sits in the ubar of the second monomial
         with pytest.raises(ValueError, match=r"mode \(2,\) outside lattice"):
             Kernel.of(LAT1, 4, {
                 mono([1], [1]): 1,
                 mono([0, 1], [-1, 2]): 1,
             })
+
+    def test_lattice_and_threshold_bounds(self):
+        with pytest.raises(ValueError, match="dim must be positive"):
+            ModeLattice(0, 1)
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            ModeLattice(1, -1)
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            ResonanceConfig(-1)
+
+    def test_negative_den_moves_its_sign(self):
+        codec = _codec_for(LAT2, 4)
+        a, b = (codec.encode(mono([1], [1])), codec.encode(mono([2], [2])))
+        k = Kernel(LAT2, 4, {a: 1, b: -3}, -2)
+        assert k == Kernel(LAT2, 4, {a: -1, b: 3}, 2)
+        assert k.den == 2 and k.nums == {a: -1, b: 3}
+
+    def test_off_lattice_coefficient_is_zero(self):
+        assert h1(LAT1, 4).coefficient(mono([0, 2], [1, 1])) == 0
 
     def test_equality_needs_the_same_cutoff(self):
         a = Kernel.of(LAT1, 4, {mono([1], [1]): 1})

@@ -36,6 +36,18 @@ def make_cfg(K_radius=2, threshold=0, cutoff=8, dim=1):
     )
 
 
+@pytest.mark.parametrize("entry", [
+    normal_form, f_transform, cancellation_check, birkhoff_iterate,
+    generators_from_recursion,
+], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("order", [0, 2])
+def test_order_rule_at_every_entry_point(entry, order):
+    # at cutoff 4 (ell 2) only order 1 fits; order 2 would reach degree 6
+    # and give a zero kernel that passes every identity vacuously
+    with pytest.raises(ValueError, match=r"need 1 <= m < ell"):
+        entry(order, make_cfg(cutoff=4))
+
+
 class TestSequences:
     def test_3_3_display(self):
         got = {info.z: (info.c, info.q) for info in sequences(3, 3)}

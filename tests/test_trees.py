@@ -15,7 +15,6 @@ from birkhoff.trees import (
     leaf,
     node,
     parse,
-    relabel_root,
     render,
     symmetry_factor,
     validate_tree,
@@ -192,6 +191,12 @@ class TestValidation:
         nested = node(R, node(O, leaf(K), leaf(N)), leaf(N))
         assert not validate_tree(nested)
 
+    def test_one_child_is_refused(self):
+        with pytest.raises(TreeError, match="zero or two children"):
+            Tree(O, leaf(O))
+        with pytest.raises(TreeError, match="zero or two children"):
+            Tree(O, None, leaf(N))
+
     def test_internal_k_rule_c(self):
         assert ("", "c") in validate_tree(Tree(K, leaf(O), leaf(N)))
 
@@ -291,8 +296,3 @@ class TestSerialization:
         assert [render(t) for t in trees] == [
             "(o)", "(o (o) (n))", "(k)", "(n)", "(r)"
         ]
-
-
-def test_relabel_root():
-    assert relabel_root(T_CIRC_N, R) == node(R, leaf(O), leaf(N))
-    assert relabel_root(leaf(O), N) == leaf(N)

@@ -31,9 +31,12 @@ The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
 conjugate factors of x with the u factors of y; {iA, iB} =
 i*(Q(A, B) - Q(B, A)) is two contractions.  Per call, each operand is
-indexed by each mode of its u factors, so only monomial pairs that
-contract are visited; pairs past the degree cutoff are dropped before a
-key is built, so no exponent field can carry into the next.
+cut to its degree window (a monomial of degree d pairs only with one of
+degree <= cutoff + 2 - d, so one key bound set by the other operand's
+least degree), then indexed by each mode of its u factors, so only
+monomial pairs that contract are visited; pairs past the degree cutoff
+are dropped before a key is built, so no exponent field can carry into
+the next.
 
 Constant conventions, pinned by direct computation (see the test suite):
 
@@ -501,7 +504,8 @@ def h1(lattice: ModeLattice, cutoff: int) -> Kernel:
 
 
 def _index(nums: dict, codec: _Codec) -> dict:
-    """Entries of a kernel by the index j of each mode of their u factors.
+    """Entries of an operand's ``_window`` by the index j of each mode of
+    their u factors.
 
     An entry is (degree, key less one u_j and one degree, numerator times
     the exponent of u_j).  Each list is sorted by degree, so a caller
@@ -545,22 +549,35 @@ def _contract(x: dict, y_by_u: dict, codec: _Codec, cutoff: int, sign: int,
                 out[key] = out.get(key, 0) + c * c2
 
 
+def _window(x: Kernel, y: Kernel) -> dict:
+    """x's degree window: the numerators of degree at most cutoff + 2 -
+    (least degree of y), the only ones that can pair with y.  Keys sort
+    by degree, so that is one key bound; x.nums itself if all lie below."""
+    end = (x.max_degree + 3 - y.min_term_degree()) << x._codec.shift
+    if not x.nums or max(x.nums) < end:
+        return x.nums
+    return {key: c for key, c in x.nums.items() if key < end}
+
+
 def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     """{a, b} = i sum_k (d_{u_k} a d_{ubar_k} b - d_{u_k} b d_{ubar_k} a).
 
     Exact.  With Q the contraction of ``_contract``, {iA, iB} =
     i*(Q(A, B) - Q(B, A)): two contractions of the numerator maps into
-    one, over the denominator a.den * b.den.  Each operand is indexed by
-    the modes of its u factors once per call, so only monomial pairs
-    that share a contractible mode are visited, and a pair whose bracket
-    degree deg(m1) + deg(m2) - 2 exceeds the cutoff is dropped before
-    its key is built.
+    one, over the denominator a.den * b.den.  Each operand is cut to its
+    ``_window``; if either window is empty the bracket is zero before any
+    index is built.  Each window is indexed by the modes of its u factors
+    once per call, so only monomial pairs that share a contractible mode
+    are visited, and a pair whose bracket degree deg(m1) + deg(m2) - 2
+    exceeds the cutoff is dropped before its key is built.
     """
     a._check_compatible(b)
     cutoff, codec = a.max_degree, a._codec
+    x, y = _window(a, b), _window(b, a)
     out: dict = {}
-    _contract(a.nums, _index(b.nums, codec), codec, cutoff, 1, out)
-    _contract(b.nums, _index(a.nums, codec), codec, cutoff, -1, out)
+    if x and y:
+        _contract(x, _index(y, codec), codec, cutoff, 1, out)
+        _contract(y, _index(x, codec), codec, cutoff, -1, out)
     return Kernel(a.lattice, cutoff, out, a.den * b.den)
 
 

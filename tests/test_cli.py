@@ -143,6 +143,18 @@ class TestExpand:
                    "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_entries_above_the_cutoff_keep_their_bytes(self, capsys):
+        # at m = ell - 1 the four circ_exact(m+2) trees lie wholly above
+        # the cutoff: each root bracket meets an empty degree window and
+        # its entry holds the zero kernel
+        code, out, _ = run(capsys, "expand", "--m", "2", "--ell", "3")
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        assert sum(not e["kernel"]["terms"] for e in entries) == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9eaccda11804d686cdc91f961eb646ea695b65b1c841bfd0f8eb3b116aabf1e1"
+        )
+
     def test_bad_orders(self, capsys):
         # the CLI's own checks run before a config exists
         for argv, message in [

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from birkhoff.evaluator import EvalConfig
 from birkhoff.hamiltonian import (
     GENERATOR_SCALE,
     H0_FILTER_FACTOR,
@@ -20,6 +21,7 @@ from birkhoff.hamiltonian import (
     poisson_bracket,
     split_resonant,
 )
+from birkhoff.oracle import birkhoff_iterate
 
 LAT1 = ModeLattice(1, 1)
 LAT2 = ModeLattice(1, 2)
@@ -217,6 +219,39 @@ class TestBracket:
         assert got == naive_bracket(a, b)
         assert not got.is_zero
         assert got.term_degree() == 6
+
+    @pytest.mark.parametrize("dim, radius, cutoff", [(1, 2, 8), (2, 1, 6)])
+    def test_degree_window_against_naive(self, dim, radius, cutoff):
+        # the oracle's operands: H and h0 + F_1 + ... + F_m each carry
+        # every even degree 2..cutoff, cut to 6 monomials per degree, and
+        # their degree slices; a slice pair with deg a + deg b - 2 at the
+        # cutoff is kept, and one at the cutoff + 2 meets an empty window
+        cfg = EvalConfig(ModeLattice(dim, radius), N0, cutoff)
+        result = birkhoff_iterate(cutoff // 2 - 1, cfg)
+        h, g = result.normal_form, cfg.h0()
+        for f in result.f_list:
+            g = g + f
+        degrees = range(2, cutoff + 1, 2)
+        operands = []
+        for whole in (h, g):
+            slices = [Kernel.of(cfg.lattice, cutoff,
+                                dict(whole.degree_slice(d).items()[:6]))
+                      for d in degrees]
+            assert all(slices)
+            operands.append([sum(slices[1:], slices[0]), *slices])
+        zero = Kernel(cfg.lattice, cutoff)
+        kept = 0
+        for a, b in itertools.product(*operands):
+            for x, y in ((a, b), (b, a)):
+                x_nums, y_nums = dict(x.nums), dict(y.nums)
+                got = poisson_bracket(x, y)
+                assert got == naive_bracket(x, y)
+                assert (x.nums, y.nums) == (x_nums, y_nums)
+                edge = x.min_term_degree() + y.min_term_degree() - 2
+                if edge > cutoff:
+                    assert got == zero
+                kept += edge == cutoff and not got.is_zero
+        assert kept
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):

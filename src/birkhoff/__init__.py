@@ -6,8 +6,6 @@ from .trees import (
     ParseError,
     Tree,
     TreeError,
-    leaf,
-    node,
     parse,
     render,
     symmetry_factor,

@@ -30,8 +30,6 @@ from .trees import (
     TreeError,
     canonical_key,
     iter_nodes,
-    leaf,
-    node,
     node_violations,
     render,
     symmetry_factor,
@@ -99,7 +97,7 @@ def _subtree_pools(max_degree: int, cap: int) -> dict[int, list[Tree]]:
         pools.setdefault(t.degree, []).append(t)
 
     # leaves by degree (the k-leaf first), so the cap trips in degree order
-    for t in sorted(map(leaf, Decoration), key=lambda t: t.degree):
+    for t in sorted(map(Tree, Decoration), key=lambda t: t.degree):
         if t.degree <= max_degree:
             add(t)
     for d in range(4, max_degree + 1, 2):
@@ -110,7 +108,7 @@ def _subtree_pools(max_degree: int, cap: int) -> dict[int, list[Tree]]:
                 rights = list(pools.get(d + 2 - d1, ()))
                 for t1 in lefts:
                     for t2 in rights:
-                        t = node(root, t1, t2)
+                        t = Tree(root, t1, t2)
                         if not node_violations(t, False):
                             add(t)
     return pools
@@ -185,12 +183,12 @@ def circ_range(m: int, ell: int) -> TreeClassQuery:
 def graft_comb(t1: Tree, tail: list[Tree], root_dec: Decoration) -> Tree:
     """Left comb ((t1, tail[0]), tail[1]), ...; inner nodes circ, the
     outermost node root_dec.  Encodes {...{X, F}, ..., F} with optional
-    projection at the top.  Like :func:`trees.node` it only builds:
+    projection at the top.  Like the ``Tree`` constructor it only builds:
     :func:`trees.validate_tree` judges the comb."""
     if not tail:
         raise TreeError("tail must be nonempty")
     out = t1
     for i, t in enumerate(tail):
         dec = root_dec if i == len(tail) - 1 else Decoration.CIRC
-        out = node(dec, out, t)
+        out = Tree(dec, out, t)
     return out

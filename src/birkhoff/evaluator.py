@@ -56,7 +56,6 @@ from .trees import (
     Decoration,
     Tree,
     TreeError,
-    leaf,
     render,
     symmetry_factor,
     validate_tree,
@@ -112,13 +111,15 @@ _KERNELS: dict[tuple[EvalConfig, str], Kernel] = {}
 def pi(tree: Tree, cfg: EvalConfig) -> Kernel:
     """Evaluate a valid tree to a kernel, truncating at cfg.cutoff.
 
-    Trees of degree above the cutoff evaluate to (partially) truncated
-    kernels; since the tree degree bounds every monomial degree of the
-    result, a tree wholly above the cutoff gives the zero kernel.
+    Every monomial of a tree's kernel has degree exactly |T|, so a tree
+    above the cutoff gives the zero kernel, and ``_pi``, which recurses
+    once per level, is reached only by trees at most cutoff deep.
     """
     violations = validate_tree(tree)
     if violations:
         raise TreeError(f"invalid tree {render(tree)}: {violations}")
+    if tree.degree > cfg.cutoff:
+        return Kernel(cfg.lattice, cfg.cutoff)
     return _pi(tree, cfg)
 
 
@@ -135,7 +136,7 @@ def _pi(tree: Tree, cfg: EvalConfig) -> Kernel:
     else:
         out = cfg.h1()
     if dec is Decoration.R:
-        out = split_resonant(out, cfg.resonance).res
+        out, _ = split_resonant(out, cfg.resonance)
     elif dec is Decoration.N:
         out = apply_phase_filter(out, cfg.resonance).scale(GENERATOR_SCALE)
     _KERNELS[key] = out
@@ -226,7 +227,7 @@ def normal_form(m: int, cfg: EvalConfig) -> ExpansionLedger:
     ell = cfg.cutoff // 2
     idx = m + CLASS_INDEX_OFFSET
     trees = [
-        leaf(Decoration.K),
+        Tree(Decoration.K),
         *tree_class(res_below(idx), cfg.cap),
         *tree_class(circ_exact(idx), cfg.cap),
     ]
@@ -245,7 +246,5 @@ def cancellation_check(i: int, cfg: EvalConfig) -> Kernel:
     """
     f = f_transform(i, cfg)  # refuses an i outside 1 <= i < ell
     trees = tree_class(circ_exact(i + 1), cfg.cap)
-    block = _assemble(trees, cfg).total
-    return poisson_bracket(cfg.h0(), f.total) + split_resonant(
-        block, cfg.resonance
-    ).nonres
+    _, nonres = split_resonant(_assemble(trees, cfg).total, cfg.resonance)
+    return poisson_bracket(cfg.h0(), f.total) + nonres

@@ -19,13 +19,15 @@ u-block, the exponent of mode j sitting in bits [wj, w(j+1)) of its
 block.  Keys sort by degree, the product of two monomials is the sum of
 their keys, and a derivative subtracts one shifted unit from a block and
 one from the degree.  ``Monomial`` and the rational c of each i*c appear
-only at the boundary: ``Kernel.of``, ``from_json``, ``items``,
-``coefficient``, ``support`` and ``to_json``; ``json_text`` writes the
-text of ``to_json`` straight from the keys.  Each codec decodes an
-exponent block (the u or the ubar half of a key) once, into tables keyed
-by the block int that fill lazily and live as long as the codec: they
-hold one entry per distinct block met: hundreds at dim 1, thousands at
-dim 2, K 2.
+only at the boundary.  ``Kernel.of`` is the one way in, and
+``from_json`` and ``with_cutoff`` build through it; ``items`` is the
+way out, and ``to_json`` and ``with_cutoff`` read it.  Three readers
+keep their own path: ``coefficient`` looks up one monomial, ``support``
+lists them, and ``json_text`` writes the text of ``to_json`` straight
+from the keys.  Each codec decodes an exponent block (the u or the ubar
+half of a key) once, into tables keyed by the block int that fill lazily
+and live as long as the codec: they hold one entry per distinct block
+met: hundreds at dim 1, thousands at dim 2, K 2.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
@@ -56,7 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 Mode = tuple[int, ...]
 
@@ -283,12 +285,11 @@ class Kernel:
     def of(lattice: ModeLattice, max_degree: int,
            terms: Mapping[Monomial, Rational]) -> "Kernel":
         """The kernel with coefficient i*c on each monomial m, for the
-        rationals c = terms[m]; the inverse of ``items()``.  Zero
-        coefficients are dropped."""
+        rationals c = terms[m]; the inverse of ``items()``.  Every
+        monomial is checked, then zeros are dropped."""
         _check_cutoff(max_degree)
-        im = {m: c for m, c in terms.items() if c}
         modes: set[Mode] = set()
-        for m in im:
+        for m in terms:
             if m.degree > max_degree:
                 raise ValueError(f"monomial degree {m.degree} above cutoff")
             modes.update(m.u)
@@ -298,10 +299,10 @@ class Kernel:
         if bad:
             raise ValueError(f"mode {min(bad)} outside lattice")
         codec = _codec_for(lattice, max_degree)
-        den = math.lcm(*(c.denominator for c in im.values()))
+        den = math.lcm(*(c.denominator for c in terms.values()))
         return Kernel(lattice, max_degree, {
             codec.encode(m): c.numerator * (den // c.denominator)
-            for m, c in im.items()
+            for m, c in terms.items()
         }, den)
 
     def _sorted_keys(self) -> list[int]:
@@ -355,12 +356,8 @@ class Kernel:
         }, self.den)
 
     def with_cutoff(self, max_degree: int) -> "Kernel":
-        _check_cutoff(max_degree)
-        old, new = self._codec, _codec_for(self.lattice, max_degree)
-        return Kernel(self.lattice, max_degree, {
-            new.encode(old.monomial(key)): c
-            for key, c in self.nums.items() if key >> old.shift <= max_degree
-        }, self.den)
+        return Kernel.of(self.lattice, max_degree, {
+            m: c for m, c in self.items() if m.degree <= max_degree})
 
     def _check_compatible(self, other: "Kernel") -> None:
         if self.lattice != other.lattice or self.max_degree != other.max_degree:
@@ -403,14 +400,12 @@ class Kernel:
         return f"Kernel({len(self)} terms, cutoff {self.max_degree})"
 
     def to_json(self) -> dict:
-        monomial, nums, den = self._codec.monomial, self.nums, self.den
         return {
             "dim": self.lattice.dim,
             "radius": self.lattice.radius,
             "max_degree": self.max_degree,
-            "terms": [{**monomial(key).to_json(), "re": "0",
-                       "im": _ratio(nums[key], den)}
-                      for key in self._sorted_keys()],
+            "terms": [{**m.to_json(), "re": "0", "im": str(c)}
+                      for m, c in self.items()],
         }
 
     def json_text(self, depth: int = 0) -> str:
@@ -581,19 +576,15 @@ def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     return Kernel(a.lattice, cutoff, out, a.den * b.den)
 
 
-class ResonantSplit(NamedTuple):
-    res: Kernel
-    nonres: Kernel
-
-
-def split_resonant(a: Kernel, cfg: ResonanceConfig) -> ResonantSplit:
-    """Partition by |phase| <= threshold versus |phase| > threshold."""
+def split_resonant(a: Kernel, cfg: ResonanceConfig) -> tuple[Kernel, Kernel]:
+    """The pair (resonant part, non-resonant part) of a: its monomials
+    with |phase| <= threshold, and those with |phase| > threshold."""
     res, nonres = {}, {}
     codec_phase, resonant = a._codec.phase, cfg.resonant
     for key, c in a.nums.items():
         (res if resonant(codec_phase(key)) else nonres)[key] = c
-    return ResonantSplit(Kernel(a.lattice, a.max_degree, res, a.den),
-                         Kernel(a.lattice, a.max_degree, nonres, a.den))
+    return (Kernel(a.lattice, a.max_degree, res, a.den),
+            Kernel(a.lattice, a.max_degree, nonres, a.den))
 
 
 def apply_phase_filter(a: Kernel, cfg: ResonanceConfig) -> Kernel:

@@ -112,14 +112,6 @@ class Tree:
         return f"Tree({render(self)!r})"
 
 
-def leaf(decoration: Decoration) -> Tree:
-    return Tree(decoration)
-
-
-def node(decoration: Decoration, left: Tree, right: Tree) -> Tree:
-    return Tree(decoration, left, right)
-
-
 def _walk(tree: Tree) -> Iterator[tuple[Tree, int, bool]]:
     """Document order: (t, depth, False) on entering each node, and
     (t, depth, True) once more after an internal node's children."""

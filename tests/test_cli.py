@@ -188,6 +188,16 @@ def _raise_cutoff(total):
                            "re": "0", "im": "1"})
 
 
+def _zero_off_lattice(total):
+    # a zero coefficient is no licence for a mode off the lattice
+    total["terms"].append({"u": [[9]], "ubar": [[9]], "re": "0", "im": "0"})
+
+
+def _zero_above_cutoff(total):
+    total["terms"].append({"u": [[0]] * 4, "ubar": [[0]] * 4,
+                           "re": "0", "im": "0"})
+
+
 def _split_term(total):
     # the canonical total holds 2i on u_{-2} ubar_{-2}; write it as i + i
     first = total["terms"][0]
@@ -343,6 +353,8 @@ class TestVerify:
     @pytest.mark.parametrize("edit, message", [
         (_off_lattice, "lattice"),
         (_raise_cutoff, "cutoff"),
+        (_zero_off_lattice, "mode (9,) outside lattice"),
+        (_zero_above_cutoff, "degree 8 above cutoff"),
         (_split_term, "listed twice"),
         (_zero_denominator, "zero denominator"),
         (_fractional_mode, "integers"),
@@ -357,7 +369,8 @@ class TestVerify:
         (_coefficient_as(2), "im must be a string"),
         (_coefficient_as(2.0), "im must be a string"),
         (_coefficient_as(True), "im must be a string"),
-    ], ids=["radius", "max-degree", "split-term", "zero-denominator",
+    ], ids=["radius", "max-degree", "zero-off-lattice", "zero-above-cutoff",
+            "split-term", "zero-denominator",
             "fractional-mode", "boolean-mode", "float-max-degree",
             "real-part", "integer-real-part", "boolean-real-part",
             "zero-denominator-real-part", "non-number-real-part",

@@ -16,8 +16,6 @@ from birkhoff.trees import (
     Decoration,
     Tree,
     TreeError,
-    leaf,
-    node,
     parse,
     render,
     validate_tree,
@@ -133,7 +131,7 @@ def _key(t):
 def _naive_pool(max_degree):
     """All trees of degree <= max_degree satisfying only: right children
     rooted n, k only as left-child leaf under a circ node."""
-    pools = {2: [leaf(K)], 4: [leaf(O), leaf(N), leaf(R)]}
+    pools = {2: [Tree(K)], 4: [Tree(O), Tree(N), Tree(R)]}
     for d in range(4, max_degree + 1, 2):
         fresh = pools.setdefault(d, [])
         for root in (N, R, O):
@@ -150,7 +148,7 @@ def _naive_pool(max_degree):
                     if t1.decoration is K and root is not O:
                         continue
                     for t2 in rights:
-                        fresh.append(node(root, t1, t2))
+                        fresh.append(Tree(root, t1, t2))
     return [t for pool in pools.values() for t in pool]
 
 
@@ -192,24 +190,24 @@ def _internal_n_nodes(t):
 
 class TestGraftComb:
     def test_single_tail(self):
-        assert graft_comb(leaf(O), [leaf(N)], O) == parse("(o (o) (n))")
+        assert graft_comb(Tree(O), [Tree(N)], O) == parse("(o (o) (n))")
 
     def test_inner_nodes_circ_root_custom(self):
-        t = graft_comb(leaf(K), [leaf(N), leaf(N)], R)
+        t = graft_comb(Tree(K), [Tree(N), Tree(N)], R)
         assert render(t) == "(r (o (k) (n)) (n))"
 
     def test_rejects_bad_tail(self):
         # an empty tail builds nothing; a comb that breaks a rule is built
         # and validate_tree, the one home of the rules, reports it
         with pytest.raises(TreeError):
-            graft_comb(leaf(O), [], O)
-        assert validate_tree(graft_comb(leaf(O), [leaf(O)], O)) == (
+            graft_comb(Tree(O), [], O)
+        assert validate_tree(graft_comb(Tree(O), [Tree(O)], O)) == (
             ("r", "a"),)
 
     def test_rejects_bad_base_and_root(self):
-        assert validate_tree(graft_comb(leaf(N), [leaf(N)], O)) == (
+        assert validate_tree(graft_comb(Tree(N), [Tree(N)], O)) == (
             ("l", "b"),)
-        assert validate_tree(graft_comb(leaf(O), [leaf(N)], K)) == (
+        assert validate_tree(graft_comb(Tree(O), [Tree(N)], K)) == (
             ("", "c"),)
 
     def test_circ_4_decomposition(self):

@@ -31,8 +31,6 @@ from birkhoff.trees import (
     Decoration,
     Tree,
     TreeError,
-    leaf,
-    node,
     parse,
     render,
     symmetry_factor,
@@ -54,10 +52,11 @@ def n_building_block(cfg):
 class TestPi:
     def test_leaves(self):
         cfg = make_cfg()
-        assert pi(leaf(K), cfg) == h0(cfg.lattice, cfg.cutoff)
-        assert pi(leaf(O), cfg) == h1(cfg.lattice, cfg.cutoff)
-        assert pi(leaf(R), cfg) == split_resonant(cfg.h1(), cfg.resonance).res
-        assert pi(leaf(N), cfg) == n_building_block(cfg)
+        assert pi(Tree(K), cfg) == h0(cfg.lattice, cfg.cutoff)
+        assert pi(Tree(O), cfg) == h1(cfg.lattice, cfg.cutoff)
+        res, _ = split_resonant(cfg.h1(), cfg.resonance)
+        assert pi(Tree(R), cfg) == res
+        assert pi(Tree(N), cfg) == n_building_block(cfg)
 
     def test_intro_displays(self):
         cfg = make_cfg()
@@ -69,24 +68,48 @@ class TestPi:
     def test_internal_projections(self):
         cfg = make_cfg()
         bracket = poisson_bracket(cfg.h1(), n_building_block(cfg))
-        assert pi(parse("(r (o) (n))"), cfg) == split_resonant(
-            bracket, cfg.resonance
-        ).res
+        res, _ = split_resonant(bracket, cfg.resonance)
+        assert pi(parse("(r (o) (n))"), cfg) == res
         assert pi(parse("(n (o) (n))"), cfg) == apply_phase_filter(
             bracket, cfg.resonance
         ).scale(GENERATOR_SCALE)
 
     def test_rejects_invalid(self):
         with pytest.raises(TreeError):
-            pi(node(O, leaf(N), leaf(N)), make_cfg())
+            pi(Tree(O, Tree(N), Tree(N)), make_cfg())
 
     def test_degree_bound_and_attainment(self):
-        cfg = make_cfg(K_radius=1, cutoff=12)
-        for t in enumerate_valid(8):
-            k = pi(t, cfg)
-            assert k.term_degree() <= t.degree
-            if not k.is_zero:
-                assert k.term_degree() == t.degree
+        # every monomial of pi(T) has degree exactly |T|, so a tree above
+        # the cutoff gives the zero kernel on the config's lattice and cutoff
+        for dim, K_radius, cutoff, degree, above in [
+            (1, 1, 12, 8, 0), (1, 2, 12, 10, 0), (1, 2, 10, 12, 96),
+            (2, 1, 8, 8, 0),
+        ]:
+            cfg = EvalConfig(ModeLattice(dim, K_radius), ResonanceConfig(0),
+                             cutoff)
+            attained = set()
+            trees = enumerate_valid(degree)
+            for t in trees:
+                k = pi(t, cfg)
+                assert {m.degree for m in k.support()} <= {t.degree}
+                if t.degree > cutoff:
+                    assert k == Kernel(cfg.lattice, cutoff)
+                elif not k.is_zero:
+                    attained.add(t.degree)
+            assert sum(t.degree > cutoff for t in trees) == above
+            assert attained == set(range(2, min(degree, cutoff) + 1, 2))
+
+    def test_deep_tree_above_the_cutoff_is_zero(self):
+        # a 5000-deep left comb is valid; pi must not recurse through it
+        cfg = make_cfg(cutoff=6)
+        comb = graft_comb(Tree(O), [Tree(N)] * 5000, O)
+        try:
+            kernel = pi(comb, cfg)
+        except RecursionError:
+            # fail on the assert below: pytest would take minutes to print
+            # a thousand frames that each hold a deep tree
+            kernel = None
+        assert kernel == Kernel(cfg.lattice, cfg.cutoff)
 
     def test_truncation_matches_restriction(self):
         full = make_cfg(cutoff=10)
@@ -99,9 +122,8 @@ class TestPi:
         for m in (3, 4):
             for t in tree_class(circ_exact(m)):
                 base = pi(t, cfg)
-                assert pi(Tree(R, t.left, t.right), cfg) == split_resonant(
-                    base, cfg.resonance
-                ).res
+                res, _ = split_resonant(base, cfg.resonance)
+                assert pi(Tree(R, t.left, t.right), cfg) == res
                 assert pi(Tree(N, t.left, t.right), cfg) == apply_phase_filter(
                     base, cfg.resonance
                 ).scale(GENERATOR_SCALE)
@@ -247,7 +269,7 @@ def _zero_kernels():
     # "terms": [] in the entry and the total
     cfg = make_cfg(cutoff=6)
     zero = Kernel(cfg.lattice, cfg.cutoff)
-    return ExpansionLedger((LedgerEntry(leaf(K), Fraction(1, 2), zero),),
+    return ExpansionLedger((LedgerEntry(Tree(K), Fraction(1, 2), zero),),
                            zero, cfg, m=1, ell=3)
 
 
@@ -282,7 +304,7 @@ class TestPropositionCheck:
     def test_comb_factorization(self):
         cfg = make_cfg(cutoff=12)
         tails = [parse("(n (o) (n))"), parse("(n (o (k) (n)) (n))")]
-        for base in (leaf(K), leaf(R)):
+        for base in (Tree(K), Tree(R)):
             for tail in ([tails[0], tails[0]], [tails[0], tails[1]]):
                 comb = graft_comb(base, tail, O)
                 s_comb = symmetry_factor(comb)

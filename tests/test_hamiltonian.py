@@ -314,10 +314,8 @@ class TestSplitAndFilter:
         a = h1(LAT2, 4)
         for n in (0, 3):
             cfg = ResonanceConfig(n)
-            assert (
-                apply_phase_filter(a, cfg).support()
-                == split_resonant(a, cfg).nonres.support()
-            )
+            _, nonres = split_resonant(a, cfg)
+            assert apply_phase_filter(a, cfg).support() == nonres.support()
 
     def test_filter_inverse(self):
         a = h1(LAT2, 4)
@@ -326,7 +324,8 @@ class TestSplitAndFilter:
             a.lattice, a.max_degree,
             {m: c * Fraction(2 * m.phase()) for m, c in filtered.items()},
         )
-        assert back == split_resonant(a, N0).nonres
+        _, nonres = split_resonant(a, N0)
+        assert back == nonres
 
     def test_key_identity_h1(self):
         for K in (1, 2):
@@ -335,7 +334,8 @@ class TestSplitAndFilter:
                 cfg = ResonanceConfig(n)
                 a = h1(lat, 6)
                 lhs = poisson_bracket(h0(lat, 6), apply_phase_filter(a, cfg))
-                rhs = split_resonant(a, cfg).nonres.scale(H0_FILTER_FACTOR)
+                _, nonres = split_resonant(a, cfg)
+                rhs = nonres.scale(H0_FILTER_FACTOR)
                 assert lhs == rhs
 
     def test_key_identity_random(self):
@@ -343,7 +343,8 @@ class TestSplitAndFilter:
         for _ in range(30):
             a = random_kernel(rng, cutoff=10, zero_momentum=False)
             lhs = poisson_bracket(h0(LAT2, 10), apply_phase_filter(a, N0))
-            rhs = split_resonant(a, N0).nonres.scale(H0_FILTER_FACTOR)
+            _, nonres = split_resonant(a, N0)
+            rhs = nonres.scale(H0_FILTER_FACTOR)
             assert lhs == rhs
 
     def test_generator_scale_pinned(self):
@@ -351,7 +352,8 @@ class TestSplitAndFilter:
         assert GENERATOR_SCALE == Fraction(-4)
         a = h1(LAT2, 6)
         gen = apply_phase_filter(a, N0).scale(GENERATOR_SCALE)
-        assert poisson_bracket(h0(LAT2, 6), gen) == -split_resonant(a, N0).nonres
+        _, nonres = split_resonant(a, N0)
+        assert poisson_bracket(h0(LAT2, 6), gen) == -nonres
 
 
 class TestKernelValue:
@@ -412,6 +414,19 @@ class TestKernelValue:
         # an invalid cutoff, not a request to keep the old one
         with pytest.raises(ValueError):
             h1(LAT2, 6).with_cutoff(0)
+
+    def test_zero_coefficients_get_no_pass(self):
+        # every monomial is checked before the zeros are dropped
+        for m, message in [
+            (mono([2], [2]), r"mode \(2,\) outside lattice"),
+            (mono([0, 0, 0], [0, 0, 0]), "degree 6 above cutoff"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                Kernel.of(LAT1, 4, {m: Fraction(0)})
+            data = Kernel.of(LAT1, 4, {mono([1], [1]): 1}).to_json()
+            data["terms"].append({**m.to_json(), "re": "0", "im": "0"})
+            with pytest.raises(ValueError, match=message):
+                Kernel.from_json(data)
 
     def test_zero_dropped(self):
         m = mono([1], [1])

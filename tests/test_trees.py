@@ -12,8 +12,6 @@ from birkhoff.trees import (
     TreeError,
     canonical_key,
     iter_nodes,
-    leaf,
-    node,
     parse,
     render,
     symmetry_factor,
@@ -23,8 +21,8 @@ from birkhoff.enumeration import enumerate_valid
 
 O, K, N, R = Decoration.CIRC, Decoration.K, Decoration.N, Decoration.R
 
-T_CIRC_N = node(O, leaf(O), leaf(N))
-T_BAR = node(R, node(O, leaf(K), leaf(N)), leaf(N))
+T_CIRC_N = Tree(O, Tree(O), Tree(N))
+T_BAR = Tree(R, Tree(O, Tree(K), Tree(N)), Tree(N))
 # comb with k base and two degree-8 tails whose symmetry factors multiply
 # to 3!; the left-comb depth contributes the extra 2!.
 T_COMB12 = parse("(o (o (k) (n (r) (n (o) (n)))) (n (o (o (k) (n)) (n)) (n)))")
@@ -59,9 +57,9 @@ PARSE_ERRORS = [
 def comb(depth):
     """The left comb of circ nodes over a circ leaf with n-leaf tails;
     comb(990) is "(o " * 990 + "(o)" + " (n))" * 990."""
-    t = leaf(O)
+    t = Tree(O)
     for _ in range(depth):
-        t = node(O, t, leaf(N))
+        t = Tree(O, t, Tree(N))
     return t
 
 
@@ -87,9 +85,9 @@ def counted_degree(t):
 def any_tree(max_leaves=6):
     decs = st.sampled_from(list(Decoration))
     return st.recursive(
-        decs.map(leaf),
+        decs.map(Tree),
         lambda children: st.builds(
-            node, st.sampled_from([O, N, R]), children, children
+            Tree, st.sampled_from([O, N, R]), children, children
         ),
         max_leaves=max_leaves,
     )
@@ -101,13 +99,13 @@ class TestDegree:
         assert T_BAR.degree == 6
 
     def test_leaves(self):
-        assert leaf(K).degree == 2
+        assert Tree(K).degree == 2
         for d in (O, N, R):
-            assert leaf(d).degree == 4
+            assert Tree(d).degree == 4
 
     @given(any_tree(), any_tree(), st.sampled_from([O, N, R]))
     def test_additivity(self, t1, t2, dec):
-        assert node(dec, t1, t2).degree == t1.degree + t2.degree - 2
+        assert Tree(dec, t1, t2).degree == t1.degree + t2.degree - 2
 
     def test_even_and_positive_exhaustive(self):
         for t in enumerate_valid(12):
@@ -169,36 +167,36 @@ class TestValidation:
         assert not validate_tree(T_BAR)
 
     def test_bare_k_leaf_valid(self):
-        assert not validate_tree(leaf(K))
+        assert not validate_tree(Tree(K))
 
     def test_n_leaf_on_left_rule_b(self):
-        assert ("l", "b") in validate_tree(node(O, leaf(N), leaf(N)))
+        assert ("l", "b") in validate_tree(Tree(O, Tree(N), Tree(N)))
 
     def test_r_left_needs_smaller_rule_ii(self):
-        assert ("", "ii") in validate_tree(node(R, leaf(R), leaf(N)))
+        assert ("", "ii") in validate_tree(Tree(R, Tree(R), Tree(N)))
 
     def test_circ_left_needs_larger_rule_i(self):
-        big = node(N, node(O, leaf(O), leaf(N)), leaf(N))  # 6 >= 4, fine
+        big = Tree(N, Tree(O, Tree(O), Tree(N)), Tree(N))  # 6 >= 4, fine
         assert not validate_tree(big)
-        small = node(N, leaf(O), node(N, leaf(O), leaf(N)))  # 4 >= 6 fails
+        small = Tree(N, Tree(O), Tree(N, Tree(O), Tree(N)))  # 4 >= 6 fails
         assert ("", "i") in validate_tree(small)
 
     def test_k_needs_circ_parent_rule_c(self):
-        assert ("l", "c") in validate_tree(node(N, leaf(K), leaf(N)))
+        assert ("l", "c") in validate_tree(Tree(N, Tree(K), Tree(N)))
 
     def test_k_parent_cannot_be_root_rule_c(self):
-        assert ("l", "c") in validate_tree(node(O, leaf(K), leaf(N)))
-        nested = node(R, node(O, leaf(K), leaf(N)), leaf(N))
+        assert ("l", "c") in validate_tree(Tree(O, Tree(K), Tree(N)))
+        nested = Tree(R, Tree(O, Tree(K), Tree(N)), Tree(N))
         assert not validate_tree(nested)
 
     def test_one_child_is_refused(self):
         with pytest.raises(TreeError, match="zero or two children"):
-            Tree(O, leaf(O))
+            Tree(O, Tree(O))
         with pytest.raises(TreeError, match="zero or two children"):
-            Tree(O, None, leaf(N))
+            Tree(O, None, Tree(N))
 
     def test_internal_k_rule_c(self):
-        assert ("", "c") in validate_tree(Tree(K, leaf(O), leaf(N)))
+        assert ("", "c") in validate_tree(Tree(K, Tree(O), Tree(N)))
 
     def test_nested_rule_is_le(self):
         # left child ends in a degree-6 right subtree against a degree-4
@@ -215,22 +213,22 @@ class TestSymmetryFactor:
 
     def test_leaves(self):
         for d in Decoration:
-            assert symmetry_factor(leaf(d)) == 1
+            assert symmetry_factor(Tree(d)) == 1
 
     def test_rejects_invalid(self):
         with pytest.raises(TreeError):
-            symmetry_factor(node(O, leaf(N), leaf(N)))
+            symmetry_factor(Tree(O, Tree(N), Tree(N)))
 
     def test_deepening_applies_at_any_root_decoration(self):
-        base = node(O, leaf(K), leaf(N))
+        base = Tree(O, Tree(K), Tree(N))
         for dec in (O, N, R):
-            t = node(dec, base, leaf(N))
+            t = Tree(dec, base, Tree(N))
             assert symmetry_factor(t) == 2
 
 
 class TestSerialization:
     def test_render_leaf(self):
-        assert render(leaf(O)) == "(o)"
+        assert render(Tree(O)) == "(o)"
 
     def test_parse_example(self):
         assert parse("(o (o) (n))") == T_CIRC_N
@@ -279,7 +277,7 @@ class TestSerialization:
 
     def test_parse_skips_runs_of_spaces(self):
         assert parse("(o  (o)  (n))") == T_CIRC_N
-        assert parse("  (o)  ") == leaf(O)
+        assert parse("  (o)  ") == Tree(O)
 
     def test_dot_format(self):
         text = render(T_BAR, "dot")
@@ -291,7 +289,7 @@ class TestSerialization:
             render(T_BAR, "png")
 
     def test_canonical_key_order(self):
-        trees = [leaf(R), leaf(K), T_CIRC_N, leaf(N), leaf(O)]
+        trees = [Tree(R), Tree(K), T_CIRC_N, Tree(N), Tree(O)]
         trees.sort(key=canonical_key)
         assert [render(t) for t in trees] == [
             "(o)", "(o (o) (n))", "(k)", "(n)", "(r)"

@@ -56,8 +56,8 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            RecursionError) as exc:
+    # bad JSON, bad UTF-8 and an integer too long to read: each a ValueError
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
@@ -166,8 +166,7 @@ def _read_ledger(path: str, m: int, ec: EvalConfig) -> Kernel:
                               ("max_degree", ec.cutoff)])
         if on_lattice:
             total = Kernel.from_json(raw)
-    except (OSError, json.JSONDecodeError, RecursionError, KeyError,
-            TypeError, ValueError) as exc:
+    except (OSError, RecursionError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot read ledger {path}: {exc}") from exc
     for key, want in {"m": m, "ell": ec.cutoff // 2, **ec.to_json()}.items():
         got = recorded.get(key)
@@ -195,11 +194,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = {"normal_form": report.equal}
     if not args.ledger:
         recursions = generators_from_recursion(args.m, ec)
-        for i in range(1, args.m + 1):
-            checks[f"cancellation_{i}"] = cancellation_check(i, ec).is_zero
-            checks[f"f_transform_{i}"] = compare(
-                f_transform(i, ec).total, recursions[i - 1]
-            ).equal
+        for i, recursion in enumerate(recursions, start=1):
+            f = f_transform(i, ec)
+            checks[f"cancellation_{i}"] = cancellation_check(f).is_zero
+            checks[f"f_transform_{i}"] = compare(f.total, recursion).equal
     payload = report.to_json()
     payload["checks"] = checks
     _emit(_json_text(payload), args.out)

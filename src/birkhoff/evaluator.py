@@ -16,7 +16,7 @@ sums over the res_below / circ_exact / circ_range classes at index m + 2,
 up to the cutoff 2*ell), and the cancellation check {h0, F_i} +
 non-resonant circ_exact block = 0.  All three are one weighted sum,
 ``_assemble``, into a ledger that keeps the config it was built with.
-Each, like the oracle's two, first calls ``EvalConfig.check_order``.
+Both ledgers, like the oracle's two, first call ``EvalConfig.check_order``.
 
 ``EvalConfig`` is frozen and holds no state.  Kernels are memoized at
 module level: ``h0``/``h1`` per (lattice, cutoff), and each tree's kernel
@@ -158,7 +158,8 @@ class ExpansionLedger:
     m: Optional[int] = None
     ell: Optional[int] = None
 
-    def to_json(self) -> dict:
+    def _document(self, kernel) -> dict:
+        """The ledger's JSON document, with ``kernel(k)`` for each kernel."""
         return {
             "m": self.m,
             "ell": self.ell,
@@ -168,32 +169,28 @@ class ExpansionLedger:
                     "tree": render(e.tree),
                     "S": e.weight.denominator,
                     "weight": str(e.weight),
-                    "kernel": e.kernel.to_json(),
+                    "kernel": kernel(e.kernel),
                 }
                 for e in self.entries
             ],
-            "total": self.total.to_json(),
+            "total": kernel(self.total),
         }
+
+    def to_json(self) -> dict:
+        return self._document(Kernel.to_json)
 
     def json_text(self) -> str:
         """``json.dumps(self.to_json(), sort_keys=True, indent=2)`` plus a
-        newline, byte for byte, with each kernel written by
-        ``Kernel.json_text``."""
-        config = json.dumps(self.cfg.to_json(), sort_keys=True,
-                            indent=2).replace("\n", "\n  ")
-        entries = ",".join(
-            f'\n    {{\n      "S": {json.dumps(e.weight.denominator)},'
-            f'\n      "kernel": {e.kernel.json_text(3)},'
-            f'\n      "tree": {json.dumps(render(e.tree))},'
-            f'\n      "weight": {json.dumps(str(e.weight))}\n    }}'
-            for e in self.entries
-        )
-        listing = f"[{entries}\n  ]" if entries else "[]"
-        return (f'{{\n  "config": {config},'
-                f'\n  "ell": {json.dumps(self.ell)},'
-                f'\n  "entries": {listing},'
-                f'\n  "m": {json.dumps(self.m)},'
-                f'\n  "total": {self.total.json_text(1)}\n}}\n')
+        newline, byte for byte.  The json module lays out the document
+        with a placeholder in each kernel's place; ``Kernel.json_text``
+        then fills them in order: the entries' kernels, then the total."""
+        hole = "\0"  # no tree, weight or config value holds a NUL
+        layout = json.dumps(self._document(lambda _: hole), sort_keys=True,
+                            indent=2)
+        *heads, tail = layout.split(json.dumps(hole))
+        kernels = [(e.kernel, 3) for e in self.entries] + [(self.total, 1)]
+        return "".join(head + k.json_text(depth) for head, (k, depth)
+                       in zip(heads, kernels)) + tail + "\n"
 
 
 def _assemble(trees: Iterable[Tree], cfg: EvalConfig, **meta) -> ExpansionLedger:
@@ -236,15 +233,17 @@ def normal_form(m: int, cfg: EvalConfig) -> ExpansionLedger:
     return _assemble(trees, cfg, m=m, ell=ell)
 
 
-def cancellation_check(i: int, cfg: EvalConfig) -> Kernel:
-    """Residual of {h0, F_i} + nonres(sum over circ_exact(i+1) of pi/S).
+def cancellation_check(f: ExpansionLedger) -> Kernel:
+    """Residual of {h0, F_i} + nonres(sum over circ_exact(i+1) of pi/S) for
+    the generator ledger ``f = f_transform(i, cfg)``, whose order i and
+    config it reads.
 
     The defining property of the generators is that this residual is the
     zero kernel: the bracket with the kinetic term cancels the targeted
     non-resonant block exactly.  The split is linear, so taking the
     non-resonant part of the weighted sum equals summing the parts.
     """
-    f = f_transform(i, cfg)  # refuses an i outside 1 <= i < ell
-    trees = tree_class(circ_exact(i + 1), cfg.cap)
+    cfg = f.cfg
+    trees = tree_class(circ_exact(f.m + 1), cfg.cap)
     _, nonres = split_resonant(_assemble(trees, cfg).total, cfg.resonance)
     return poisson_bracket(cfg.h0(), f.total) + nonres

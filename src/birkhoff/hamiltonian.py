@@ -55,6 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -231,6 +232,10 @@ class _Codec:
 @functools.cache
 def _codec_for(lattice: ModeLattice, cutoff: int) -> _Codec:
     return _Codec(lattice, cutoff)
+
+
+# the coefficient form that ``_ratio`` writes; ``from_json`` reads no other
+_RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _ratio(c: int, den: int) -> str:
@@ -452,12 +457,14 @@ class Kernel:
             m = Monomial.of(u, ubar)
             if m in terms:
                 raise ValueError(f"monomial {m} listed twice")
-            # JSON strings only: Fraction would take 2.0 and true, and read
-            # a float such as 0.1 as its binary value
+            # JSON strings in the written form only: Fraction would take
+            # 2.0, true, "+2" and " 2 ", and expand "1e99999999" in full
             for key in ("re", "im"):
-                if type(entry[key]) is not str:
-                    raise ValueError(
-                        f"{key} must be a string: {entry[key]!r}")
+                text = entry[key]
+                if type(text) is not str:
+                    raise ValueError(f"{key} must be a string: {text!r}")
+                if not _RATIO.fullmatch(text):
+                    raise ValueError(f"Invalid literal for {key}: {text!r}")
             try:
                 real, terms[m] = Fraction(entry["re"]), Fraction(entry["im"])
             except ZeroDivisionError as exc:

@@ -145,7 +145,8 @@ def test_criterion_4_cancellation_identities():
     for threshold in (0, 3):
         for i in (1, 2):
             cfg = make_cfg(threshold=threshold, cutoff=6)
-            assert cancellation_check(i, cfg).is_zero, (i, threshold)
+            residual = cancellation_check(f_transform(i, cfg))
+            assert residual.is_zero, (i, threshold)
     done()
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from birkhoff import cli, hamiltonian
+from birkhoff import cli, evaluator, hamiltonian
 from birkhoff.cli import CONFIG_ENV, main
 from birkhoff.hamiltonian import ModeLattice
 
@@ -257,6 +257,23 @@ class TestVerify:
         assert all(data["checks"].values())
         assert "all checks passed" in err
 
+    def test_builds_each_generator_ledger_once(self, capsys, monkeypatch):
+        # the cancellation check takes the F_i ledger that verify built
+        calls = []
+
+        def counted(build):
+            def wrapper(i, cfg):
+                calls.append(i)
+                return build(i, cfg)
+            return wrapper
+
+        monkeypatch.setattr(cli, "f_transform", counted(cli.f_transform))
+        monkeypatch.setattr(evaluator, "f_transform",
+                            counted(evaluator.f_transform))
+        code, out, _ = run(capsys, "verify", "--m", "2", "--ell", "3")
+        assert code == 0 and all(json.loads(out)["checks"].values())
+        assert calls == [1, 2]
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         # a bug is neither a failed identity (1) nor bad input (2)
         def broken(m, cfg):
@@ -339,6 +356,16 @@ class TestVerify:
         )
         assert code == 2 and key in err and out == ""
 
+    def test_ledger_oversized_integer(self, capsys, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
+        text = ledger.read_text()
+        ledger.write_text(text.replace('"m": 1', '"m": 1' + "0" * 5000, 1))
+        code, out, err = run(
+            capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
+        )
+        assert code == 2 and "cannot read ledger" in err and out == ""
+
     def test_ledger_records_another_nested_rule(self, capsys, tmp_path):
         ledger = tmp_path / "ledger.json"
         run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
@@ -369,13 +396,22 @@ class TestVerify:
         (_coefficient_as(2), "im must be a string"),
         (_coefficient_as(2.0), "im must be a string"),
         (_coefficient_as(True), "im must be a string"),
+        # Fraction reads each of these, and would expand "1e99999999" in
+        # full; the writer emits none of them
+        (_coefficient_as("1e400"), "Invalid literal"),
+        (_coefficient_as("2.0"), "Invalid literal"),
+        (_coefficient_as("+2"), "Invalid literal"),
+        (_coefficient_as(" 2 "), "Invalid literal"),
+        (_real_part_as("0.0"), "Invalid literal"),
     ], ids=["radius", "max-degree", "zero-off-lattice", "zero-above-cutoff",
             "split-term", "zero-denominator",
             "fractional-mode", "boolean-mode", "float-max-degree",
             "real-part", "integer-real-part", "boolean-real-part",
             "zero-denominator-real-part", "non-number-real-part",
             "missing-real-part", "integer-coefficient", "float-coefficient",
-            "boolean-coefficient"])
+            "boolean-coefficient", "exponent-coefficient",
+            "decimal-coefficient", "plus-coefficient", "spaced-coefficient",
+            "decimal-real-part"])
     def test_bad_ledger_total(self, capsys, tmp_path, edit, message):
         ledger = tmp_path / "ledger.json"
         run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
@@ -550,6 +586,15 @@ class TestConfigPrecedence:
         else:
             monkeypatch.setenv(CONFIG_ENV, str(cfg))
         code, out, err = run(capsys, *argv)
+        assert code == 2 and "cannot read config file" in err and out == ""
+
+    def test_oversized_integer(self, capsys, tmp_path):
+        # json.load refuses an integer of more digits than int() reads
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"dim": 1' + "0" * 5000 + "}")
+        code, out, err = run(
+            capsys, "f-transform", "--m", "1", "--config", str(cfg)
+        )
         assert code == 2 and "cannot read config file" in err and out == ""
 
     def test_bad_values(self, capsys):

@@ -445,6 +445,28 @@ class TestKernelValue:
         assert data["dim"] == 1 and data["radius"] == 2
         assert Kernel.from_json(data) == a
 
+    @pytest.mark.parametrize("key, text", [
+        ("im", "1e400"), ("im", "2.0"), ("im", "+2"), ("im", " 2 "),
+        ("im", "2_0"), ("im", "2\n"), ("im", "\u0662"), ("im", "4/+2"),
+        ("re", "0.0"), ("re", "0e5"),
+    ])
+    def test_json_reads_only_the_written_form(self, key, text):
+        # Fraction reads each of these, and would expand "1e99999999" in
+        # full, digit by digit
+        data = Kernel.of(LAT1, 4, {mono([1], [1]): 2}).to_json()
+        data["terms"][0][key] = text
+        with pytest.raises(ValueError, match="Invalid literal"):
+            Kernel.from_json(data)
+
+    @pytest.mark.parametrize("re_text, im_text, value", [
+        ("0", "-1/3", Fraction(-1, 3)), ("0/7", "4/2", 2), ("-0", "02", 2),
+    ])
+    def test_json_reads_the_written_form(self, re_text, im_text, value):
+        m = mono([1], [1])
+        data = Kernel.of(LAT1, 4, {m: 1}).to_json()
+        data["terms"][0].update(re=re_text, im=im_text)
+        assert Kernel.from_json(data) == Kernel.of(LAT1, 4, {m: value})
+
     def test_monomial_needs_balance(self):
         with pytest.raises(ValueError):
             Monomial.of([(1,)], [])

@@ -37,8 +37,7 @@ def make_cfg(K_radius=2, threshold=0, cutoff=8, dim=1):
 
 
 @pytest.mark.parametrize("entry", [
-    normal_form, f_transform, cancellation_check, birkhoff_iterate,
-    generators_from_recursion,
+    normal_form, f_transform, birkhoff_iterate, generators_from_recursion,
 ], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("order", [0, 2])
 def test_order_rule_at_every_entry_point(entry, order):
@@ -347,8 +346,9 @@ class TestCentralVerification:
         cfg = make_cfg(K_radius=1, cutoff=8, dim=2)
         recs = generators_from_recursion(3, cfg)
         for i in (1, 2, 3):
-            assert compare(f_transform(i, cfg).total, recs[i - 1]).equal
-            assert cancellation_check(i, cfg).is_zero
+            f = f_transform(i, cfg)
+            assert compare(f.total, recs[i - 1]).equal
+            assert cancellation_check(f).is_zero
 
 
 class TestInvariants:
@@ -366,6 +366,25 @@ class TestInvariants:
         for kernel in kernels:
             assert all(type(c) is Fraction for _, c in kernel.items())
             assert {t["re"] for t in kernel.to_json()["terms"]} <= {"0"}
+
+    @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
+    def test_zero_momentum(self, dim, K_radius):
+        # h0 and h1 conserve momentum, and so does every bracket, filter
+        # and split built on them
+        cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
+        ledgers = [normal_form(2, cfg), f_transform(1, cfg),
+                   f_transform(2, cfg)]
+        oracle = birkhoff_iterate(2, cfg)
+        kernels = [oracle.normal_form, *oracle.f_list,
+                   *generators_from_recursion(2, cfg)]
+        for ledger in ledgers:
+            assert ledger.entries
+            kernels += [e.kernel for e in ledger.entries] + [ledger.total]
+        zero = (0,) * dim
+        for kernel in kernels:
+            assert not kernel.is_zero
+            for m in kernel.support():
+                assert m.momentum() == zero, m
 
     @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
     def test_swap_parity(self, dim, K_radius):

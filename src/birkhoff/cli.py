@@ -8,17 +8,21 @@ configuration flags; --cap bounds the tree enumeration of each.
 Configuration precedence: explicit flags > JSON config file (--config or
 the BIRKHOFF_CONFIG environment variable) > defaults (dim 1, K 2, N 0,
 cap 10^6).  All JSON output is deterministic: sorted keys, exact
-rationals as strings.  Exit codes: 0 success / all residuals empty,
-1 nonempty verification residual, 2 configuration or input errors,
-3 an internal error (its traceback goes to stderr).
+rationals as strings, written in pieces as they are made.  Exit codes:
+0 success / all residuals empty, 1 nonempty verification residual,
+2 configuration or input errors, an --out file that cannot be written
+or a stdout whose reader has gone, 3 an internal error (its traceback
+goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
+from typing import Iterable
 
 from .enumeration import (
     ClassKind,
@@ -93,15 +97,25 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the text pieces to ``out``, or to stdout, one at a time."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise CliError(f"cannot write {out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader has gone; what stdout still buffers goes to
+            # devnull, so the interpreter's final flush cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise CliError(f"cannot write stdout: {exc}") from exc
 
 
 def _note(message: str) -> None:
@@ -118,13 +132,13 @@ def cmd_trees(args: argparse.Namespace) -> int:
     payload = query.to_json(trees)
     if args.format in ("latex", "dot"):
         payload["renders"] = [render(t, args.format) for t in trees]
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     _note(f"count={len(trees)} degrees={payload['degrees']}")
     return 0
 
 
 def _write_ledger(ledger: ExpansionLedger, out: str | None) -> None:
-    _emit(ledger.json_text(), out)
+    _emit(ledger.json_pieces(), out)
     _note(f"{'tree':<42} {'S':>4} {'#monomials':>10}")
     for e in ledger.entries:
         _note(f"{render(e.tree):<42} {e.weight.denominator:>4} "
@@ -154,7 +168,15 @@ def _read_ledger(path: str, m: int, ec: EvalConfig) -> Kernel:
     """The total of a saved expand ledger made at exactly this request."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            # the document holds no cycles, and the cyclic collector would
+            # walk every container json.load allocates: pause it
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                data = json.load(fh)
+            finally:
+                if collecting:
+                    gc.enable()
         recorded = {"m": data["m"], "ell": data["ell"], **data["config"]}
         raw = data["total"]
         # a codec spans all (2K+1)^dim modes, so the total's lattice is
@@ -200,7 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             checks[f"f_transform_{i}"] = compare(f.total, recursion).equal
     payload = report.to_json()
     payload["checks"] = checks
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     ok = all(checks.values())
     _note("all checks passed" if ok else f"FAILED: {checks}")
     return 0 if ok else 1
@@ -211,7 +233,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         tree = parse(args.tree)
     except ParseError as exc:
         raise CliError(str(exc)) from exc
-    print(render(tree, args.format))
+    _emit([render(tree, args.format) + "\n"], None)
     return 0
 
 

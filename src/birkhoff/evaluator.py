@@ -17,6 +17,8 @@ up to the cutoff 2*ell), and the cancellation check {h0, F_i} +
 non-resonant circ_exact block = 0.  All three are one weighted sum,
 ``_assemble``, into a ledger that keeps the config it was built with.
 Both ledgers, like the oracle's two, first call ``EvalConfig.check_order``.
+A ledger's JSON text comes out in pieces, one per kernel and one per
+stretch of layout between them, so a writer never holds the whole text.
 
 ``EvalConfig`` is frozen and holds no state.  Kernels are memoized at
 module level: ``h0``/``h1`` per (lattice, cutoff), and each tree's kernel
@@ -30,7 +32,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .enumeration import (
     DEFAULT_CAP,
@@ -179,18 +181,22 @@ class ExpansionLedger:
     def to_json(self) -> dict:
         return self._document(Kernel.to_json)
 
-    def json_text(self) -> str:
+    def json_pieces(self) -> Iterator[str]:
         """``json.dumps(self.to_json(), sort_keys=True, indent=2)`` plus a
-        newline, byte for byte.  The json module lays out the document
-        with a placeholder in each kernel's place; ``Kernel.json_text``
-        then fills them in order: the entries' kernels, then the total."""
+        newline, byte for byte, in pieces, so that the whole text never
+        exists at once.  The json module lays out the document with a
+        placeholder in each kernel's place; each head of that layout is
+        followed by ``Kernel.json_text`` of the next kernel in order: the
+        entries' kernels, then the total."""
         hole = "\0"  # no tree, weight or config value holds a NUL
         layout = json.dumps(self._document(lambda _: hole), sort_keys=True,
                             indent=2)
         *heads, tail = layout.split(json.dumps(hole))
         kernels = [(e.kernel, 3) for e in self.entries] + [(self.total, 1)]
-        return "".join(head + k.json_text(depth) for head, (k, depth)
-                       in zip(heads, kernels)) + tail + "\n"
+        for head, (k, depth) in zip(heads, kernels):
+            yield head
+            yield k.json_text(depth)
+        yield tail + "\n"
 
 
 def _assemble(trees: Iterable[Tree], cfg: EvalConfig, **meta) -> ExpansionLedger:

@@ -1,5 +1,11 @@
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +181,101 @@ def test_cap_bounds_every_enumeration(capsys, argv):
     code, _, err = run(capsys, *argv, "--cap", "1")
     assert code == 2 and "cap" in err
 
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestLedgerIO:
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--m", "2", "--ell", "4"),
+        ("f-transform", "--m", "2"),
+    ], ids=["expand-2-4", "f-transform-2"])
+    def test_out_matches_stdout(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "ledger.json"
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--out", str(out_path)) == (0, "", err)
+        assert out_path.read_bytes() == out.encode()
+
+    def test_writer_holds_no_whole_ledger(self, capsys, tmp_path):
+        # the expand --m 3 --ell 5 ledger: 8.2 MB, written in pieces
+        cfg = evaluator.EvalConfig(ModeLattice(1, 2),
+                                   hamiltonian.ResonanceConfig(0), 10)
+        ledger = evaluator.normal_form(3, cfg)
+        path = tmp_path / "ledger.json"
+        tracemalloc.start()
+        try:
+            cli._write_ledger(ledger, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+
+    # 768 KB of ledger and 230 KB of dot, each more than a pipe holds, so
+    # a write must meet the closed pipe.  Unbuffered, the dot text is one
+    # write, cut short when the pipe closes; the text layer drops a short
+    # write silently, so only a later write, as the ledger's pieces
+    # make, can see the closed pipe.
+    @pytest.mark.parametrize("argv, unbuffered", [
+        (("expand", "--m", "2", "--ell", "4"), False),
+        (("expand", "--m", "2", "--ell", "4"), True),
+        (("render", "--format", "dot",
+          "--tree", "(o " * 3000 + "(o)" + " (n))" * 3000), False),
+    ], ids=["expand-buffered", "expand-unbuffered", "render-buffered"])
+    def test_closed_stdout_exits_2(self, argv, unbuffered):
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "birkhoff.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert len(proc.stdout.read(16)) == 16
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        err = err.decode()
+        assert proc.returncode == 2, err
+        assert err.startswith("error: cannot write stdout: ")
+        assert err.count("\n") == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize("collecting", [True, False],
+                             ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("edit, code", [
+        (lambda text: text, 0),
+        (lambda text: text[:-100], 2),
+        (lambda text: b"[" * 200000, 2),
+    ], ids=["good", "truncated", "deep"])
+    def test_reader_pauses_the_collector(self, capsys, tmp_path, monkeypatch,
+                                         collecting, edit, code):
+        # the load runs with the collector paused, and the caller's
+        # setting is back afterwards, whether the ledger reads or not
+        ledger = tmp_path / "ledger.json"
+        run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
+        ledger.write_bytes(edit(ledger.read_bytes()))
+        seen = []
+
+        def load(fh):
+            seen.append(gc.isenabled())
+            return json_load(fh)
+
+        json_load = cli.json.load
+        monkeypatch.setattr(cli.json, "load", load)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            got = main(["verify", "--m", "1", "--ell", "3",
+                        "--ledger", str(ledger)])
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert got == code and seen == [False]
 
 # edits of the total of an `expand --m 1 --ell 3` ledger, each of which
 # `verify --ledger` must refuse

@@ -288,7 +288,7 @@ def _first_difference(got: str, want: str):
 
 
 class TestLedgerText:
-    """``json_text`` against the json module's indenting encoder."""
+    """``json_pieces`` against the json module's indenting encoder."""
 
     CASES = pytest.mark.parametrize(
         "build",
@@ -301,14 +301,15 @@ class TestLedgerText:
     def test_matches_json_dumps(self, build):
         ledger = build()
         want = json.dumps(ledger.to_json(), sort_keys=True, indent=2)
-        assert _first_difference(ledger.json_text(), want + "\n") is None
+        got = "".join(ledger.json_pieces())
+        assert _first_difference(got, want + "\n") is None
 
     @CASES
     def test_kernels_read_back(self, build):
-        # an independent check of the content, now that json_text and
+        # an independent check of the content, now that json_pieces and
         # to_json share the layout
         ledger = build()
-        data = json.loads(ledger.json_text())
+        data = json.loads("".join(ledger.json_pieces()))
         assert len(data["entries"]) == len(ledger.entries)
         for got, e in zip(data["entries"], ledger.entries):
             assert Kernel.from_json(got["kernel"]) == e.kernel

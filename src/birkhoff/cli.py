@@ -10,9 +10,9 @@ the BIRKHOFF_CONFIG environment variable) > defaults (dim 1, K 2, N 0,
 cap 10^6).  All JSON output is deterministic: sorted keys, exact
 rationals as strings, written in pieces as they are made.  Exit codes:
 0 success / all residuals empty, 1 nonempty verification residual,
-2 configuration or input errors, an --out file that cannot be written
-or a stdout whose reader has gone, 3 an internal error (its traceback
-goes to stderr).
+2 configuration or input errors, an --out file or a stdout that cannot
+be written (say its reader has gone), 3 an internal error (its
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import gc
 import json
 import os
 import sys
+from fractions import Fraction
 from typing import Iterable
 
 from .enumeration import (
@@ -97,20 +98,37 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _write(stream, pieces: Iterable[str], encoding: str) -> None:
+    """Write each text piece, encoded, to the binary ``stream``.  An
+    unbuffered stream may take only part of a write, as a pipe does when
+    its reader goes, so each count is checked and the rest written again,
+    which meets the closed pipe."""
+    for piece in pieces:
+        data = memoryview(piece.encode(encoding))
+        while data:
+            written = stream.write(data)
+            if not written:
+                raise OSError(f"wrote {written!r} of {len(data)} bytes")
+            data = data[written:]
+    stream.flush()
+
+
 def _emit(pieces: Iterable[str], out: str | None) -> None:
     """Write the text pieces to ``out``, or to stdout, one at a time."""
     if out:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.writelines(pieces)
+            with open(out, "wb") as fh:
+                _write(fh, pieces, "utf-8")
         except OSError as exc:
             raise CliError(f"cannot write {out}: {exc}") from exc
     else:
+        # beneath the text layer, which drops the rest of a short write;
+        # what that layer already holds goes first
+        sys.stdout.flush()
         try:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
-        except BrokenPipeError as exc:
-            # the reader has gone; what stdout still buffers goes to
+            _write(sys.stdout.buffer, pieces, sys.stdout.encoding)
+        except OSError as exc:
+            # say the reader has gone; what stdout still buffers goes to
             # devnull, so the interpreter's final flush cannot fail again
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
@@ -164,6 +182,90 @@ def cmd_f_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+_BLANK = json.decoder.WHITESPACE.match
+
+
+def _token(s: str, i: int, allowed: str, expecting: str) -> tuple[str, int]:
+    """The first non-blank character of ``s`` from ``i``, which must be
+    one of ``allowed``, and the index past it."""
+    i = _BLANK(s, i).end()
+    c = s[i:i + 1]
+    if not c or c not in allowed:
+        raise json.JSONDecodeError(f"Expecting {expecting}", s, i)
+    return c, i + 1
+
+
+def _check_entry(n: int, entry) -> None:
+    """Ledger entry ``n`` must be an object whose tree parses and whose
+    weight is 1/S for a positive integer S."""
+    if type(entry) is not dict:
+        raise ValueError(f"entry {n} is not an object")
+    tree, factor = entry.get("tree"), entry.get("S")
+    if type(tree) is not str:
+        raise ValueError(f"entry {n} tree must be a string: {tree!r}")
+    try:
+        parse(tree)
+    except ParseError as exc:
+        raise ValueError(f"entry {n} tree {tree!r}: {exc}") from exc
+    # a JSON integer: 2.0 and true compare equal to 2 and 1
+    if type(factor) is not int or factor < 1:
+        raise ValueError(f"entry {n} {tree} has S {factor!r}, "
+                         f"not a positive integer")
+    weight = str(Fraction(1, factor))
+    if entry.get("weight") != weight:
+        raise ValueError(f"entry {n} {tree} has weight "
+                         f"{entry.get('weight')!r}, not {weight!r}")
+
+
+class _LedgerDecoder(json.JSONDecoder):
+    """Reads a ledger document as ``json.loads`` would, except that
+    ``entries`` holds each entry without its kernel, checked by
+    ``_check_entry``.
+
+    The entries' kernels are nearly all of a ledger's terms.  The top
+    object is walked one value at a time with ``raw_decode``, and the
+    entries one element at a time, each kernel dropped before the next
+    entry is read, so no two are alive at once.  As in ``json``, a
+    repeated key keeps its last value.
+    """
+
+    def decode(self, s: str) -> dict:
+        doc = {}
+        _, i = _token(s, 0, "{", "'{'")
+        c, i = _token(s, i, '"}', "property name enclosed in double quotes")
+        while c == '"':
+            key, i = self.parse_string(s, i, self.strict)
+            _, i = _token(s, i, ":", "':' delimiter")
+            i = _BLANK(s, i).end()
+            if key == "entries":
+                doc[key], i = self._entries(s, i)
+            else:
+                doc[key], i = self.raw_decode(s, i)
+            c, i = _token(s, i, ",}", "',' delimiter")
+            if c == ",":
+                c, i = _token(s, i, '"',
+                              "property name enclosed in double quotes")
+        i = _BLANK(s, i).end()
+        if i != len(s):
+            raise json.JSONDecodeError("Extra data", s, i)
+        return doc
+
+    def _entries(self, s: str, i: int) -> tuple[list, int]:
+        _, i = _token(s, i, "[", "'[' to open entries")
+        entries: list[dict] = []
+        i = _BLANK(s, i).end()
+        if s.startswith("]", i):
+            return entries, i + 1
+        while True:
+            entry, i = self.raw_decode(s, _BLANK(s, i).end())
+            _check_entry(len(entries), entry)
+            entry.pop("kernel", None)
+            entries.append(entry)
+            c, i = _token(s, i, ",]", "',' delimiter")
+            if c == "]":
+                return entries, i
+
+
 def _read_ledger(path: str, m: int, ec: EvalConfig) -> Kernel:
     """The total of a saved expand ledger made at exactly this request."""
     try:
@@ -173,7 +275,7 @@ def _read_ledger(path: str, m: int, ec: EvalConfig) -> Kernel:
             collecting = gc.isenabled()
             gc.disable()
             try:
-                data = json.load(fh)
+                data = json.load(fh, cls=_LedgerDecoder)
             finally:
                 if collecting:
                     gc.enable()

@@ -19,9 +19,11 @@ u-block, the exponent of mode j sitting in bits [wj, w(j+1)) of its
 block.  Keys sort by degree, the product of two monomials is the sum of
 their keys, and a derivative subtracts one shifted unit from a block and
 one from the degree.  ``Monomial`` and the rational c of each i*c appear
-only at the boundary.  ``Kernel.of`` is the one way in, and
-``from_json`` and ``with_cutoff`` build through it; ``items`` is the
-way out, and ``to_json`` and ``with_cutoff`` read it.  Three readers
+only at the boundary.  ``Kernel.of`` is the one way in from monomials,
+and ``with_cutoff`` builds through it; ``from_json`` sums each term's
+key straight from its ``u``/``ubar`` lists through the codec's unit
+tables, as ``h0`` and ``h1`` do, and makes no ``Monomial``.  ``items``
+is the way out, and ``to_json`` and ``with_cutoff`` read it.  Three readers
 keep their own path: ``coefficient`` looks up one monomial, ``support``
 lists them, and ``json_text`` writes the text of ``to_json`` straight
 from the keys.  Each codec decodes an exponent block (the u or the ubar
@@ -234,7 +236,7 @@ def _codec_for(lattice: ModeLattice, cutoff: int) -> _Codec:
     return _Codec(lattice, cutoff)
 
 
-# the coefficient form that ``_ratio`` writes; ``from_json`` reads no other
+# the coefficient form that ``_ratio`` writes; ``_read_ratio`` reads no other
 _RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -242,6 +244,21 @@ def _ratio(c: int, den: int) -> str:
     """c/den in lowest terms, as ``str(Fraction(c, den))`` writes it."""
     g = math.gcd(c, den)
     return str(c // g) if g == den else f"{c // g}/{den // g}"
+
+
+def _read_ratio(term: dict, part: str) -> tuple[int, int]:
+    """The (numerator, denominator) of a term's "re" or "im" string."""
+    text = term[part]
+    # JSON strings in the written form only: int would take " 2 " and
+    # "2_0", and Fraction 2.0, true, "+2" and "1e99999999" (in full)
+    if type(text) is not str:
+        raise ValueError(f"{part} must be a string: {text!r}")
+    if not _RATIO.fullmatch(text):
+        raise ValueError(f"Invalid literal for {part}: {text!r}")
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise ValueError(f"zero denominator: {term}")
+    return int(num), int(den or 1)
 
 
 def _check_cutoff(max_degree: int) -> None:
@@ -442,36 +459,52 @@ class Kernel:
 
     @staticmethod
     def from_json(data: dict) -> "Kernel":
+        """The kernel ``to_json`` wrote.  Each term's key is summed from
+        the codec's unit tables, as ``h1`` builds its keys, and each
+        coefficient is read with ``int``; every term's modes, types and
+        degree are checked before the zeros are dropped."""
         # JSON integers only: 2.0 and true compare equal to 2 and 1
         for key in ("dim", "radius", "max_degree"):
             if type(data[key]) is not int:
                 raise ValueError(f"{key} must be an integer: {data[key]!r}")
         lattice = ModeLattice(data["dim"], data["radius"])
-        terms = {}
+        max_degree = data["max_degree"]
+        _check_cutoff(max_degree)
+        codec = _codec_for(lattice, max_degree)
+        index, u_units, ubar_units = codec.index, codec.u_units, codec.ubar_units
+        terms: dict[int, tuple[int, int]] = {}
         for entry in data["terms"]:
-            u = [tuple(a) for a in entry["u"]]
-            ubar = [tuple(b) for b in entry["ubar"]]
-            # JSON integers only: 1.5 would pass the lattice's |c| <= K
-            if any(type(c) is not int for mode in u + ubar for c in mode):
-                raise ValueError(f"mode coordinates must be integers: {entry}")
-            m = Monomial.of(u, ubar)
-            if m in terms:
-                raise ValueError(f"monomial {m} listed twice")
-            # JSON strings in the written form only: Fraction would take
-            # 2.0, true, "+2" and " 2 ", and expand "1e99999999" in full
-            for key in ("re", "im"):
-                text = entry[key]
-                if type(text) is not str:
-                    raise ValueError(f"{key} must be a string: {text!r}")
-                if not _RATIO.fullmatch(text):
-                    raise ValueError(f"Invalid literal for {key}: {text!r}")
-            try:
-                real, terms[m] = Fraction(entry["re"]), Fraction(entry["im"])
-            except ZeroDivisionError as exc:
-                raise ValueError(f"zero denominator: {entry}") from exc
+            u, ubar = entry["u"], entry["ubar"]
+            if len(u) != len(ubar) or not u:
+                raise ValueError("monomial needs equally many u and ubar "
+                                 "factors")
+            # above the cutoff an exponent could carry into the next field
+            degree = 2 * len(u)
+            if degree > max_degree:
+                raise ValueError(f"monomial degree {degree} above cutoff")
+            key = degree << codec.shift
+            for units, factors in ((u_units, u), (ubar_units, ubar)):
+                for mode in map(tuple, factors):
+                    # JSON integers only: 1.5 would pass the lattice's
+                    # |c| <= K, and (1.0,) would find the index of (1,)
+                    for c in mode:
+                        if type(c) is not int:
+                            raise ValueError(
+                                f"mode coordinates must be integers: {entry}")
+                    j = index.get(mode)
+                    if j is None:
+                        raise ValueError(f"mode {mode} outside lattice")
+                    key += units[j]
+            if key in terms:
+                raise ValueError(f"monomial {codec.monomial(key)} listed twice")
+            real, real_den = _read_ratio(entry, "re")
+            terms[key] = _read_ratio(entry, "im")
             if real:
-                raise ValueError(f"nonzero real part in {m}: {real}")
-        return Kernel.of(lattice, data["max_degree"], terms)
+                raise ValueError(f"nonzero real part in {codec.monomial(key)}: "
+                                 f"{Fraction(real, real_den)}")
+        den = math.lcm(*(d for _, d in terms.values()))
+        return Kernel(lattice, max_degree, {
+            key: c * (den // d) for key, (c, d) in terms.items()}, den)
 
 
 def h0(lattice: ModeLattice, cutoff: int) -> Kernel:

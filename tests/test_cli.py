@@ -213,15 +213,15 @@ class TestLedgerIO:
 
     # 768 KB of ledger and 230 KB of dot, each more than a pipe holds, so
     # a write must meet the closed pipe.  Unbuffered, the dot text is one
-    # write, cut short when the pipe closes; the text layer drops a short
-    # write silently, so only a later write, as the ledger's pieces
-    # make, can see the closed pipe.
-    @pytest.mark.parametrize("argv, unbuffered", [
-        (("expand", "--m", "2", "--ell", "4"), False),
-        (("expand", "--m", "2", "--ell", "4"), True),
-        (("render", "--format", "dot",
-          "--tree", "(o " * 3000 + "(o)" + " (n))" * 3000), False),
-    ], ids=["expand-buffered", "expand-unbuffered", "render-buffered"])
+    # write, cut short when the pipe closes; the rest of it is written
+    # again, and that write sees the closed pipe.
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--m", "2", "--ell", "4"),
+        ("render", "--format", "dot",
+         "--tree", "(o " * 3000 + "(o)" + " (n))" * 3000),
+    ], ids=["expand", "render"])
     def test_closed_stdout_exits_2(self, argv, unbuffered):
         env = {k: v for k, v in os.environ.items()
                if k != "PYTHONUNBUFFERED"}
@@ -261,9 +261,9 @@ class TestLedgerIO:
         ledger.write_bytes(edit(ledger.read_bytes()))
         seen = []
 
-        def load(fh):
+        def load(fh, **kwargs):
             seen.append(gc.isenabled())
-            return json_load(fh)
+            return json_load(fh, **kwargs)
 
         json_load = cli.json.load
         monkeypatch.setattr(cli.json, "load", load)
@@ -276,6 +276,109 @@ class TestLedgerIO:
         finally:
             (gc.enable if was else gc.disable)()
         assert got == code and seen == [False]
+
+    def test_reader_holds_no_entry_kernels(self, capsys, tmp_path):
+        # the expand --m 3 --ell 5 ledger: its entries' kernels, 91% of
+        # its terms, are read one at a time; read whole, the peak was
+        # 3.1 times the file's size
+        cfg = evaluator.EvalConfig(ModeLattice(1, 2),
+                                   hamiltonian.ResonanceConfig(0), 10)
+        ledger = evaluator.normal_form(3, cfg)
+        path = tmp_path / "ledger.json"
+        cli._write_ledger(ledger, str(path))
+        tracemalloc.start()
+        try:
+            total = cli._read_ledger(str(path), 3, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total == ledger.total
+        assert peak < 2.5 * path.stat().st_size
+
+
+def _ledger_text(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+class TestLedgerDecoder:
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--m", "1", "--ell", "3"),
+        ("expand", "--m", "1", "--ell", "3", "--dim", "2", "--K", "1"),
+        ("f-transform", "--m", "2"),
+        ("f-transform", "--m", "1", "--dim", "2", "--K", "1"),
+    ], ids=["expand-d1", "expand-d2", "f-transform-d1", "f-transform-d2"])
+    def test_reads_what_json_reads(self, capsys, argv):
+        text = _ledger_text(capsys, *argv)
+        plain = json.loads(text)
+        got = json.loads(text, cls=cli._LedgerDecoder)
+        for key in ("m", "ell", "config", "total"):
+            assert got[key] == plain[key], key
+        # each entry without its kernel
+        assert got["entries"] == [
+            {key: value for key, value in entry.items() if key != "kernel"}
+            for entry in plain["entries"]]
+        assert got.keys() == plain.keys()
+
+    def test_last_repeated_key_wins(self, capsys):
+        text = _ledger_text(capsys, "expand", "--m", "1", "--ell", "3")
+        first = '{"m": 7, ' + text[1:]
+        last = text.rstrip()[:-1] + ', "m": 7}'
+        for doc, m in [(first, 1), (last, 7)]:
+            assert json.loads(doc, cls=cli._LedgerDecoder)["m"] == m
+            assert json.loads(doc)["m"] == m
+
+    def test_empty_containers(self):
+        assert json.loads(" { } ", cls=cli._LedgerDecoder) == {}
+        assert json.loads('{"entries": [ ]}', cls=cli._LedgerDecoder) == {
+            "entries": []}
+
+    @staticmethod
+    def _refused(capsys, path):
+        code, out, err = run(capsys, "verify", "--m", "1", "--ell", "3",
+                             "--ledger", str(path))
+        assert code == 2 and out == "", err
+        assert err.startswith("error: cannot read ledger"), err
+
+    def test_truncated(self, capsys, tmp_path):
+        text = _ledger_text(capsys, "expand", "--m", "1", "--ell", "3")
+        path = tmp_path / "ledger.json"
+        end = text.rindex("}")
+        # offsets spread over the document, and the closing brace
+        for cut in [*range(0, end, end // 97), end]:
+            path.write_text(text[:cut])
+            self._refused(capsys, path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text + "{}",
+        lambda text: text + "x",
+        lambda text: text.replace('"ell": 3,', '"ell": 3', 1),
+        lambda text: text.replace('"ell": 3,', '"ell" 3,', 1),
+        # between the entries, and inside one
+        lambda text: text.replace("\n    },\n    {", "\n    }\n    {", 1),
+        lambda text: text.replace('"S": 1,', '"S": 1', 1),
+        lambda text: text.replace('"m": 1,', '"m": 1,,', 1),
+        lambda text: text.rstrip()[:-1] + ",}",
+        lambda text: "[" + text + "]",
+        lambda text: "1",
+        lambda text: '"ledger"',
+        lambda text: "null",
+        lambda text: "",
+        lambda text: '{"entries": {}}',
+        lambda text: '{"entries": 5}',
+        lambda text: '{"entries": [' + "[" * 200000 + "]" * 200000 + "]}",
+        lambda text: '{"entries": [' + '{"a": ' * 200000,
+    ], ids=["trailing-object", "trailing-text", "missing-comma",
+            "missing-colon", "missing-comma-between-entries",
+            "missing-comma-in-entry", "double-comma", "trailing-comma",
+            "top-level-array", "top-level-number", "top-level-string",
+            "top-level-null", "empty", "entries-object", "entries-number",
+            "entries-nested-deep", "entries-nested-objects"])
+    def test_malformed(self, capsys, tmp_path, edit):
+        text = _ledger_text(capsys, "expand", "--m", "1", "--ell", "3")
+        path = tmp_path / "ledger.json"
+        path.write_text(edit(text))
+        self._refused(capsys, path)
 
 # edits of the total of an `expand --m 1 --ell 3` ledger, each of which
 # `verify --ledger` must refuse
@@ -523,6 +626,45 @@ class TestVerify:
             capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
         )
         assert code == 2 and message in err and out == ""
+
+    # entry 1 of the `expand --m 1 --ell 3` ledger is the r-leaf, S 1
+    @pytest.mark.parametrize("edit, message", [
+        (lambda entry: entry.update(S=2), "has weight '1', not '1/2'"),
+        (lambda entry: entry.update(S=0), "has S 0, not a positive integer"),
+        (lambda entry: entry.update(S=1.0), "has S 1.0, not a positive"),
+        (lambda entry: entry.update(S=True), "has S True, not a positive"),
+        (lambda entry: entry.pop("S"), "has S None, not a positive"),
+        (lambda entry: entry.update(weight="1/1"), "weight '1/1', not '1'"),
+        (lambda entry: entry.update(weight=1), "has weight 1, not '1'"),
+        (lambda entry: entry.update(tree="(o (k)"), "tree '(o (k)': expected"),
+        (lambda entry: entry.update(tree=5), "tree must be a string: 5"),
+        (lambda entry: entry.clear(), "tree must be a string: None"),
+    ], ids=["S", "zero-S", "float-S", "boolean-S", "missing-S",
+            "unreduced-weight", "integer-weight", "bad-tree", "number-tree",
+            "empty-entry"])
+    def test_bad_ledger_entry(self, capsys, tmp_path, edit, message):
+        ledger = tmp_path / "ledger.json"
+        run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
+        data = json.loads(ledger.read_text())
+        assert data["entries"][1]["tree"] == "(r)"
+        edit(data["entries"][1])
+        ledger.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
+        )
+        assert code == 2 and out == "", err
+        assert "entry 1 " in err and message in err, err
+
+    def test_entry_that_is_not_an_object(self, capsys, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        run(capsys, "expand", "--m", "1", "--ell", "3", "--out", str(ledger))
+        data = json.loads(ledger.read_text())
+        data["entries"][2] = ["(o (o) (n))"]
+        ledger.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "verify", "--m", "1", "--ell", "3", "--ledger", str(ledger)
+        )
+        assert code == 2 and out == "" and "entry 2 is not an object" in err
 
     def test_zero_real_part_as_a_fraction(self, capsys, tmp_path):
         # "0/7" is a string that reads as zero, so it is accepted

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -558,6 +559,32 @@ def test_codec_tables_match_direct_walk(case):
             assert codec.norm[block] == sum(
                 e * sum(c * c for c in modes[j]) for j, e in walk)
         assert codec.phase(key) == m.phase()
+
+
+@st.composite
+def kernels_of_dim(draw, dim):
+    """Kernels on a lattice of the given dim, coefficients of any size,
+    zeros among them."""
+    lat = ModeLattice(dim, draw(st.integers(0, 2 if dim < 3 else 1)))
+    cutoff = draw(st.sampled_from(range(2, 13, 2)))
+    modes = st.sampled_from(lat.modes())
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(1, cutoff // 2))
+        m = Monomial.of(draw(st.lists(modes, min_size=n, max_size=n)),
+                        draw(st.lists(modes, min_size=n, max_size=n)))
+        terms[m] = draw(st.fractions())
+    return Kernel.of(lat, cutoff, terms)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_json_round_trip_by_dim(dim, data):
+    # from the dict and from the text the ledger writer lays out
+    k = data.draw(kernels_of_dim(dim))
+    assert Kernel.from_json(k.to_json()) == k
+    assert Kernel.from_json(json.loads(k.json_text())) == k
 
 
 def test_codec_tables_are_per_codec():

@@ -21,9 +21,11 @@ A ledger's JSON text comes out in pieces, one per kernel and one per
 stretch of layout between them, so a writer never holds the whole text.
 
 ``EvalConfig`` is frozen and holds no state.  Kernels are memoized at
-module level: ``h0``/``h1`` per (lattice, cutoff), and each tree's kernel
-per (config, rendered tree), so every ledger built in one process for the
-same config shares its subtrees.
+module level: ``h0``/``h1`` per (lattice, cutoff), and each internal
+node's bare bracket per (config, rendered left child, rendered right
+child), so every ledger built in one process for the same config shares
+its subtrees, and trees that differ only in their root decoration share
+one bracket; the r and n projections are applied after the lookup.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def _base_kernels(lattice: ModeLattice, cutoff: int) -> tuple[Kernel, Kernel]:
     return h0(lattice, cutoff), h1(lattice, cutoff)
 
 
-_KERNELS: dict[tuple[EvalConfig, str], Kernel] = {}
+_BRACKETS: dict[tuple[EvalConfig, str, str], Kernel] = {}
 
 
 def pi(tree: Tree, cfg: EvalConfig) -> Kernel:
@@ -126,22 +128,20 @@ def pi(tree: Tree, cfg: EvalConfig) -> Kernel:
 
 
 def _pi(tree: Tree, cfg: EvalConfig) -> Kernel:
-    key = (cfg, render(tree))
-    out = _KERNELS.get(key)
-    if out is not None:
-        return out
     dec = tree.decoration
-    if not tree.is_leaf:
-        out = poisson_bracket(_pi(tree.left, cfg), _pi(tree.right, cfg))
-    elif dec is Decoration.K:
-        out = cfg.h0()
+    if tree.is_leaf:
+        out = cfg.h0() if dec is Decoration.K else cfg.h1()
     else:
-        out = cfg.h1()
+        # the bare bracket, shared by every root decoration
+        key = (cfg, render(tree.left), render(tree.right))
+        out = _BRACKETS.get(key)
+        if out is None:
+            out = _BRACKETS[key] = poisson_bracket(_pi(tree.left, cfg),
+                                                   _pi(tree.right, cfg))
     if dec is Decoration.R:
         out, _ = split_resonant(out, cfg.resonance)
     elif dec is Decoration.N:
         out = apply_phase_filter(out, cfg.resonance).scale(GENERATOR_SCALE)
-    _KERNELS[key] = out
     return out
 
 

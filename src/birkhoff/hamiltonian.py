@@ -26,21 +26,28 @@ tables, as ``h0`` and ``h1`` do, and makes no ``Monomial``.  ``items``
 is the way out, and ``to_json`` and ``with_cutoff`` read it.  Three readers
 keep their own path: ``coefficient`` looks up one monomial, ``support``
 lists them, and ``json_text`` writes the text of ``to_json`` straight
-from the keys.  Each codec decodes an exponent block (the u or the ubar
-half of a key) once, into tables keyed by the block int that fill lazily
-and live as long as the codec: they hold one entry per distinct block
-met: hundreds at dim 1, thousands at dim 2, K 2.
+from the keys.  Both ``items`` and ``json_text`` sort the keys by one
+int, the degree and the ranks of the two blocks.  Each codec decodes an
+exponent block (the u or the ubar half of a key) once, into tables keyed
+by the block int that fill lazily and live as long as the codec: they
+hold one entry per distinct block met: hundreds at dim 1, thousands at
+dim 2, K 2.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
 conjugate factors of x with the u factors of y; {iA, iB} =
-i*(Q(A, B) - Q(B, A)) is two contractions.  Per call, each operand is
-cut to its degree window (a monomial of degree d pairs only with one of
-degree <= cutoff + 2 - d, so one key bound set by the other operand's
-least degree), then indexed by each mode of its u factors, so only
-monomial pairs that contract are visited; pairs past the degree cutoff
-are dropped before a key is built, so no exponent field can carry into
-the next.
+i*(Q(A, B) - Q(B, A)).  Per call, each operand is cut to its degree
+window (a monomial of degree d pairs only with one of degree <= cutoff
++ 2 - d, so one key bound set by the other operand's least degree);
+the second operand's window is indexed by each mode of its u factors,
+so only monomial pairs that contract are visited; pairs past the degree
+cutoff are dropped before a key is built, so no exponent field can
+carry into the next.  Swapping u and ubar (σ, which keeps the degree)
+gives σQ(x, y) = Q(σy, σx).  Every kernel the engine builds is mapped
+to s times itself by σ, s = ±1 its swap parity, so Q(B, A) =
+s_A s_B σQ(A, B) is the mirror of Q(A, B) and costs no second
+contraction; {A, B} then has parity -s_A s_B.  An operand without a
+parity gets the second contraction.
 
 Constant conventions, pinned by direct computation (see the test suite):
 
@@ -203,6 +210,11 @@ class _Codec:
             modes[j] for j, e in fields[b] for _ in range(e)))
         # sum of e * |k_j|^2 over the block's fields
         self.norm = _Table(lambda b: sum(e * norm2[j] for j, e in fields[b]))
+        # the block's factors' mode indices read as base-M digits, most
+        # significant first: among blocks of one length, the order of
+        # their factor tuples; every rank lies below 2**rank_bits
+        self.rank = _Table(self._rank)
+        self.rank_bits = (len(modes) ** (cutoff // 2)).bit_length()
 
     def _walk(self, block: int) -> tuple[tuple[int, int], ...]:
         w, mask = self.w, self.mask
@@ -213,6 +225,21 @@ class _Codec:
             out.append((j, e))
             block -= e << (w * j)
         return tuple(out)
+
+    def _rank(self, block: int) -> int:
+        base, rank = len(self.modes), 0
+        for j, e in self.fields[block]:
+            for _ in range(e):
+                rank = rank * base + j
+        return rank
+
+    def swapped(self, nums: dict) -> dict:
+        """nums with the u and ubar blocks of each key swapped; the
+        degree bits are kept."""
+        ubar_shift, block = self.ubar_shift, self.block
+        degree = -1 << self.shift
+        return {key & degree | (key & block) << ubar_shift
+                | key >> ubar_shift & block: c for key, c in nums.items()}
 
     def monomial(self, key: int) -> Monomial:
         """The monomial of a key."""
@@ -279,9 +306,16 @@ class Kernel:
     c, and ``from_json`` reads c from the "im" string of each term and
     refuses an "re" that does not read as zero.  The cutoff
     ``max_degree`` is even, and no monomial exceeds it.
+
+    σ swaps u and ubar in every monomial.  ``swap_parity()`` is +1 if
+    σA = A, -1 if σA = -A and 0 otherwise, checked term by term on first
+    call and kept, since a kernel does not change.  h0 and h1 are even,
+    the phase filter flips the parity, the resonant split and rational
+    multiples keep it, so does a sum of kernels of one parity, and a
+    bracket of kernels of parities s_A and s_B has parity -s_A s_B.
     """
 
-    __slots__ = ("lattice", "max_degree", "nums", "den", "_codec")
+    __slots__ = ("lattice", "max_degree", "nums", "den", "_codec", "_parity")
 
     def __init__(self, lattice: ModeLattice, max_degree: int,
                  nums: Mapping[int, int] | None = None, den: int = 1):
@@ -289,7 +323,12 @@ class Kernel:
         self.lattice = lattice
         self.max_degree = max_degree
         self._codec = codec = _codec_for(lattice, max_degree)
-        nums = {key: c for key, c in nums.items() if c} if nums else {}
+        if not nums:
+            nums = {}
+        elif 0 in nums.values():
+            nums = {key: c for key, c in nums.items() if c}
+        else:
+            nums = dict(nums)
         if nums:
             degree = max(nums) >> codec.shift
             if degree > max_degree:
@@ -302,6 +341,7 @@ class Kernel:
             den //= g
         self.nums = nums
         self.den = den
+        self._parity = None
 
     @staticmethod
     def of(lattice: ModeLattice, max_degree: int,
@@ -328,14 +368,16 @@ class Kernel:
         }, den)
 
     def _sorted_keys(self) -> list[int]:
-        """The keys in ``Monomial.sort_key`` order."""
+        """The keys in ``Monomial.sort_key`` order: by (degree, rank of
+        the u block, rank of the ubar block), packed into one int.  Both
+        blocks of a monomial hold degree/2 factors, so within a degree
+        rank order is factor-tuple order."""
         codec = self._codec
-        factors, block, ubar_shift = (codec.factors, codec.block,
-                                      codec.ubar_shift)
-        shift = codec.shift
+        rank, block, ubar_shift = codec.rank, codec.block, codec.ubar_shift
+        shift, bits = codec.shift, codec.rank_bits
         return sorted(self.nums, key=lambda key: (
-            key >> shift, factors[key & block],
-            factors[key >> ubar_shift & block]))
+            (key >> shift << bits | rank[key & block]) << bits
+            | rank[key >> ubar_shift & block]))
 
     def items(self) -> list[tuple[Monomial, Fraction]]:
         """(m, c) pairs in ``Monomial.sort_key`` order; i*c is the
@@ -352,6 +394,19 @@ class Kernel:
         ):
             return Fraction(0)
         return Fraction(self.nums.get(codec.encode(m), 0), self.den)
+
+    def swap_parity(self) -> int:
+        """s = +1 or -1 if swapping u and ubar maps this kernel to s
+        times itself, else 0; the zero kernel gives +1."""
+        if self._parity is None:
+            nums = self.nums
+            mirror = self._codec.swapped(nums)
+            if mirror == nums:
+                self._parity = 1
+            else:
+                self._parity = -1 if all(nums.get(key) == -c for key, c
+                                         in mirror.items()) else 0
+        return self._parity
 
     def support(self) -> set[Monomial]:
         monomial = self._codec.monomial
@@ -389,7 +444,8 @@ class Kernel:
         self._check_compatible(other)
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
-        nums = {key: c * fa for key, c in self.nums.items()}
+        nums = (dict(self.nums) if fa == 1
+                else {key: c * fa for key, c in self.nums.items()})
         for key, c in other.nums.items():
             nums[key] = nums.get(key, 0) + c * fb
         return Kernel(self.lattice, self.max_degree, nums, den)
@@ -598,13 +654,20 @@ def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     """{a, b} = i sum_k (d_{u_k} a d_{ubar_k} b - d_{u_k} b d_{ubar_k} a).
 
     Exact.  With Q the contraction of ``_contract``, {iA, iB} =
-    i*(Q(A, B) - Q(B, A)): two contractions of the numerator maps into
-    one, over the denominator a.den * b.den.  Each operand is cut to its
-    ``_window``; if either window is empty the bracket is zero before any
-    index is built.  Each window is indexed by the modes of its u factors
-    once per call, so only monomial pairs that share a contractible mode
-    are visited, and a pair whose bracket degree deg(m1) + deg(m2) - 2
-    exceeds the cutoff is dropped before its key is built.
+    i*(Q(A, B) - Q(B, A)) over the denominator a.den * b.den.  Each
+    operand is cut to its ``_window``; if either window is empty the
+    bracket is zero before any index is built.  Q(x, y) indexes y by the
+    modes of its u factors, so only monomial pairs that share a
+    contractible mode are visited, and a pair whose bracket degree
+    deg(m1) + deg(m2) - 2 exceeds the cutoff is dropped before its key
+    is built.
+
+    Swapping u and ubar (σ) gives σQ(x, y) = Q(σy, σx).  So when both
+    operands have a swap parity, s_A and s_B of ``Kernel.swap_parity``
+    (which their windows keep, as σ keeps the degree), Q(B, A) =
+    s_A s_B σQ(A, B) is the mirror of the first contraction, and one
+    contraction does; the result then has parity -s_A s_B.  If either
+    parity is 0, Q(B, A) is contracted as well.
     """
     a._check_compatible(b)
     cutoff, codec = a.max_degree, a._codec
@@ -612,7 +675,12 @@ def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     out: dict = {}
     if x and y:
         _contract(x, _index(y, codec), codec, cutoff, 1, out)
-        _contract(y, _index(x, codec), codec, cutoff, -1, out)
+        s = a.swap_parity() * b.swap_parity()
+        if s:
+            for key, c in codec.swapped(out).items():
+                out[key] = out.get(key, 0) - s * c
+        else:
+            _contract(y, _index(x, codec), codec, cutoff, -1, out)
     return Kernel(a.lattice, cutoff, out, a.den * b.den)
 
 

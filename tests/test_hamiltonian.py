@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from birkhoff.evaluator import EvalConfig
 from birkhoff.hamiltonian import (
@@ -141,16 +141,20 @@ nonzero_fractions = st.builds(
 
 
 @st.composite
-def kernels_2d(draw, cutoff):
-    """Kernels on LAT_2D with nonzero coefficients."""
-    modes = st.sampled_from(LAT_2D.modes())
+def kernels_on(draw, lat, cutoff):
+    """Kernels on lat with nonzero coefficients."""
+    modes = st.sampled_from(lat.modes())
     entries = {}
     for _ in range(draw(st.integers(1, 6))):
         n = draw(st.integers(1, cutoff // 2))
         u = draw(st.lists(modes, min_size=n, max_size=n))
         ubar = draw(st.lists(modes, min_size=n, max_size=n))
         entries[Monomial.of(u, ubar)] = draw(nonzero_fractions)
-    return Kernel.of(LAT_2D, cutoff, entries)
+    return Kernel.of(lat, cutoff, entries)
+
+
+def kernels_2d(cutoff):
+    return kernels_on(LAT_2D, cutoff)
 
 
 @st.composite
@@ -281,6 +285,85 @@ class TestBracket:
                 + poisson_bracket(c, poisson_bracket(a, b))
             )
             assert total.is_zero
+
+
+def swapped(k):
+    """σk: u and ubar swapped in every monomial, built from ``items``."""
+    return Kernel.of(k.lattice, k.max_degree,
+                     {Monomial(m.ubar, m.u): c for m, c in k.items()})
+
+
+def monomial_parity(k):
+    """The s of ``test_swap_parity``'s monomial-level check, or 0."""
+    for s in (1, -1):
+        if all(k.coefficient(Monomial(m.ubar, m.u)) == s * c
+               for m, c in k.items()):
+            return s
+    return 0
+
+
+SWAP_LATTICES = {1: ModeLattice(1, 2), 2: ModeLattice(2, 1),
+                 3: ModeLattice(3, 1)}
+
+
+@st.composite
+def swap_operands(draw, lat, cutoff, parity):
+    """A + parity * σA for a random kernel A if parity is ±1, else a
+    random kernel that has no swap parity."""
+    k = draw(kernels_on(lat, cutoff))
+    if parity:
+        return k + swapped(k).scale(parity)
+    assume(monomial_parity(k) == 0)
+    return k
+
+
+class TestSwapParity:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_monomial_check(self, dim, data):
+        parity = data.draw(st.sampled_from((1, -1, 0)))
+        cutoff = data.draw(st.sampled_from((4, 6, 8)))
+        k = data.draw(swap_operands(SWAP_LATTICES[dim], cutoff, parity))
+        assert k.swap_parity() == monomial_parity(k)
+        if parity and not k.is_zero:
+            assert k.swap_parity() == parity
+
+    def test_examples(self):
+        m, mirror = mono([1], [0]), mono([0], [1])
+        assert Kernel(LAT1, 4).swap_parity() == 1
+        # a missing mirror key, a wrong coefficient, and both signs
+        assert kernel(LAT1, 4, [(m, 1)]).swap_parity() == 0
+        assert kernel(LAT1, 4, [(m, 1), (mirror, 2)]).swap_parity() == 0
+        assert kernel(LAT1, 4, [(m, 1), (mirror, 1)]).swap_parity() == 1
+        assert kernel(LAT1, 4, [(m, 1), (mirror, -1)]).swap_parity() == -1
+        # a self-mirrored monomial is even only
+        diagonal = mono([1, -1], [1, -1])
+        assert kernel(LAT1, 4, [(diagonal, 3)]).swap_parity() == 1
+        assert kernel(LAT1, 4, [(diagonal, 3), (m, 1),
+                                (mirror, -1)]).swap_parity() == 0
+        # h0 and h1 are even, a filtered h1 is odd
+        assert h0(LAT2, 6).swap_parity() == h1(LAT2, 6).swap_parity() == 1
+        assert apply_phase_filter(h1(LAT2, 6), N0).swap_parity() == -1
+
+    # (parity of a, parity of b): both, one or neither operand mirrored
+    @pytest.mark.parametrize("parities", [(1, 1), (1, -1), (-1, -1),
+                                          (1, 0), (0, -1), (0, 0)],
+                             ids=lambda p: f"{p[0]:+d}{p[1]:+d}")
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bracket_against_naive(self, dim, parities, data):
+        # cutoffs 4, 6 and 8 put deg a + deg b - 2 on both sides of the
+        # cutoff, so windows are cut and pairs dropped
+        lat = SWAP_LATTICES[dim]
+        cutoff = data.draw(st.sampled_from((4, 6, 8)))
+        a, b = (data.draw(swap_operands(lat, cutoff, p)) for p in parities)
+        got = poisson_bracket(a, b)
+        assert got == naive_bracket(a, b)
+        sa, sb = parities
+        if sa and sb:
+            assert got.is_zero or monomial_parity(got) == -sa * sb
 
 
 class TestSplitAndFilter:
@@ -585,6 +668,15 @@ def test_json_round_trip_by_dim(dim, data):
     k = data.draw(kernels_of_dim(dim))
     assert Kernel.from_json(k.to_json()) == k
     assert Kernel.from_json(json.loads(k.json_text())) == k
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_items_in_sort_key_order(dim, data):
+    # the keys are sorted by one packed int of degree and block ranks
+    monomials = [m for m, _ in data.draw(kernels_of_dim(dim)).items()]
+    assert monomials == sorted(monomials, key=Monomial.sort_key)
 
 
 def test_codec_tables_are_per_codec():

@@ -21,9 +21,9 @@ what it builds.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
+from ._value import Value
 from .trees import (
     Decoration,
     Tree,
@@ -50,20 +50,21 @@ class ClassKind(enum.Enum):
     CIRC_RANGE = "circ-range"
 
 
-@dataclass(frozen=True)
-class TreeClassQuery:
-    kind: ClassKind
-    m: int
-    ell: Optional[int] = None
+class TreeClassQuery(Value):
+    __slots__ = ("kind", "m", "ell")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, kind: ClassKind, m: int,
+                 ell: Optional[int] = None) -> None:
+        if m < 1:
             raise ValueError("m must be positive")
-        if self.kind is ClassKind.CIRC_RANGE:
-            if self.ell is None or not self.m < self.ell:
+        if kind is ClassKind.CIRC_RANGE:
+            if ell is None or not m < ell:
                 raise ValueError("circ-range requires m < ell")
-        elif self.ell is not None:
+        elif ell is not None:
             raise ValueError("ell only applies to circ-range")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "ell", ell)
 
     def to_json(self, trees: tuple[Tree, ...]) -> dict:
         """The listing of this class's trees, as the ``trees`` command

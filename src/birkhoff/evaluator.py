@@ -21,21 +21,24 @@ A ledger's JSON text comes out in pieces, one per kernel and one per
 stretch of layout between them, so a writer never holds the whole text.
 
 ``EvalConfig`` is frozen and holds no state.  Kernels are memoized at
-module level: ``h0``/``h1`` per (lattice, cutoff), and each internal
-node's bare bracket per (config, rendered left child, rendered right
-child), so every ledger built in one process for the same config shares
-its subtrees, and trees that differ only in their root decoration share
-one bracket; the r and n projections are applied after the lookup.
+module level: ``h0``/``h1`` per (lattice, cutoff), and each tree's
+kernel per (config, root decoration) for a leaf and per (config, root
+decoration, rendered left child, rendered right child) for an internal
+node, so every ledger built in one process for the same config shares
+its subtrees.  An internal node's bare bracket is the kernel of the circ
+node over the same children, so trees that differ only in their root
+decoration share one bracket, and each r or n projection of it is
+computed once.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
+from ._value import Value
 from .enumeration import (
     DEFAULT_CAP,
     circ_exact,
@@ -70,17 +73,19 @@ from .trees import (
 CLASS_INDEX_OFFSET = 2
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    lattice: ModeLattice
-    resonance: ResonanceConfig
-    cutoff: int
-    # bounds tree enumeration only; kernels and ledgers do not depend on it
-    cap: int = DEFAULT_CAP
+class EvalConfig(Value):
+    # cap bounds tree enumeration only; kernels and ledgers do not depend
+    # on it
+    __slots__ = ("lattice", "resonance", "cutoff", "cap")
 
-    def __post_init__(self) -> None:
-        if self.cutoff < 4 or self.cutoff % 2:
+    def __init__(self, lattice: ModeLattice, resonance: ResonanceConfig,
+                 cutoff: int, cap: int = DEFAULT_CAP) -> None:
+        if cutoff < 4 or cutoff % 2:
             raise ValueError("cutoff must be an even integer >= 4")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "resonance", resonance)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "cap", cap)
 
     def check_order(self, m: int) -> None:
         """Order m reaches degree 2(m + 1), so it needs 1 <= m < ell;
@@ -109,7 +114,7 @@ def _base_kernels(lattice: ModeLattice, cutoff: int) -> tuple[Kernel, Kernel]:
     return h0(lattice, cutoff), h1(lattice, cutoff)
 
 
-_BRACKETS: dict[tuple[EvalConfig, str, str], Kernel] = {}
+_KERNELS: dict[tuple, Kernel] = {}
 
 
 def pi(tree: Tree, cfg: EvalConfig) -> Kernel:
@@ -129,36 +134,49 @@ def pi(tree: Tree, cfg: EvalConfig) -> Kernel:
 
 def _pi(tree: Tree, cfg: EvalConfig) -> Kernel:
     dec = tree.decoration
+    children = () if tree.is_leaf else (render(tree.left), render(tree.right))
+    key = (cfg, dec, *children)
+    out = _KERNELS.get(key)
+    if out is not None:
+        return out
     if tree.is_leaf:
         out = cfg.h0() if dec is Decoration.K else cfg.h1()
     else:
-        # the bare bracket, shared by every root decoration
-        key = (cfg, render(tree.left), render(tree.right))
-        out = _BRACKETS.get(key)
+        # the bare bracket is the circ node's kernel, which every root
+        # decoration over the same two children shares
+        bare = (cfg, Decoration.CIRC, *children)
+        out = _KERNELS.get(bare)
         if out is None:
-            out = _BRACKETS[key] = poisson_bracket(_pi(tree.left, cfg),
+            out = _KERNELS[bare] = poisson_bracket(_pi(tree.left, cfg),
                                                    _pi(tree.right, cfg))
     if dec is Decoration.R:
         out, _ = split_resonant(out, cfg.resonance)
     elif dec is Decoration.N:
         out = apply_phase_filter(out, cfg.resonance).scale(GENERATOR_SCALE)
+    _KERNELS[key] = out
     return out
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    tree: Tree
-    weight: Fraction
-    kernel: Kernel
+class LedgerEntry(Value):
+    __slots__ = ("tree", "weight", "kernel")
+
+    def __init__(self, tree: Tree, weight: Fraction, kernel: Kernel) -> None:
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "kernel", kernel)
 
 
-@dataclass(frozen=True)
-class ExpansionLedger:
-    entries: tuple[LedgerEntry, ...]
-    total: Kernel
-    cfg: EvalConfig
-    m: Optional[int] = None
-    ell: Optional[int] = None
+class ExpansionLedger(Value):
+    __slots__ = ("entries", "total", "cfg", "m", "ell")
+
+    def __init__(self, entries: tuple[LedgerEntry, ...], total: Kernel,
+                 cfg: EvalConfig, m: Optional[int] = None,
+                 ell: Optional[int] = None) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "cfg", cfg)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "ell", ell)
 
     def _document(self, kernel) -> dict:
         """The ledger's JSON document, with ``kernel(k)`` for each kernel."""

@@ -46,8 +46,11 @@ carry into the next.  Swapping u and ubar (σ, which keeps the degree)
 gives σQ(x, y) = Q(σy, σx).  Every kernel the engine builds is mapped
 to s times itself by σ, s = ±1 its swap parity, so Q(B, A) =
 s_A s_B σQ(A, B) is the mirror of Q(A, B) and costs no second
-contraction; {A, B} then has parity -s_A s_B.  An operand without a
-parity gets the second contraction.
+contraction.  The mirror step drops the zeros it makes (each
+cancellation, and every self-mirrored key when s_A s_B = +1), and {A, B}
+carries its parity -s_A s_B, so it is not checked term by term when it
+is next an operand.  An operand without a parity gets the second
+contraction.
 
 Constant conventions, pinned by direct computation (see the test suite):
 
@@ -65,10 +68,11 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping
+
+from ._value import Value
 
 Mode = tuple[int, ...]
 
@@ -79,18 +83,18 @@ H0_FILTER_FACTOR = Fraction(1, 4)
 GENERATOR_SCALE = -1 / H0_FILTER_FACTOR
 
 
-@dataclass(frozen=True)
-class ModeLattice:
+class ModeLattice(Value):
     """Integer modes with every coordinate in [-radius, radius]."""
 
-    dim: int
-    radius: int
+    __slots__ = ("dim", "radius")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, radius: int) -> None:
+        if dim < 1:
             raise ValueError("dim must be positive")
-        if self.radius < 0:
+        if radius < 0:
             raise ValueError("radius must be nonnegative")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "radius", radius)
 
     def modes(self) -> list[Mode]:
         r = range(-self.radius, self.radius + 1)
@@ -102,15 +106,15 @@ class ModeLattice:
         )
 
 
-@dataclass(frozen=True)
-class ResonanceConfig:
+class ResonanceConfig(Value):
     """Threshold N: monomials with |phase| <= N count as resonant."""
 
-    threshold: int = 0
+    __slots__ = ("threshold",)
 
-    def __post_init__(self) -> None:
-        if self.threshold < 0:
+    def __init__(self, threshold: int = 0) -> None:
+        if threshold < 0:
             raise ValueError("threshold must be nonnegative")
+        object.__setattr__(self, "threshold", threshold)
 
     def resonant(self, phase: int) -> bool:
         """The one resonance rule: |phase| <= N."""
@@ -121,20 +125,20 @@ def _norm2(mode: Mode) -> int:
     return sum(c * c for c in mode)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Value):
     """u-factors and conjugate factors as sorted mode tuples."""
 
-    u: tuple[Mode, ...]
-    ubar: tuple[Mode, ...]
+    __slots__ = ("u", "ubar")
+
+    def __init__(self, u: tuple[Mode, ...], ubar: tuple[Mode, ...]) -> None:
+        if len(u) != len(ubar) or not u:
+            raise ValueError("monomial needs equally many u and ubar factors")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "ubar", ubar)
 
     @staticmethod
     def of(u: Iterable[Mode], ubar: Iterable[Mode]) -> "Monomial":
         return Monomial(tuple(sorted(u)), tuple(sorted(ubar)))
-
-    def __post_init__(self) -> None:
-        if len(self.u) != len(self.ubar) or not self.u:
-            raise ValueError("monomial needs equally many u and ubar factors")
 
     @property
     def degree(self) -> int:
@@ -312,7 +316,9 @@ class Kernel:
     call and kept, since a kernel does not change.  h0 and h1 are even,
     the phase filter flips the parity, the resonant split and rational
     multiples keep it, so does a sum of kernels of one parity, and a
-    bracket of kernels of parities s_A and s_B has parity -s_A s_B.
+    bracket of kernels of parities s_A and s_B has parity -s_A s_B.  Only
+    ``poisson_bracket`` sets the parity of the kernel it builds, when it
+    knows s_A and s_B; every other kernel checks its terms on first call.
     """
 
     __slots__ = ("lattice", "max_degree", "nums", "den", "_codec", "_parity")
@@ -640,6 +646,26 @@ def _contract(x: dict, y_by_u: dict, codec: _Codec, cutoff: int, sign: int,
                 out[key] = out.get(key, 0) + c * c2
 
 
+def _mirror(q: dict, codec: _Codec, s: int) -> dict:
+    """q - s σq, zeros dropped: Q(A, B) - Q(B, A) from q = Q(A, B) alone,
+    for operands of parities with product s.  The result maps σ to -s
+    times itself, so each key and its mirror are written together, once,
+    from the smaller of the two that q holds."""
+    ubar_shift, block = codec.ubar_shift, codec.block
+    degree = -1 << codec.shift
+    out = {}
+    for key, c in q.items():
+        mkey = (key & degree | (key & block) << ubar_shift
+                | key >> ubar_shift & block)
+        if mkey < key and mkey in q:
+            continue
+        v = c - s * q.get(mkey, 0)
+        if v:
+            out[key] = v
+            out[mkey] = -s * v
+    return out
+
+
 def _window(x: Kernel, y: Kernel) -> dict:
     """x's degree window: the numerators of degree at most cutoff + 2 -
     (least degree of y), the only ones that can pair with y.  Keys sort
@@ -666,22 +692,27 @@ def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     operands have a swap parity, s_A and s_B of ``Kernel.swap_parity``
     (which their windows keep, as σ keeps the degree), Q(B, A) =
     s_A s_B σQ(A, B) is the mirror of the first contraction, and one
-    contraction does; the result then has parity -s_A s_B.  If either
-    parity is 0, Q(B, A) is contracted as well.
+    contraction does, ``_mirror`` drops the zeros it makes, and the
+    result carries its parity -s_A s_B (+1 if it is zero).  If either
+    parity is 0, Q(B, A) is contracted as well, and ``Kernel`` drops the
+    zeros of the sum.
     """
     a._check_compatible(b)
     cutoff, codec = a.max_degree, a._codec
     x, y = _window(a, b), _window(b, a)
     out: dict = {}
+    s = 0
     if x and y:
         _contract(x, _index(y, codec), codec, cutoff, 1, out)
         s = a.swap_parity() * b.swap_parity()
         if s:
-            for key, c in codec.swapped(out).items():
-                out[key] = out.get(key, 0) - s * c
+            out = _mirror(out, codec, s)
         else:
             _contract(y, _index(x, codec), codec, cutoff, -1, out)
-    return Kernel(a.lattice, cutoff, out, a.den * b.den)
+    result = Kernel(a.lattice, cutoff, out, a.den * b.den)
+    if s and result.nums:
+        result._parity = -s
+    return result
 
 
 def split_resonant(a: Kernel, cfg: ResonanceConfig) -> tuple[Kernel, Kernel]:

@@ -10,10 +10,10 @@ on the truncation terms R_n^m, and compares kernels coefficient-wise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._value import Value
 from .evaluator import EvalConfig
 from .hamiltonian import (
     GENERATOR_SCALE,
@@ -24,11 +24,13 @@ from .hamiltonian import (
 )
 
 
-@dataclass(frozen=True)
-class SequenceInfo:
-    z: tuple[int, ...]
-    c: int
-    q: int
+class SequenceInfo(Value):
+    __slots__ = ("z", "c", "q")
+
+    def __init__(self, z: tuple[int, ...], c: int, q: int) -> None:
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "q", q)
 
 
 def sequences(n: int, m: int) -> tuple[SequenceInfo, ...]:
@@ -95,10 +97,13 @@ def taylor_compose(g: Kernel, f: Kernel) -> Kernel:
         acc = acc + cur.scale(Fraction(1, factorial))
 
 
-@dataclass(frozen=True)
-class BirkhoffResult:
-    normal_form: Kernel
-    f_list: tuple[Kernel, ...]
+class BirkhoffResult(Value):
+    __slots__ = ("normal_form", "f_list")
+
+    def __init__(self, normal_form: Kernel,
+                 f_list: tuple[Kernel, ...]) -> None:
+        object.__setattr__(self, "normal_form", normal_form)
+        object.__setattr__(self, "f_list", f_list)
 
 
 def birkhoff_iterate(m: int, cfg: EvalConfig) -> BirkhoffResult:
@@ -146,14 +151,18 @@ def generators_from_recursion(m: int, cfg: EvalConfig) -> tuple[Kernel, ...]:
 WORST = 3
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(Value):
     """a - b, and its largest entries as (m, c_a, c_b): the rationals of
     m's coefficients i*c_a in a and i*c_b in b."""
 
-    equal: bool
-    residual: Kernel
-    worst_monomials: tuple[tuple[Monomial, Fraction, Fraction], ...]
+    __slots__ = ("equal", "residual", "worst_monomials")
+
+    def __init__(self, equal: bool, residual: Kernel,
+                 worst_monomials: tuple[tuple[Monomial, Fraction, Fraction],
+                                        ...]) -> None:
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "worst_monomials", worst_monomials)
 
     def to_json(self) -> dict:
         return {

@@ -41,8 +41,9 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
+
+from ._value import Value
 
 
 class Decoration(enum.Enum):
@@ -75,25 +76,25 @@ class ParseError(TreeError):
         self.position = position
 
 
-@dataclass(frozen=True, eq=False)
-class Tree:
+class Tree(Value):
     """A decorated planar binary tree; a leaf has both children None.
     ``degree`` is |T|: 2 for a k-leaf, 4 for any other leaf, and
     |T1| + |T2| - 2 at a node.  Equality and hashing read
     :func:`canonical_key`, which the decorations and shape fix."""
 
-    decoration: Decoration
-    left: Optional["Tree"] = None
-    right: Optional["Tree"] = None
-    degree: int = field(init=False)
+    __slots__ = ("decoration", "left", "right", "degree")
 
-    def __post_init__(self) -> None:
-        if (self.left is None) != (self.right is None):
+    def __init__(self, decoration: Decoration, left: Optional["Tree"] = None,
+                 right: Optional["Tree"] = None) -> None:
+        if (left is None) != (right is None):
             raise TreeError("a node needs either zero or two children")
-        if self.left is not None:
-            d = self.left.degree + self.right.degree - 2
+        if left is not None:
+            d = left.degree + right.degree - 2
         else:
-            d = 2 if self.decoration is Decoration.K else 4
+            d = 2 if decoration is Decoration.K else 4
+        object.__setattr__(self, "decoration", decoration)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
         object.__setattr__(self, "degree", d)
 
     @property

@@ -345,6 +345,11 @@ class TestSwapParity:
         # h0 and h1 are even, a filtered h1 is odd
         assert h0(LAT2, 6).swap_parity() == h1(LAT2, 6).swap_parity() == 1
         assert apply_phase_filter(h1(LAT2, 6), N0).swap_parity() == -1
+        # a bracket that vanishes is even, whatever its operands' parities
+        for k in (h0(LAT2, 6), h1(LAT2, 6),
+                  apply_phase_filter(h1(LAT2, 6), N0)):
+            zero = poisson_bracket(k, k)
+            assert zero.is_zero and zero.swap_parity() == 1
 
     # (parity of a, parity of b): both, one or neither operand mirrored
     @pytest.mark.parametrize("parities", [(1, 1), (1, -1), (-1, -1),
@@ -361,6 +366,8 @@ class TestSwapParity:
         a, b = (data.draw(swap_operands(lat, cutoff, p)) for p in parities)
         got = poisson_bracket(a, b)
         assert got == naive_bracket(a, b)
+        # the parity the bracket sets, against its terms
+        assert got.swap_parity() == monomial_parity(got)
         sa, sb = parities
         if sa and sb:
             assert got.is_zero or monomial_parity(got) == -sa * sb

@@ -8,7 +8,9 @@ configuration flags; --cap bounds the tree enumeration of each.
 Configuration precedence: explicit flags > JSON config file (--config or
 the BIRKHOFF_CONFIG environment variable) > defaults (dim 1, K 2, N 0,
 cap 10^6).  All JSON output is deterministic: sorted keys, exact
-rationals as strings, written in pieces as they are made.  Exit codes:
+rationals as strings, written in pieces as they are made.  A saved
+ledger is read by one json.load, each entry's kernel dropped unread as
+it is parsed.  Exit codes:
 0 success / all residuals empty, 1 nonempty verification residual,
 2 configuration or input errors, an --out file or a stdout that cannot
 be written (say its reader has gone), 3 an internal error (its
@@ -182,19 +184,6 @@ def cmd_f_transform(args: argparse.Namespace) -> int:
     return 0
 
 
-_BLANK = json.decoder.WHITESPACE.match
-
-
-def _token(s: str, i: int, allowed: str, expecting: str) -> tuple[str, int]:
-    """The first non-blank character of ``s`` from ``i``, which must be
-    one of ``allowed``, and the index past it."""
-    i = _BLANK(s, i).end()
-    c = s[i:i + 1]
-    if not c or c not in allowed:
-        raise json.JSONDecodeError(f"Expecting {expecting}", s, i)
-    return c, i + 1
-
-
 def _check_entry(n: int, entry) -> None:
     """Ledger entry ``n`` must be an object whose tree parses and whose
     weight is 1/S for a positive integer S."""
@@ -217,53 +206,14 @@ def _check_entry(n: int, entry) -> None:
                          f"{entry.get('weight')!r}, not {weight!r}")
 
 
-class _LedgerDecoder(json.JSONDecoder):
-    """Reads a ledger document as ``json.loads`` would, except that
-    ``entries`` holds each entry without its kernel, checked by
-    ``_check_entry``.
-
-    The entries' kernels are nearly all of a ledger's terms.  The top
-    object is walked one value at a time with ``raw_decode``, and the
-    entries one element at a time, each kernel dropped before the next
-    entry is read, so no two are alive at once.  As in ``json``, a
-    repeated key keeps its last value.
-    """
-
-    def decode(self, s: str) -> dict:
-        doc = {}
-        _, i = _token(s, 0, "{", "'{'")
-        c, i = _token(s, i, '"}', "property name enclosed in double quotes")
-        while c == '"':
-            key, i = self.parse_string(s, i, self.strict)
-            _, i = _token(s, i, ":", "':' delimiter")
-            i = _BLANK(s, i).end()
-            if key == "entries":
-                doc[key], i = self._entries(s, i)
-            else:
-                doc[key], i = self.raw_decode(s, i)
-            c, i = _token(s, i, ",}", "',' delimiter")
-            if c == ",":
-                c, i = _token(s, i, '"',
-                              "property name enclosed in double quotes")
-        i = _BLANK(s, i).end()
-        if i != len(s):
-            raise json.JSONDecodeError("Extra data", s, i)
-        return doc
-
-    def _entries(self, s: str, i: int) -> tuple[list, int]:
-        _, i = _token(s, i, "[", "'[' to open entries")
-        entries: list[dict] = []
-        i = _BLANK(s, i).end()
-        if s.startswith("]", i):
-            return entries, i + 1
-        while True:
-            entry, i = self.raw_decode(s, _BLANK(s, i).end())
-            _check_entry(len(entries), entry)
-            entry.pop("kernel", None)
-            entries.append(entry)
-            c, i = _token(s, i, ",]", "',' delimiter")
-            if c == "]":
-                return entries, i
+def _drop_kernel(obj: dict) -> dict:
+    """The object hook of the ledger's ``json.load``: an object loses its
+    ``kernel``, which only the entries have, and the entries' kernels are
+    nearly all of a ledger's terms.  The parser finishes an object after
+    the objects inside it, so each entry's kernel is freed before the next
+    entry is read, and no two are alive at once."""
+    obj.pop("kernel", None)
+    return obj
 
 
 def _read_ledger(path: str, m: int, ec: EvalConfig) -> Kernel:
@@ -271,14 +221,21 @@ def _read_ledger(path: str, m: int, ec: EvalConfig) -> Kernel:
     try:
         with open(path, encoding="utf-8") as fh:
             # the document holds no cycles, and the cyclic collector would
-            # walk every container json.load allocates: pause it
+            # walk every container json.load allocates: pause it; the hook
+            # drops each entry's kernel as soon as it is read
             collecting = gc.isenabled()
             gc.disable()
             try:
-                data = json.load(fh, cls=_LedgerDecoder)
+                data = json.load(fh, object_hook=_drop_kernel)
             finally:
                 if collecting:
                     gc.enable()
+        if type(data) is not dict:
+            raise ValueError("the document is not a JSON object")
+        if type(data.get("entries")) is not list:
+            raise ValueError("entries must be an array")
+        for n, entry in enumerate(data["entries"]):
+            _check_entry(n, entry)
         recorded = {"m": data["m"], "ell": data["ell"], **data["config"]}
         raw = data["total"]
         # a codec spans all (2K+1)^dim modes, so the total's lattice is

@@ -311,7 +311,7 @@ class TestLedgerDecoder:
     def test_reads_what_json_reads(self, capsys, argv):
         text = _ledger_text(capsys, *argv)
         plain = json.loads(text)
-        got = json.loads(text, cls=cli._LedgerDecoder)
+        got = json.loads(text, object_hook=cli._drop_kernel)
         for key in ("m", "ell", "config", "total"):
             assert got[key] == plain[key], key
         # each entry without its kernel
@@ -325,13 +325,13 @@ class TestLedgerDecoder:
         first = '{"m": 7, ' + text[1:]
         last = text.rstrip()[:-1] + ', "m": 7}'
         for doc, m in [(first, 1), (last, 7)]:
-            assert json.loads(doc, cls=cli._LedgerDecoder)["m"] == m
+            assert json.loads(doc, object_hook=cli._drop_kernel)["m"] == m
             assert json.loads(doc)["m"] == m
 
     def test_empty_containers(self):
-        assert json.loads(" { } ", cls=cli._LedgerDecoder) == {}
-        assert json.loads('{"entries": [ ]}', cls=cli._LedgerDecoder) == {
-            "entries": []}
+        assert json.loads(" { } ", object_hook=cli._drop_kernel) == {}
+        assert json.loads('{"entries": [ ]}',
+                          object_hook=cli._drop_kernel) == {"entries": []}
 
     @staticmethod
     def _refused(capsys, path):
@@ -368,12 +368,15 @@ class TestLedgerDecoder:
         lambda text: '{"entries": 5}',
         lambda text: '{"entries": [' + "[" * 200000 + "]" * 200000 + "]}",
         lambda text: '{"entries": [' + '{"a": ' * 200000,
+        lambda text: json.dumps({key: value for key, value
+                                 in json.loads(text).items()
+                                 if key != "entries"}),
     ], ids=["trailing-object", "trailing-text", "missing-comma",
             "missing-colon", "missing-comma-between-entries",
             "missing-comma-in-entry", "double-comma", "trailing-comma",
             "top-level-array", "top-level-number", "top-level-string",
             "top-level-null", "empty", "entries-object", "entries-number",
-            "entries-nested-deep", "entries-nested-objects"])
+            "entries-nested-deep", "entries-nested-objects", "no-entries"])
     def test_malformed(self, capsys, tmp_path, edit):
         text = _ledger_text(capsys, "expand", "--m", "1", "--ell", "3")
         path = tmp_path / "ledger.json"

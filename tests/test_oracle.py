@@ -12,6 +12,8 @@ from birkhoff.hamiltonian import (
     Monomial,
     ResonanceConfig,
     apply_phase_filter,
+    h0,
+    h1,
     poisson_bracket,
 )
 from birkhoff.evaluator import (
@@ -405,3 +407,28 @@ class TestInvariants:
                     swapped = Monomial(m.ubar, m.u)
                     assert kernel.coefficient(swapped) == s * c
                 assert kernel.swap_parity() == s
+
+    @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
+    def test_lattice_symmetry(self, dim, K_radius):
+        # h0 and h1 are invariant under every permutation and sign flip of
+        # the mode coordinates, and so is every kernel built from them
+        cfg = make_cfg(K_radius=K_radius, cutoff=6, dim=dim)
+        oracle = birkhoff_iterate(2, cfg)
+        kernels = [h0(cfg.lattice, 6), h1(cfg.lattice, 6),
+                   oracle.normal_form, *oracle.f_list,
+                   *generators_from_recursion(2, cfg)]
+        for ledger in (normal_form(2, cfg), f_transform(1, cfg),
+                       f_transform(2, cfg)):
+            assert ledger.entries
+            kernels += [e.kernel for e in ledger.entries] + [ledger.total]
+        group = [
+            lambda k, perm=perm, signs=signs: tuple(
+                s * k[i] for s, i in zip(signs, perm))
+            for perm in itertools.permutations(range(dim))
+            for signs in itertools.product((1, -1), repeat=dim)]
+        assert len(group) == 2 ** dim * math.factorial(dim)
+        for kernel in kernels:
+            for m, c in kernel.items():
+                for g in group:
+                    moved = Monomial.of(map(g, m.u), map(g, m.ubar))
+                    assert kernel.coefficient(moved) == c, (m, moved)

@@ -10,28 +10,31 @@ generators, the canonical Poisson bracket, and the two functions that
 apply the resonance rule |phase| <= N: the resonant split and the
 small-divisor phase filter.
 
-Inside a kernel a monomial is one packed int, its key, and the rationals
-c are int numerators over one common int denominator.  Each (lattice,
-cutoff) has one codec that fixes the layout: with M modes in
-``lattice.modes()`` order and a field width w wide enough for any
-exponent up to cutoff/2, a key is degree << 2Mw | ubar-block << Mw |
-u-block, the exponent of mode j sitting in bits [wj, w(j+1)) of its
-block.  Keys sort by degree, the product of two monomials is the sum of
-their keys, and a derivative subtracts one shifted unit from a block and
-one from the degree.  ``Monomial`` and the rational c of each i*c appear
-only at the boundary.  ``Kernel.of`` is the one way in from monomials,
-and ``with_cutoff`` builds through it; ``from_json`` sums each term's
-key straight from its ``u``/``ubar`` lists through the codec's unit
-tables, as ``h0`` and ``h1`` do, and makes no ``Monomial``.  ``items``
-is the way out, and ``to_json`` and ``with_cutoff`` read it.  Three readers
-keep their own path: ``coefficient`` looks up one monomial, ``support``
-lists them, and ``json_text`` writes the text of ``to_json`` straight
-from the keys.  Both ``items`` and ``json_text`` sort the keys by one
-int, the degree and the ranks of the two blocks.  Each codec decodes an
-exponent block (the u or the ubar half of a key) once, into tables keyed
-by the block int that fill lazily and live as long as the codec: they
-hold one entry per distinct block met: hundreds at dim 1, thousands at
-dim 2, K 2.
+Inside a kernel a monomial is one packed int, its key (see ``_codec``,
+which also holds ``Monomial`` and the lattice group G), and the
+rationals c are int numerators over one common int denominator.
+
+A kernel is stored one key per orbit of a group.  h0, h1, the cutoff,
+the phase and the momentum are invariant under G, every permutation and
+sign flip of the mode coordinates, and the bracket commutes with G, so
+every kernel the engine builds is invariant and holds only the
+representatives of its orbits: 6.5x fewer keys than monomials in the
+brackets of ``verify --m 2 --ell 4`` at dim 2, K 1.  A kernel that is
+not invariant (one read or built from outside) holds every key, under
+the trivial group; the constructor tells the two apart.  Sums,
+multiples, the phase filter, the resonant split, degree slices and
+degree windows act on representatives as they are.  ``Monomial`` and
+the rational c of each i*c appear only at the boundary, where every
+orbit is expanded.  ``Kernel.of`` is the one way in from monomials, and
+``with_cutoff`` builds through it; ``from_json`` sums each term's key
+straight from its ``u``/``ubar`` lists through the codec's unit tables,
+as ``h0`` and ``h1`` do, and makes no ``Monomial``.  ``items`` is the
+way out, and ``to_json`` and ``with_cutoff`` read it.  Three readers
+keep their own path: ``coefficient`` looks up the representative of one
+monomial, ``support`` lists them, and ``json_text`` writes the text of
+``to_json`` straight from the keys.  Both ``items`` and ``json_text``
+sort the expanded keys by one int, the degree and the ranks of the two
+blocks, and read each orbit's coefficient once.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
@@ -39,18 +42,27 @@ conjugate factors of x with the u factors of y; {iA, iB} =
 i*(Q(A, B) - Q(B, A)).  Per call, each operand is cut to its degree
 window (a monomial of degree d pairs only with one of degree <= cutoff
 + 2 - d, so one key bound set by the other operand's least degree);
-the second operand's window is indexed by each mode of its u factors,
-so only monomial pairs that contract are visited; pairs past the degree
-cutoff are dropped before a key is built, so no exponent field can
-carry into the next.  Swapping u and ubar (σ, which keeps the degree)
-gives σQ(x, y) = Q(σy, σx).  Every kernel the engine builds is mapped
-to s times itself by σ, s = ±1 its swap parity, so Q(B, A) =
-s_A s_B σQ(A, B) is the mirror of Q(A, B) and costs no second
-contraction.  The mirror step drops the zeros it makes (each
-cancellation, and every self-mirrored key when s_A s_B = +1), and {A, B}
-carries its parity -s_A s_B, so it is not checked term by term when it
-is next an operand.  An operand without a parity gets the second
-contraction.
+the second operand's window is expanded to full keys and indexed by
+each mode of its u factors, so only monomial pairs that contract are
+visited; pairs past the degree cutoff are dropped before a key is
+built, so no exponent field can carry into the next.  Only the first
+operand's representatives are contracted, each weighted by its orbit
+size, and the output is folded onto representatives: for invariant A
+and B,
+
+    |Orb rho| [Q(A, B)]_rho = sum over kappa in Orb rho of
+                              [sum_r |Orb r| A_r Q(r, B)]_kappa,
+
+so each folded sum is divided exactly by its orbit size.  Swapping u and
+ubar (σ, which keeps the degree) gives σQ(x, y) = Q(σy, σx).  Every
+kernel the engine builds is mapped to s times itself by σ, s = ±1 its
+swap parity, so Q(B, A) = s_A s_B σQ(A, B) is the mirror of Q(A, B) and
+costs no second contraction; σ commutes with G, so the mirror of a
+representative is the representative of its σ image.  The mirror step
+drops the zeros it makes (each cancellation, and every self-mirrored
+orbit when s_A s_B = +1), and {A, B} carries its parity -s_A s_B.
+Every producer passes its parity on, so no engine kernel is checked
+term by term; an operand without a parity gets the second contraction.
 
 Constant conventions, pinned by direct computation (see the test suite):
 
@@ -64,17 +76,15 @@ Constant conventions, pinned by direct computation (see the test suite):
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping
+from typing import Mapping
 
+from ._codec import Mode, Monomial, _Codec, _codec_for, _Group, _Table
 from ._value import Value
-
-Mode = tuple[int, ...]
 
 # {h0, apply_phase_filter(A, cfg)} == H0_FILTER_FACTOR * nonres(A).
 H0_FILTER_FACTOR = Fraction(1, 4)
@@ -121,152 +131,6 @@ class ResonanceConfig(Value):
         return abs(phase) <= self.threshold
 
 
-def _norm2(mode: Mode) -> int:
-    return sum(c * c for c in mode)
-
-
-class Monomial(Value):
-    """u-factors and conjugate factors as sorted mode tuples."""
-
-    __slots__ = ("u", "ubar")
-
-    def __init__(self, u: tuple[Mode, ...], ubar: tuple[Mode, ...]) -> None:
-        if len(u) != len(ubar) or not u:
-            raise ValueError("monomial needs equally many u and ubar factors")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "ubar", ubar)
-
-    @staticmethod
-    def of(u: Iterable[Mode], ubar: Iterable[Mode]) -> "Monomial":
-        return Monomial(tuple(sorted(u)), tuple(sorted(ubar)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.u) + len(self.ubar)
-
-    def momentum(self) -> Mode:
-        dim = len(self.u[0])
-        total = [0] * dim
-        for a in self.u:
-            for i, c in enumerate(a):
-                total[i] += c
-        for b in self.ubar:
-            for i, c in enumerate(b):
-                total[i] -= c
-        return tuple(total)
-
-    def phase(self) -> int:
-        return sum(_norm2(a) for a in self.u) - sum(
-            _norm2(b) for b in self.ubar
-        )
-
-    def sort_key(self):
-        return (self.degree, self.u, self.ubar)
-
-    def to_json(self) -> dict:
-        return {"u": [list(a) for a in self.u], "ubar": [list(b) for b in self.ubar]}
-
-
-class _Table(dict):
-    """A dict that fills a missing key with ``fill(key)`` and keeps it."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        self[key] = value = self.fill(key)
-        return value
-
-
-class _Codec:
-    """Packed monomial keys for one (lattice, cutoff).
-
-    Mode j of ``lattice.modes()`` owns bits [w*j, w*(j+1)) of the u block
-    (the low M*w bits) and of the ubar block (the next M*w); the degree
-    sits above both, at ``shift``.  Since 2**w > cutoff/2, no exponent of
-    a monomial within the cutoff reaches the next field.
-
-    A block is decoded once per codec: ``fields``, ``factors`` and
-    ``norm`` are tables keyed by block int, filled on first lookup, so
-    each holds one entry per distinct exponent block the codec has met.
-    """
-
-    def __init__(self, lattice: ModeLattice, cutoff: int):
-        self.modes = modes = lattice.modes()
-        self.index = {k: j for j, k in enumerate(modes)}
-        self.norm2 = norm2 = [_norm2(k) for k in modes]
-        self.w = w = (cutoff // 2).bit_length()
-        self.mask = (1 << w) - 1
-        self.ubar_shift = len(modes) * w
-        self.block = (1 << self.ubar_shift) - 1
-        self.shift = 2 * self.ubar_shift
-        # one more degree, one more u_j, one more ubar_j
-        self.unit = 1 << self.shift
-        self.u_units = [1 << (w * j) for j in range(len(modes))]
-        self.ubar_units = [u << self.ubar_shift for u in self.u_units]
-        # (mode index j, exponent) for each nonzero field of a block
-        self.fields = fields = _Table(self._walk)
-        # the block's factors as a mode tuple, sorted as lattice.modes() is
-        self.factors = _Table(lambda b: tuple(
-            modes[j] for j, e in fields[b] for _ in range(e)))
-        # sum of e * |k_j|^2 over the block's fields
-        self.norm = _Table(lambda b: sum(e * norm2[j] for j, e in fields[b]))
-        # the block's factors' mode indices read as base-M digits, most
-        # significant first: among blocks of one length, the order of
-        # their factor tuples; every rank lies below 2**rank_bits
-        self.rank = _Table(self._rank)
-        self.rank_bits = (len(modes) ** (cutoff // 2)).bit_length()
-
-    def _walk(self, block: int) -> tuple[tuple[int, int], ...]:
-        w, mask = self.w, self.mask
-        out = []
-        while block:
-            j = ((block & -block).bit_length() - 1) // w
-            e = (block >> (w * j)) & mask
-            out.append((j, e))
-            block -= e << (w * j)
-        return tuple(out)
-
-    def _rank(self, block: int) -> int:
-        base, rank = len(self.modes), 0
-        for j, e in self.fields[block]:
-            for _ in range(e):
-                rank = rank * base + j
-        return rank
-
-    def swapped(self, nums: dict) -> dict:
-        """nums with the u and ubar blocks of each key swapped; the
-        degree bits are kept."""
-        ubar_shift, block = self.ubar_shift, self.block
-        degree = -1 << self.shift
-        return {key & degree | (key & block) << ubar_shift
-                | key >> ubar_shift & block: c for key, c in nums.items()}
-
-    def monomial(self, key: int) -> Monomial:
-        """The monomial of a key."""
-        return Monomial(self.factors[key & self.block],
-                        self.factors[key >> self.ubar_shift & self.block])
-
-    def encode(self, m: Monomial) -> int:
-        """The key of a monomial whose modes and degree fit this codec."""
-        index, u_units, ubar_units = self.index, self.u_units, self.ubar_units
-        return (m.degree << self.shift) + sum(
-            u_units[index[k]] for k in m.u
-        ) + sum(ubar_units[index[k]] for k in m.ubar)
-
-    def phase(self, key: int) -> int:
-        return (self.norm[key & self.block]
-                - self.norm[key >> self.ubar_shift & self.block])
-
-
-@functools.cache
-def _codec_for(lattice: ModeLattice, cutoff: int) -> _Codec:
-    return _Codec(lattice, cutoff)
-
-
 # the coefficient form that ``_ratio`` writes; ``_read_ratio`` reads no other
 _RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -301,30 +165,52 @@ class Kernel:
     """Immutable finite map Monomial -> purely imaginary coefficient i*c.
 
     The coefficient of the monomial with packed key ``key`` is
-    i * nums[key] / den, held in canonical form: every numerator is a
-    nonzero int, ``den`` is a positive int, and gcd(den, *nums) == 1, so
-    equal kernels hold equal maps and denominators.  The constructor
-    takes keys of the (lattice, max_degree) codec.  At the boundary a
-    coefficient is the ``Fraction`` c that stands for i*c: ``Kernel.of``
-    takes a Monomial -> c map, ``items()`` and ``coefficient()`` return
-    c, and ``from_json`` reads c from the "im" string of each term and
-    refuses an "re" that does not read as zero.  The cutoff
-    ``max_degree`` is even, and no monomial exceeds it.
+    i * nums[rep] / den, rep the representative of key's orbit under the
+    kernel's ``group``, held in canonical form: ``nums`` holds one key per
+    orbit, every numerator is a nonzero int, ``den`` is a positive int,
+    and gcd(den, *nums) == 1.  The group is the codec's G, every
+    permutation and sign flip of the mode coordinates, when the kernel is
+    invariant under it, and the trivial group otherwise, whose orbits are
+    single keys.  So equal kernels under one group hold equal maps and
+    denominators.
+
+    The constructor takes full keys of the (lattice, max_degree) codec
+    and checks invariance itself: the kernel carries G if every key of
+    each orbit holds one numerator, and the trivial group if not.  Every
+    kernel the engine builds is invariant (h0, h1, the cutoff and the
+    phase are, and the bracket commutes with G), and each producer passes
+    on its operands' group with ``nums`` already one per orbit, so the
+    check runs only at the way in.  At the boundary every orbit is
+    expanded: ``items()``, ``json_text``, ``support()`` and ``len()``
+    see one monomial per key, as if the full map were held, so ``len()``
+    counts monomials, not orbits.  ``coefficient()`` looks up a key's
+    representative, and ``==`` compares two kernels of different groups
+    by their full maps.  At the boundary a coefficient is the
+    ``Fraction`` c that stands for i*c: ``Kernel.of`` takes a
+    Monomial -> c map, ``items()`` and ``coefficient()`` return c, and
+    ``from_json`` reads c from the "im" string of each term and refuses an
+    "re" that does not read as zero.  The cutoff ``max_degree`` is even,
+    and no monomial exceeds it.
 
     σ swaps u and ubar in every monomial.  ``swap_parity()`` is +1 if
-    σA = A, -1 if σA = -A and 0 otherwise, checked term by term on first
-    call and kept, since a kernel does not change.  h0 and h1 are even,
-    the phase filter flips the parity, the resonant split and rational
-    multiples keep it, so does a sum of kernels of one parity, and a
-    bracket of kernels of parities s_A and s_B has parity -s_A s_B.  Only
-    ``poisson_bracket`` sets the parity of the kernel it builds, when it
-    knows s_A and s_B; every other kernel checks its terms on first call.
+    σA = A, -1 if σA = -A and 0 otherwise.  Every producer passes it on:
+    h0 and h1 are even, the phase filter flips the parity, the resonant
+    split, degree slices and rational multiples keep it, so does a sum of
+    kernels of one parity, a sum of an even and an odd kernel, neither
+    zero, has none, and a bracket of kernels of parities s_A and s_B has
+    parity -s_A s_B.  A kernel that does not know its parity, such as one
+    built from outside, checks it term by term on first call and keeps it.
     """
 
-    __slots__ = ("lattice", "max_degree", "nums", "den", "_codec", "_parity")
+    __slots__ = ("lattice", "max_degree", "nums", "den", "group", "_codec",
+                 "_parity", "_len")
 
     def __init__(self, lattice: ModeLattice, max_degree: int,
-                 nums: Mapping[int, int] | None = None, den: int = 1):
+                 nums: Mapping[int, int] | None = None, den: int = 1,
+                 group: _Group | None = None, parity: int | None = None):
+        """nums maps full keys, unless ``group`` is given: then it maps
+        that group's representatives, as the engine's producers pass it.
+        ``parity``, if given, is the swap parity the caller knows."""
         _check_cutoff(max_degree)
         self.lattice = lattice
         self.max_degree = max_degree
@@ -339,6 +225,10 @@ class Kernel:
             degree = max(nums) >> codec.shift
             if degree > max_degree:
                 raise ValueError(f"monomial degree {degree} above cutoff")
+        if group is None:
+            reps = codec.group.canon(nums)
+            group, nums = ((codec.trivial, nums) if reps is None
+                           else (codec.group, reps))
         g = math.gcd(den, *nums.values())
         if den < 0:
             g = -g
@@ -347,7 +237,9 @@ class Kernel:
             den //= g
         self.nums = nums
         self.den = den
-        self._parity = None
+        self.group = group
+        self._parity = parity if nums else 1
+        self._len = None
 
     @staticmethod
     def of(lattice: ModeLattice, max_degree: int,
@@ -373,24 +265,43 @@ class Kernel:
             for m, c in terms.items()
         }, den)
 
-    def _sorted_keys(self) -> list[int]:
-        """The keys in ``Monomial.sort_key`` order: by (degree, rank of
-        the u block, rank of the ubar block), packed into one int.  Both
-        blocks of a monomial hold degree/2 factors, so within a degree
-        rank order is factor-tuple order."""
+    def _made(self, nums: dict, den: int, parity: int | None) -> "Kernel":
+        """A kernel on this one's codec and group from representatives."""
+        return Kernel(self.lattice, self.max_degree, nums, den, self.group,
+                      parity)
+
+    def _held(self, group: _Group) -> dict:
+        """The numerators under ``group``, this kernel's own or the
+        trivial one: ``nums``, or every key of each orbit."""
+        return self.nums if group is self.group else self.group.expand(
+            self.nums)
+
+    def _rows(self, value) -> list[tuple[int, int, object]]:
+        """(u block, ubar block, value(numerator)) for every monomial, in
+        ``Monomial.sort_key`` order: by (degree, rank of the u block, rank
+        of the ubar block), packed into one int.  Both blocks of a
+        monomial hold degree/2 factors, so within a degree rank order is
+        factor-tuple order.  Each orbit is expanded here, and ``value``
+        is called once per orbit."""
         codec = self._codec
         rank, block, ubar_shift = codec.rank, codec.block, codec.ubar_shift
         shift, bits = codec.shift, codec.rank_bits
-        return sorted(self.nums, key=lambda key: (
-            (key >> shift << bits | rank[key & block]) << bits
-            | rank[key >> ubar_shift & block]))
+        images = self.group.images
+        rows = {}
+        for key, c in self.nums.items():
+            v = value(c)
+            d = key >> shift << bits
+            for b, u in zip(images[key >> ubar_shift & block],
+                            images[key & block]):
+                rows[(d | rank[u]) << bits | rank[b]] = (u, b, v)
+        return [rows[k] for k in sorted(rows)]
 
     def items(self) -> list[tuple[Monomial, Fraction]]:
         """(m, c) pairs in ``Monomial.sort_key`` order; i*c is the
         coefficient of m."""
-        monomial, nums, den = self._codec.monomial, self.nums, self.den
-        return [(monomial(key), Fraction(nums[key], den))
-                for key in self._sorted_keys()]
+        den, factors = self.den, self._codec.factors
+        return [(Monomial(factors[u], factors[b]), c)
+                for u, b, c in self._rows(lambda c: Fraction(c, den))]
 
     def coefficient(self, m: Monomial) -> Fraction:
         """The c of m's coefficient i*c; 0 for a monomial not held."""
@@ -399,31 +310,36 @@ class Kernel:
             k in codec.index for k in (*m.u, *m.ubar)
         ):
             return Fraction(0)
-        return Fraction(self.nums.get(codec.encode(m), 0), self.den)
+        key, = self.group.reps([codec.encode(m)])
+        return Fraction(self.nums.get(key, 0), self.den)
 
     def swap_parity(self) -> int:
         """s = +1 or -1 if swapping u and ubar maps this kernel to s
         times itself, else 0; the zero kernel gives +1."""
         if self._parity is None:
             nums = self.nums
-            mirror = self._codec.swapped(nums)
-            if mirror == nums:
+            swapped = dict(zip(self.group.mirrors(nums), nums.values()))
+            if swapped == nums:
                 self._parity = 1
             else:
                 self._parity = -1 if all(nums.get(key) == -c for key, c
-                                         in mirror.items()) else 0
+                                         in swapped.items()) else 0
         return self._parity
 
     def support(self) -> set[Monomial]:
         monomial = self._codec.monomial
-        return {monomial(key) for key in self.nums}
+        return {monomial(key) for key in self._held(self._codec.trivial)}
 
     @property
     def is_zero(self) -> bool:
         return not self.nums
 
     def __len__(self) -> int:
-        return len(self.nums)
+        """The number of monomials held, which is not the number of
+        representatives unless the group is trivial."""
+        if self._len is None:
+            self._len = sum(self.group.sizes(self.nums))
+        return self._len
 
     def term_degree(self) -> int:
         """Largest monomial degree present; 0 for the zero kernel."""
@@ -434,9 +350,9 @@ class Kernel:
 
     def degree_slice(self, d: int) -> "Kernel":
         shift = self._codec.shift
-        return Kernel(self.lattice, self.max_degree, {
+        return self._made({
             key: c for key, c in self.nums.items() if key >> shift == d
-        }, self.den)
+        }, self.den, self._parity or None)
 
     def with_cutoff(self, max_degree: int) -> "Kernel":
         return Kernel.of(self.lattice, max_degree, {
@@ -448,13 +364,25 @@ class Kernel:
 
     def __add__(self, other: "Kernel") -> "Kernel":
         self._check_compatible(other)
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
-        nums = (dict(self.nums) if fa == 1
-                else {key: c * fa for key, c in self.nums.items()})
-        for key, c in other.nums.items():
+        group, a, b = self.group, self.nums, other.nums
+        if group is not other.group:
+            # the full maps, and the constructor finds the group again
+            trivial = self._codec.trivial
+            group, a, b = None, self._held(trivial), other._held(trivial)
+        nums = dict(a) if fa == 1 else {key: c * fa for key, c in a.items()}
+        for key, c in b.items():
             nums[key] = nums.get(key, 0) + c * fb
-        return Kernel(self.lattice, self.max_degree, nums, den)
+        # an even plus an odd kernel, neither zero, is neither
+        pa, pb = self._parity, other._parity
+        parity = pa if pa == pb and pa else 0 if pa and pb and pa == -pb \
+            else None
+        return Kernel(self.lattice, self.max_degree, nums, den, group, parity)
 
     def __neg__(self) -> "Kernel":
         return self.scale(-1)
@@ -466,19 +394,21 @@ class Kernel:
         """Multiply every coefficient by a rational."""
         f = Fraction(factor)
         n = f.numerator
-        return Kernel(self.lattice, self.max_degree, {
+        return self._made({
             key: c * n for key, c in self.nums.items()
-        }, self.den * f.denominator)
+        }, self.den * f.denominator, self._parity)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Kernel):
             return NotImplemented
-        return (
-            self.lattice == other.lattice
-            and self.max_degree == other.max_degree
-            and self.den == other.den
-            and self.nums == other.nums
-        )
+        if (self.lattice != other.lattice
+                or self.max_degree != other.max_degree
+                or self.den != other.den):
+            return False
+        if self.group is other.group:
+            return self.nums == other.nums
+        trivial = self._codec.trivial
+        return self._held(trivial) == other._held(trivial)
 
     def __repr__(self) -> str:
         return f"Kernel({len(self)} terms, cutoff {self.max_degree})"
@@ -497,22 +427,22 @@ class Kernel:
         for byte, for the kernel nested ``depth`` levels deep in a larger
         document: every line after the first is indented by 2 * depth
         more spaces.  The text is written from a fixed template, since
-        the json module's indenting encoder runs in pure Python."""
+        the json module's indenting encoder runs in pure Python; each
+        orbit's coefficient is written once, then expanded to its keys."""
         pad = "\n" + "  " * depth
         p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
         codec = self._codec
-        factors, block, ubar_shift = (codec.factors, codec.block,
-                                      codec.ubar_shift)
+        factors = codec.factors
         # each mode's "[ ... ]" list item, and each block's list of them
         item = {k: f"{p4}[{p5}" + f",{p5}".join(map(str, k)) + f"{p4}]"
                 for k in codec.modes}.__getitem__
         text = _Table(lambda b: ",".join(map(item, factors[b])))
-        nums, den = self.nums, self.den
+        den = self.den
         terms = [
-            f'{p2}{{{p3}"im": "{_ratio(nums[key], den)}",{p3}"re": "0",'
-            f'{p3}"u": [{text[key & block]}{p3}],'
-            f'{p3}"ubar": [{text[key >> ubar_shift & block]}{p3}]{p2}}}'
-            for key in self._sorted_keys()
+            f'{p2}{{{p3}"im": "{ratio}",{p3}"re": "0",'
+            f'{p3}"u": [{text[u]}{p3}],'
+            f'{p3}"ubar": [{text[b]}{p3}]{p2}}}'
+            for u, b, ratio in self._rows(lambda c: _ratio(c, den))
         ]
         listing = f"[{','.join(terms)}{p1}]" if terms else "[]"
         return (f'{{{p1}"dim": {self.lattice.dim},{p1}"max_degree": '
@@ -576,7 +506,7 @@ def h0(lattice: ModeLattice, cutoff: int) -> Kernel:
         2 * codec.unit + codec.u_units[j] + codec.ubar_units[j]: n2
         for j, n2 in enumerate(codec.norm2) if n2
     }
-    return Kernel(lattice, cutoff, nums, 2)
+    return Kernel(lattice, cutoff, nums, 2, parity=1)
 
 
 def h1(lattice: ModeLattice, cutoff: int) -> Kernel:
@@ -597,7 +527,7 @@ def h1(lattice: ModeLattice, cutoff: int) -> Kernel:
         key = (4 * codec.unit + u_units[index[k1]] + u_units[index[k3]]
                + ubar_units[index[k2]] + ubar_units[j4])
         nums[key] = nums.get(key, 0) + 1
-    return Kernel(lattice, cutoff, nums, 4)
+    return Kernel(lattice, cutoff, nums, 4, parity=1)
 
 
 def _index(nums: dict, codec: _Codec) -> dict:
@@ -630,6 +560,7 @@ def _contract(x: dict, y_by_u: dict, codec: _Codec, cutoff: int, sign: int,
     shift, unit, block, ubar_shift = (codec.shift, codec.unit, codec.block,
                                       codec.ubar_shift)
     fields, ubar_units = codec.fields, codec.ubar_units
+    get = out.get
     for key1, c1 in x.items():
         # m2 contributes only if deg(m1) + deg(m2) - 2 <= cutoff
         limit = cutoff + 2 - (key1 >> shift)
@@ -643,20 +574,17 @@ def _contract(x: dict, y_by_u: dict, codec: _Codec, cutoff: int, sign: int,
                 if d2 > limit:
                     break
                 key = base + key2
-                out[key] = out.get(key, 0) + c * c2
+                out[key] = get(key, 0) + c * c2
 
 
-def _mirror(q: dict, codec: _Codec, s: int) -> dict:
+def _mirror(q: dict, group: _Group, s: int) -> dict:
     """q - s σq, zeros dropped: Q(A, B) - Q(B, A) from q = Q(A, B) alone,
-    for operands of parities with product s.  The result maps σ to -s
-    times itself, so each key and its mirror are written together, once,
+    for operands of parities with product s, q held one key per orbit of
+    ``group``.  The result maps σ to -s times itself, so each
+    representative and that of its mirror are written together, once,
     from the smaller of the two that q holds."""
-    ubar_shift, block = codec.ubar_shift, codec.block
-    degree = -1 << codec.shift
     out = {}
-    for key, c in q.items():
-        mkey = (key & degree | (key & block) << ubar_shift
-                | key >> ubar_shift & block)
+    for (key, c), mkey in zip(q.items(), group.mirrors(q)):
         if mkey < key and mkey in q:
             continue
         v = c - s * q.get(mkey, 0)
@@ -666,14 +594,16 @@ def _mirror(q: dict, codec: _Codec, s: int) -> dict:
     return out
 
 
-def _window(x: Kernel, y: Kernel) -> dict:
-    """x's degree window: the numerators of degree at most cutoff + 2 -
-    (least degree of y), the only ones that can pair with y.  Keys sort
-    by degree, so that is one key bound; x.nums itself if all lie below."""
+def _window(x: Kernel, y: Kernel, group: _Group) -> dict:
+    """x's degree window, held under ``group``: the numerators of degree
+    at most cutoff + 2 - (least degree of y), the only ones that can pair
+    with y.  Keys sort by degree, so that is one key bound; all of x if
+    all lie below."""
+    nums = x._held(group)
     end = (x.max_degree + 3 - y.min_term_degree()) << x._codec.shift
-    if not x.nums or max(x.nums) < end:
-        return x.nums
-    return {key: c for key, c in x.nums.items() if key < end}
+    if not nums or max(nums) < end:
+        return nums
+    return {key: c for key, c in nums.items() if key < end}
 
 
 def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
@@ -688,48 +618,66 @@ def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     deg(m1) + deg(m2) - 2 exceeds the cutoff is dropped before its key
     is built.
 
+    The bracket runs under G when both operands carry it, else under the
+    trivial group, each operand's orbits expanded.  Under G, A holds one
+    representative r per orbit, and Q(g m, B) = g Q(m, B) for invariant
+    B, so Q(A, B) is the G-average of P = sum_r |Orb r| A_r Q(r, B):
+    x's representatives, each weighted by its orbit size, are contracted
+    against the index of y expanded to full keys, and each key of P is
+    folded onto its representative rho, where the orbit's sum is
+    |Orb rho| [Q(A, B)]_rho, so it is divided exactly by |Orb rho|.
+    Under the trivial group every weight is 1 and the fold leaves P as it
+    is.
+
     Swapping u and ubar (σ) gives σQ(x, y) = Q(σy, σx).  So when both
     operands have a swap parity, s_A and s_B of ``Kernel.swap_parity``
     (which their windows keep, as σ keeps the degree), Q(B, A) =
     s_A s_B σQ(A, B) is the mirror of the first contraction, and one
     contraction does, ``_mirror`` drops the zeros it makes, and the
-    result carries its parity -s_A s_B (+1 if it is zero).  If either
-    parity is 0, Q(B, A) is contracted as well, and ``Kernel`` drops the
-    zeros of the sum.
+    result carries its parity -s_A s_B (+1 if it is zero).  σ commutes
+    with G, so the mirror of a representative is taken through the
+    representative of its σ image.  If either parity is 0, Q(B, A) is
+    contracted as well, into the same P, and ``Kernel`` drops the zeros
+    of the sum.
     """
     a._check_compatible(b)
     cutoff, codec = a.max_degree, a._codec
-    x, y = _window(a, b), _window(b, a)
+    group = a.group if a.group is b.group else codec.trivial
+    x, y = _window(a, b, group), _window(b, a, group)
     out: dict = {}
     s = 0
     if x and y:
-        _contract(x, _index(y, codec), codec, cutoff, 1, out)
+        weighted, expand = group.weighted, group.expand
+        _contract(weighted(x), _index(expand(y), codec), codec, cutoff, 1, out)
         s = a.swap_parity() * b.swap_parity()
+        if not s:
+            _contract(weighted(y), _index(expand(x), codec), codec, cutoff,
+                      -1, out)
+        out = group.fold(out)
         if s:
-            out = _mirror(out, codec, s)
-        else:
-            _contract(y, _index(x, codec), codec, cutoff, -1, out)
-    result = Kernel(a.lattice, cutoff, out, a.den * b.den)
-    if s and result.nums:
-        result._parity = -s
-    return result
+            out = _mirror(out, group, s)
+    return Kernel(a.lattice, cutoff, out, a.den * b.den, group,
+                  -s if s else None)
 
 
 def split_resonant(a: Kernel, cfg: ResonanceConfig) -> tuple[Kernel, Kernel]:
     """The pair (resonant part, non-resonant part) of a: its monomials
-    with |phase| <= threshold, and those with |phase| > threshold."""
+    with |phase| <= threshold, and those with |phase| > threshold.  The
+    phase is G-invariant, so each orbit goes to one side, and each side
+    keeps a's swap parity."""
     res, nonres = {}, {}
     codec_phase, resonant = a._codec.phase, cfg.resonant
     for key, c in a.nums.items():
         (res if resonant(codec_phase(key)) else nonres)[key] = c
-    return (Kernel(a.lattice, a.max_degree, res, a.den),
-            Kernel(a.lattice, a.max_degree, nonres, a.den))
+    parity = a._parity or None
+    return a._made(res, a.den, parity), a._made(nonres, a.den, parity)
 
 
 def apply_phase_filter(a: Kernel, cfg: ResonanceConfig) -> Kernel:
     """Scale non-resonant monomials by 1/(2*phase); drop resonant ones.
 
     The new denominator is a.den times the lcm of the divisors 2*|phase|.
+    σ negates the phase, so the result has the opposite swap parity.
     """
     codec_phase, resonant = a._codec.phase, cfg.resonant
     kept = {}
@@ -738,6 +686,6 @@ def apply_phase_filter(a: Kernel, cfg: ResonanceConfig) -> Kernel:
         if not resonant(p):
             kept[key] = (c, 2 * p)
     lcm = math.lcm(*(q for _, q in kept.values()))
-    return Kernel(a.lattice, a.max_degree, {
+    return a._made({
         key: c * (lcm // q) for key, (c, q) in kept.items()
-    }, a.den * lcm)
+    }, a.den * lcm, -a._parity if a._parity else None)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -371,6 +372,187 @@ class TestSwapParity:
         sa, sb = parities
         if sa and sb:
             assert got.is_zero or monomial_parity(got) == -sa * sb
+
+
+def lattice_group(dim):
+    """G: every permutation and sign flip of dim mode coordinates, as
+    maps of one mode."""
+    return [lambda k, perm=perm, signs=signs: tuple(
+        s * k[i] for s, i in zip(signs, perm))
+        for perm in itertools.permutations(range(dim))
+        for signs in itertools.product((1, -1), repeat=dim)]
+
+
+def moved(m, g):
+    return Monomial.of(map(g, m.u), map(g, m.ubar))
+
+
+def symmetrized(terms, dim):
+    """The sum of g·terms over G, a Monomial -> c map, zeros dropped."""
+    out = {}
+    for g in lattice_group(dim):
+        for m, c in terms.items():
+            out[moved(m, g)] = out.get(moved(m, g), 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def orbits(terms, dim):
+    return {frozenset(moved(m, g) for g in lattice_group(dim))
+            for m in terms}
+
+
+def expanded(k):
+    """k held one key per monomial, under the trivial group, with its
+    parity unknown."""
+    trivial = _codec_for(k.lattice, k.max_degree).trivial
+    return Kernel(k.lattice, k.max_degree, k.group.expand(k.nums), k.den,
+                  trivial)
+
+
+@st.composite
+def term_maps(draw, lat, cutoff):
+    """Monomial -> c maps on lat with nonzero coefficients; fewer terms
+    at dim 3, where G has order 48."""
+    modes = st.sampled_from(lat.modes())
+    terms = {}
+    for _ in range(draw(st.integers(1, 5 if lat.dim < 3 else 2))):
+        n = draw(st.integers(1, cutoff // 2))
+        u = draw(st.lists(modes, min_size=n, max_size=n))
+        ubar = draw(st.lists(modes, min_size=n, max_size=n))
+        terms[Monomial.of(u, ubar)] = draw(nonzero_fractions)
+    return terms
+
+
+@st.composite
+def invariant_kernels(draw, lat, cutoff, parity):
+    """A random kernel summed over its G-images; plus parity times its
+    mirror if parity is ±1."""
+    terms = symmetrized(draw(term_maps(lat, cutoff)), lat.dim)
+    if parity:
+        for m, c in list(terms.items()):
+            mirror = Monomial(m.ubar, m.u)
+            terms[mirror] = terms.get(mirror, 0) + parity * c
+    return Kernel.of(lat, cutoff, terms)
+
+
+class TestOrbits:
+    """A kernel invariant under G holds one key per orbit; every
+    operation on it must equal the same operation on the kernel held
+    whole, and keep G."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_operations_match_expanded(self, dim, data):
+        lat = SWAP_LATTICES[dim]
+        cutoff = data.draw(st.sampled_from((4, 6, 8)))
+        parities = st.sampled_from((1, -1, 0))
+        a, b = (data.draw(invariant_kernels(lat, cutoff, data.draw(parities)))
+                for _ in range(2))
+        codec = _codec_for(lat, cutoff)
+        assert a.group is b.group is codec.group
+        ea, eb = expanded(a), expanded(b)
+        assert ea.group is eb.group is codec.trivial
+        cfg = ResonanceConfig(data.draw(st.integers(0, 3)))
+        q = data.draw(nonzero_fractions)
+        d = data.draw(st.sampled_from(range(2, cutoff + 1, 2)))
+        bracket = poisson_bracket(a, b)
+        pairs = [
+            (bracket, poisson_bracket(ea, eb)),
+            (a + b, ea + eb),
+            (a - b, ea - eb),
+            (a.scale(q), ea.scale(q)),
+            (apply_phase_filter(a, cfg), apply_phase_filter(ea, cfg)),
+            *zip(split_resonant(a, cfg), split_resonant(ea, cfg)),
+            (a.degree_slice(d), ea.degree_slice(d)),
+        ]
+        for got, want in pairs:
+            assert got.group is codec.group and want.group is codec.trivial
+            assert got == want and want == got
+            assert got.items() == want.items()
+            assert got.swap_parity() == monomial_parity(got)
+        assert bracket == naive_bracket(a, b)
+        # a mixed pair runs under the trivial group, and a sum finds G
+        # again (a zero term returns the other as it is)
+        assert poisson_bracket(a, eb) == bracket
+        assert a + eb == a + b
+        if not a.is_zero:
+            assert (a + eb).group is codec.group
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("invariant", [True, False],
+                             ids=["invariant", "plain"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_boundary_reads_the_full_map(self, dim, invariant, data):
+        lat = SWAP_LATTICES[dim]
+        cutoff = data.draw(st.sampled_from((4, 6, 8)))
+        terms = data.draw(term_maps(lat, cutoff))
+        if invariant:
+            terms = symmetrized(terms, dim)
+        else:
+            assume(symmetrized(terms, dim) != {
+                m: c * len(lattice_group(dim)) for m, c in terms.items()})
+        k = Kernel.of(lat, cutoff, terms)
+        codec = _codec_for(lat, cutoff)
+        if invariant:
+            assert k.group is codec.group
+            assert len(k.nums) == len(orbits(terms, dim))
+        else:
+            assert k.group is codec.trivial and len(k.nums) == len(terms)
+        assert len(k) == len(terms)
+        ordered = sorted(terms.items(), key=lambda mc: mc[0].sort_key())
+        assert k.items() == ordered
+        assert k.support() == set(terms)
+        for m, c in terms.items():
+            assert k.coefficient(m) == c
+        m = min(terms, key=Monomial.sort_key)
+        for g in lattice_group(dim):
+            assert k.coefficient(moved(m, g)) == terms.get(moved(m, g), 0)
+        data_json = k.to_json()
+        assert data_json["terms"] == [{**m.to_json(), "re": "0", "im": str(c)}
+                                      for m, c in ordered]
+        assert k.json_text() == json.dumps(data_json, sort_keys=True, indent=2)
+        back = Kernel.from_json(data_json)
+        assert back == k and back.group is k.group
+        assert (back.nums, back.den) == (k.nums, k.den)
+        # equal across the two representations, and only when equal
+        whole = expanded(k)
+        assert whole == k and k == whole
+        full = dict(whole.nums)
+        full.pop(min(full))
+        fewer = Kernel(lat, cutoff, full, k.den, codec.trivial)
+        assert fewer != k and k != fewer
+        assert k.scale(2) != whole and whole != k.scale(2)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_group_order(self, dim):
+        group = _codec_for(ModeLattice(dim, 1), 4).group
+        assert group.order == 2 ** dim * math.factorial(dim)
+        # on the one-mode lattice G moves nothing
+        assert _codec_for(ModeLattice(dim, 0), 4).group.order == 1
+
+    def test_engine_kernels_carry_g(self):
+        cfg = EvalConfig(ModeLattice(2, 1), N0, 6)
+        oracle = birkhoff_iterate(2, cfg)
+        group = _codec_for(cfg.lattice, cfg.cutoff).group
+        for k in (h0(cfg.lattice, 6), h1(cfg.lattice, 6), oracle.normal_form,
+                  *oracle.f_list):
+            assert k.group is group and len(k.nums) < len(k)
+
+    def test_orbit_examples(self):
+        # the orbit of u_1 ubar_1 under k -> -k holds u_-1 ubar_-1 too
+        pair = {mono([1], [1]): 1, mono([-1], [-1]): 1}
+        k = kernel(LAT1, 4, pair.items())
+        assert k.group.order == 2 and len(k.nums) == 1 and len(k) == 2
+        # half of the orbit, or two coefficients on it: not invariant
+        assert kernel(LAT1, 4, [(mono([1], [1]), 1)]).group.order == 1
+        uneven = kernel(LAT1, 4, [(mono([1], [1]), 1), (mono([-1], [-1]), 2)])
+        assert uneven.group.order == 1 and len(uneven.nums) == 2
+        # a key its own image is an orbit of one
+        k = kernel(LAT1, 4, [(mono([1, -1], [1, -1]), 3)])
+        assert k.group.order == 2 and len(k) == 1
+        assert Kernel(LAT1, 4).group.order == 2
 
 
 class TestSplitAndFilter:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from birkhoff import evaluator
 from birkhoff.hamiltonian import (
     GENERATOR_SCALE,
     Kernel,
@@ -407,6 +408,37 @@ class TestInvariants:
                     swapped = Monomial(m.ubar, m.u)
                     assert kernel.coefficient(swapped) == s * c
                 assert kernel.swap_parity() == s
+
+    @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
+    def test_parity_is_carried(self, dim, K_radius, monkeypatch):
+        # every producer passes its swap parity on, so no kernel the
+        # engine builds reaches swap_parity() with its parity unknown,
+        # which is when it is checked term by term.  Each carried parity
+        # must equal a fresh check of the full map.
+        checked = []
+        swap_parity = Kernel.swap_parity
+
+        def spy(kernel):
+            if kernel._parity is None:
+                checked.append(kernel)
+            return swap_parity(kernel)
+
+        monkeypatch.setattr(Kernel, "swap_parity", spy)
+        monkeypatch.setattr(evaluator, "_KERNELS", {})
+        cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
+        oracle = birkhoff_iterate(2, cfg)
+        kernels = [oracle.normal_form, *oracle.f_list,
+                   *generators_from_recursion(2, cfg)]
+        for ledger in (normal_form(2, cfg), f_transform(1, cfg),
+                       f_transform(2, cfg)):
+            kernels += [e.kernel for e in ledger.entries] + [ledger.total]
+        assert not checked
+        for kernel in kernels:
+            full = dict(kernel.items())
+            fresh = [s for s in (1, -1) if all(
+                full.get(Monomial(m.ubar, m.u), 0) == s * c
+                for m, c in full.items())]
+            assert kernel._parity == (fresh[0] if fresh else 0)
 
     @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
     def test_lattice_symmetry(self, dim, K_radius):

@@ -87,14 +87,32 @@ def test_keyword_arguments():
     assert Tree(decoration=K) == Tree(K)
 
 
-def test_cli_import_loads_no_dataclasses():
-    # both cost every command start-up time: see birkhoff._value
+def after_cli_import(code):
+    """stdout of ``code`` run in a fresh interpreter that has imported
+    birkhoff.cli, as every command does first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, birkhoff.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        [sys.executable, "-c", f"import birkhoff.cli; {code}"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_dataclasses():
+    # both cost every command start-up time: see birkhoff._value
+    assert after_cli_import(
+        "import sys; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    ) == "[]\n"
+
+
+def test_cli_import_builds_no_codec():
+    # a codec and its lattice group and tables are built on first use,
+    # not by the import that every job pays for
+    assert after_cli_import(
+        "import gc; from birkhoff import hamiltonian as h; "
+        "print(h._codec_for.cache_info().currsize, sum(isinstance("
+        "o, (h._Codec, h._Group, h._Table)) for o in gc.get_objects()))"
+    ) == "0 0\n"

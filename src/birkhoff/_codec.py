@@ -207,9 +207,9 @@ class _Group:
     there are more, so for a representative's own ubar block those g's
     are its stabilizer.  ``reps``, ``mirrors``, ``sizes`` and ``expand``
     read the tables, each in one loop over many keys; ``weighted``,
-    ``fold`` and ``canon`` are built on them.  The trivial group (order 1)
-    leaves every key and map as it is and fills a table only for
-    ``Kernel._rows``.
+    ``fold`` and ``canon`` are built on them.  The trivial group (the
+    identity alone) runs the same loops: every key is its own
+    representative, every orbit size is 1, and the fold divides by 1.
     """
 
     def __init__(self, codec: _Codec, perms: list[tuple[int, ...]]):
@@ -232,8 +232,6 @@ class _Group:
 
     def reps(self, keys: Iterable[int]) -> list[int]:
         """The least key of each key's orbit, in order."""
-        if self.order == 1:
-            return list(keys)
         codec, images, least = self.codec, self.images, self.least
         degree, ubar_shift, block = codec.degree, codec.ubar_shift, codec.block
         out = []
@@ -249,8 +247,6 @@ class _Group:
         """The orbit size of each representative, in order: |G| over its
         stabilizer, the g's that fix its ubar block (``least``'s g's, most
         often the identity alone) and its u block."""
-        if self.order == 1:
-            return [1 for _ in keys]
         images, least, order = self.images, self.least, self.order
         ubar_shift, block = self.codec.ubar_shift, self.codec.block
         out = []
@@ -272,9 +268,6 @@ class _Group:
         orbits."""
         codec, images, least = self.codec, self.images, self.least
         degree, ubar_shift, block = codec.degree, codec.ubar_shift, codec.block
-        if self.order == 1:
-            return [key & degree | (key & block) << ubar_shift
-                    | key >> ubar_shift & block for key in keys]
         out = []
         append = out.append
         for key in keys:
@@ -287,8 +280,6 @@ class _Group:
     def expand(self, nums: dict) -> dict:
         """Representatives to full keys: each key of each orbit maps to
         its representative's value."""
-        if self.order == 1:
-            return nums
         codec, images = self.codec, self.images
         degree, ubar_shift, block = codec.degree, codec.ubar_shift, codec.block
         out = {}
@@ -301,8 +292,6 @@ class _Group:
 
     def weighted(self, nums: dict) -> dict:
         """Each representative's value times its orbit size."""
-        if self.order == 1:
-            return nums
         return {key: c * n for (key, c), n in zip(nums.items(),
                                                    self.sizes(nums))}
 
@@ -311,8 +300,6 @@ class _Group:
         by the orbit size, zeros dropped.  The division is exact when
         nums is |G|-averaged from a weighted contraction (see
         ``poisson_bracket``)."""
-        if self.order == 1:
-            return nums
         sums: dict[int, int] = {}
         get = sums.get
         for key, c in zip(self.reps(nums), nums.values()):
@@ -324,8 +311,6 @@ class _Group:
         """nums' representatives if nums (full keys) is invariant: each
         key's representative holds the key's value, and the orbits of the
         representatives hold as many keys as nums.  Else None."""
-        if self.order == 1:
-            return nums
         reps = {}
         for (key, c), r in zip(nums.items(), self.reps(nums)):
             if nums.get(r) != c:

@@ -15,11 +15,13 @@ which also holds ``Monomial`` and the lattice group G), and the
 rationals c are int numerators over one common int denominator.
 
 A kernel is stored one key per orbit of a group.  h0, h1, the cutoff,
-the phase and the momentum are invariant under G, every permutation and
-sign flip of the mode coordinates, and the bracket commutes with G, so
-every kernel the engine builds is invariant and holds only the
-representatives of its orbits: 6.5x fewer keys than monomials in the
-brackets of ``verify --m 2 --ell 4`` at dim 2, K 1.  A kernel that is
+the degree and the phase are invariant under G, every permutation and
+sign flip of the mode coordinates; the momentum is not, but it is
+equivariant (the momentum of g m is g applied to that of m), so G keeps
+zero momentum; and the bracket commutes with G.  So every kernel the
+engine builds is invariant and holds only the representatives of its
+orbits: 6.5x fewer keys than monomials in the brackets of
+``verify --m 2 --ell 4`` at dim 2, K 1.  A kernel that is
 not invariant (one read or built from outside) holds every key, under
 the trivial group; the constructor tells the two apart.  Sums,
 multiples, the phase filter, the resonant split, degree slices and
@@ -203,7 +205,7 @@ class Kernel:
     """
 
     __slots__ = ("lattice", "max_degree", "nums", "den", "group", "_codec",
-                 "_parity", "_len")
+                 "_parity")
 
     def __init__(self, lattice: ModeLattice, max_degree: int,
                  nums: Mapping[int, int] | None = None, den: int = 1,
@@ -239,7 +241,6 @@ class Kernel:
         self.den = den
         self.group = group
         self._parity = parity if nums else 1
-        self._len = None
 
     @staticmethod
     def of(lattice: ModeLattice, max_degree: int,
@@ -337,9 +338,7 @@ class Kernel:
     def __len__(self) -> int:
         """The number of monomials held, which is not the number of
         representatives unless the group is trivial."""
-        if self._len is None:
-            self._len = sum(self.group.sizes(self.nums))
-        return self._len
+        return sum(self.group.sizes(self.nums))
 
     def term_degree(self) -> int:
         """Largest monomial degree present; 0 for the zero kernel."""

@@ -15,12 +15,13 @@ block met: hundreds at dim 1, thousands at dim 2, K 2.
 G, the lattice group of every permutation and sign flip of the mode
 coordinates (order 2^d d!: 2 at dim 1, 8 at dim 2), permutes the modes
 and so the fields of a block.  Each codec holds G as the permutations of
-mode indices it makes (``_Codec.group``), with two more lazy tables per
-block: its image under each g, and, for a ubar block, its least image
-with the g's that reach it.  A key's representative is the least key of
-its orbit, found from those two tables, and a map held one key per
-orbit is expanded to every key, or a map of full keys folded onto
-representatives, by the group (see ``hamiltonian`` for why).
+mode indices it makes (``_Codec.group``), with two more lazy tables: a
+block's image under each g, and, for a key's degree and ubar block,
+those of its representative, the least key of its orbit, with the g's
+that reach them.  A map held one key per orbit holds each orbit's sum at
+its representative: the group folds a map of full keys onto those sums
+by adding, and expands them to every key again, times |G| (see
+``hamiltonian`` for why).
 
 Nothing here is built at import: a codec is built by the first call of
 ``_codec_for`` for its (lattice, cutoff), and its group on first use.
@@ -200,16 +201,17 @@ class _Group:
     g moves the exponent of mode j to mode ``perms[g][j]`` in both blocks
     and keeps the degree.  A key's representative is the least key of its
     orbit: the degree is fixed, so that is the image with the least ubar
-    block and, among those, the least u block.  Two tables keyed by block
-    fill lazily, like the codec's ``fields``: ``images`` holds a block's
-    image under each g, and ``least`` a ubar block's least image (shifted
-    into place) with the g's that reach it: the first, and all of them if
-    there are more, so for a representative's own ubar block those g's
-    are its stabilizer.  ``reps``, ``mirrors``, ``sizes`` and ``expand``
-    read the tables, each in one loop over many keys; ``weighted``,
-    ``fold`` and ``canon`` are built on them.  The trivial group (the
-    identity alone) runs the same loops: every key is its own
-    representative, every orbit size is 1, and the fold divides by 1.
+    block and, among those, the least u block.  Two tables fill lazily,
+    like the codec's ``fields``: ``images`` holds a block's image under
+    each g, and ``least``, keyed by a key's bits above its u block (its
+    degree and ubar block), those bits of its representative, shifted
+    into place, with the g's that reach them: the first, and all of them
+    if there are more, so for a representative's own ubar block those g's
+    are its stabilizer.  A map held one key per orbit holds each orbit's
+    sum; ``fold`` makes it from full keys, ``expand`` goes back, and
+    ``sizes`` gives the orbit sizes, each in one loop over many keys.
+    The trivial group (the identity alone) runs the same loops: every key
+    is its own representative and every orbit size is 1.
     """
 
     def __init__(self, codec: _Codec, perms: list[tuple[int, ...]]):
@@ -224,24 +226,13 @@ class _Group:
         return tuple(sum(e * units[p[j]] for j, e in fields)
                      for p in self.perms)
 
-    def _least(self, block: int) -> tuple[int, int, tuple[int, ...] | None]:
-        images = self.images[block]
+    def _least(self, high: int) -> tuple[int, int, tuple[int, ...] | None]:
+        block = self.codec.block
+        images = self.images[high & block]
         low = min(images)
         gs = tuple(g for g, b in enumerate(images) if b == low)
-        return low << self.codec.ubar_shift, gs[0], gs if gs[1:] else None
-
-    def reps(self, keys: Iterable[int]) -> list[int]:
-        """The least key of each key's orbit, in order."""
-        codec, images, least = self.codec, self.images, self.least
-        degree, ubar_shift, block = codec.degree, codec.ubar_shift, codec.block
-        out = []
-        append = out.append
-        for key in keys:
-            low, g, gs = least[key >> ubar_shift & block]
-            u = images[key & block]
-            append(key & degree | low
-                   | (u[g] if gs is None else min([u[g] for g in gs])))
-        return out
+        high += low - (high & block)
+        return high << self.codec.ubar_shift, gs[0], gs if gs[1:] else None
 
     def sizes(self, keys: Iterable[int]) -> list[int]:
         """The orbit size of each representative, in order: |G| over its
@@ -252,7 +243,7 @@ class _Group:
         out = []
         append = out.append
         for key in keys:
-            gs = least[key >> ubar_shift & block][2]
+            gs = least[key >> ubar_shift][2]
             if gs is None:
                 append(order)
             else:
@@ -261,63 +252,33 @@ class _Group:
                 append(order // sum([image[g] == u for g in gs]))
         return out
 
-    def mirrors(self, keys: Iterable[int]) -> list[int]:
-        """The representative of σ(key) for each key, as ``reps`` finds
-        it: σ swaps the u and ubar blocks, so the image's ubar block is
-        the key's u block.  σ commutes with every g, so it maps orbits to
-        orbits."""
-        codec, images, least = self.codec, self.images, self.least
-        degree, ubar_shift, block = codec.degree, codec.ubar_shift, codec.block
-        out = []
-        append = out.append
-        for key in keys:
-            low, g, gs = least[key & block]
-            u = images[key >> ubar_shift & block]
-            append(key & degree | low
-                   | (u[g] if gs is None else min([u[g] for g in gs])))
-        return out
-
     def expand(self, nums: dict) -> dict:
-        """Representatives to full keys: each key of each orbit maps to
-        its representative's value."""
-        codec, images = self.codec, self.images
+        """Orbit sums to full keys, times |G|: each key of the orbit of a
+        representative rho holding the sum w maps to w |Stab rho| = |G| c,
+        c = w / |Orb rho| the value of each key of the orbit."""
+        codec, images, order = self.codec, self.images, self.order
         degree, ubar_shift, block = codec.degree, codec.ubar_shift, codec.block
         out = {}
-        for key, c in nums.items():
-            d = key & degree
+        for (key, w), n in zip(nums.items(), self.sizes(nums)):
+            d, v = key & degree, w * (order // n)
             for b, u in zip(images[key >> ubar_shift & block],
                             images[key & block]):
-                out[d | b << ubar_shift | u] = c
+                out[d | b << ubar_shift | u] = v
         return out
 
-    def weighted(self, nums: dict) -> dict:
-        """Each representative's value times its orbit size."""
-        return {key: c * n for (key, c), n in zip(nums.items(),
-                                                   self.sizes(nums))}
-
     def fold(self, nums: dict) -> dict:
-        """Full keys to representatives: the sum over each orbit, divided
-        by the orbit size, zeros dropped.  The division is exact when
-        nums is |G|-averaged from a weighted contraction (see
-        ``poisson_bracket``)."""
+        """Full keys to orbit sums: each key's value added to the least key
+        of its orbit, in the order each orbit is first met; zeros stay."""
+        images, least = self.images, self.least
+        ubar_shift, block = self.codec.ubar_shift, self.codec.block
         sums: dict[int, int] = {}
         get = sums.get
-        for key, c in zip(self.reps(nums), nums.values()):
+        for key, c in nums.items():
+            high, g, gs = least[key >> ubar_shift]
+            u = images[key & block]
+            key = high | (u[g] if gs is None else min([u[g] for g in gs]))
             sums[key] = get(key, 0) + c
-        return {key: c // n for (key, c), n in zip(sums.items(),
-                                                    self.sizes(sums)) if c}
-
-    def canon(self, nums: dict) -> dict | None:
-        """nums' representatives if nums (full keys) is invariant: each
-        key's representative holds the key's value, and the orbits of the
-        representatives hold as many keys as nums.  Else None."""
-        reps = {}
-        for (key, c), r in zip(nums.items(), self.reps(nums)):
-            if nums.get(r) != c:
-                return None
-            if r == key:
-                reps[key] = c
-        return reps if sum(self.sizes(reps)) == len(nums) else None
+        return sums
 
 
 @functools.cache

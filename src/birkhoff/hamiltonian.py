@@ -19,24 +19,25 @@ the degree and the phase are invariant under G, every permutation and
 sign flip of the mode coordinates; the momentum is not, but it is
 equivariant (the momentum of g m is g applied to that of m), so G keeps
 zero momentum; and the bracket commutes with G.  So every kernel the
-engine builds is invariant and holds only the representatives of its
-orbits: 6.5x fewer keys than monomials in the brackets of
-``verify --m 2 --ell 4`` at dim 2, K 1.  A kernel that is
-not invariant (one read or built from outside) holds every key, under
-the trivial group; the constructor tells the two apart.  Sums,
-multiples, the phase filter, the resonant split, degree slices and
-degree windows act on representatives as they are.  ``Monomial`` and
-the rational c of each i*c appear only at the boundary, where every
-orbit is expanded.  ``Kernel.of`` is the one way in from monomials, and
+engine builds is invariant and holds at each orbit's least key, its
+representative, the sum of the orbit's coefficients: 6.5x fewer keys
+than monomials in the brackets of ``verify --m 2 --ell 4`` at dim 2,
+K 1.  A kernel that is not invariant (one read or built from outside)
+holds every key, under the trivial group; the constructor tells the
+two apart.  Sums, multiples, the phase filter, the resonant split,
+degree slices and degree windows act on the orbit sums as they are.
+``Monomial`` and the rational c of each i*c appear only at the
+boundary, where every orbit is expanded and its sum divided by its
+size.  ``Kernel.of`` is the one way in from monomials, and
 ``with_cutoff`` builds through it; ``from_json`` sums each term's key
 straight from its ``u``/``ubar`` lists through the codec's unit tables,
 as ``h0`` and ``h1`` do, and makes no ``Monomial``.  ``items`` is the
 way out, and ``to_json`` and ``with_cutoff`` read it.  Three readers
-keep their own path: ``coefficient`` looks up the representative of one
-monomial, ``support`` lists them, and ``json_text`` writes the text of
-``to_json`` straight from the keys.  Both ``items`` and ``json_text``
-sort the expanded keys by one int, the degree and the ranks of the two
-blocks, and read each orbit's coefficient once.
+keep their own path: ``coefficient`` folds one monomial onto its
+representative, ``support`` lists the monomials, and ``json_text``
+writes the text of ``to_json`` straight from the keys.  Both ``items``
+and ``json_text`` sort the expanded keys by one int, the degree and the
+ranks of the two blocks, and read each orbit's coefficient once.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
@@ -48,23 +49,19 @@ the second operand's window is expanded to full keys and indexed by
 each mode of its u factors, so only monomial pairs that contract are
 visited; pairs past the degree cutoff are dropped before a key is
 built, so no exponent field can carry into the next.  Only the first
-operand's representatives are contracted, each weighted by its orbit
-size, and the output is folded onto representatives: for invariant A
-and B,
-
-    |Orb rho| [Q(A, B)]_rho = sum over kappa in Orb rho of
-                              [sum_r |Orb r| A_r Q(r, B)]_kappa,
-
-so each folded sum is divided exactly by its orbit size.  Swapping u and
-ubar (σ, which keeps the degree) gives σQ(x, y) = Q(σy, σx).  Every
-kernel the engine builds is mapped to s times itself by σ, s = ±1 its
-swap parity, so Q(B, A) = s_A s_B σQ(A, B) is the mirror of Q(A, B) and
-costs no second contraction; σ commutes with G, so the mirror of a
-representative is the representative of its σ image.  The mirror step
-drops the zeros it makes (each cancellation, and every self-mirrored
-orbit when s_A s_B = +1), and {A, B} carries its parity -s_A s_B.
-Every producer passes its parity on, so no engine kernel is checked
-term by term; an operand without a parity gets the second contraction.
+operand's orbit sums w_r = |Orb r| A_r are contracted, and each key of
+the output is added to its representative: for invariant A and B,
+Q(A, B) and sum_r w_r Q(r, B) have the same sum over each orbit, so
+nothing is weighted or divided.  Swapping u and ubar (σ, which keeps
+the degree) gives σQ(x, y) = Q(σy, σx).  Every kernel the engine builds
+is mapped to s times itself by σ, s = ±1 its swap parity, so Q(B, A) =
+s_A s_B σQ(A, B) is the mirror of Q(A, B) and costs no second
+contraction; σ maps each orbit onto one of the same size, so the mirror
+is the fold of the swapped keys.  The mirror step drops the zeros it
+makes (each cancellation, and every self-mirrored orbit when s_A s_B =
++1), and {A, B} carries its parity -s_A s_B.  Every producer passes its
+parity on, so no engine kernel is checked term by term; an operand
+without a parity gets the second contraction.
 
 Constant conventions, pinned by direct computation (see the test suite):
 
@@ -167,32 +164,33 @@ class Kernel:
     """Immutable finite map Monomial -> purely imaginary coefficient i*c.
 
     The coefficient of the monomial with packed key ``key`` is
-    i * nums[rep] / den, rep the representative of key's orbit under the
-    kernel's ``group``, held in canonical form: ``nums`` holds one key per
-    orbit, every numerator is a nonzero int, ``den`` is a positive int,
-    and gcd(den, *nums) == 1.  The group is the codec's G, every
-    permutation and sign flip of the mode coordinates, when the kernel is
-    invariant under it, and the trivial group otherwise, whose orbits are
-    single keys.  So equal kernels under one group hold equal maps and
-    denominators.
+    i * nums[rep] / (den |Orb rep|), rep the representative of key's
+    orbit under the kernel's ``group``: ``nums`` holds each orbit's sum
+    at its representative, in canonical form: every numerator is a
+    nonzero int, ``den`` is a positive int, and gcd(den, *nums) == 1.
+    The group is the codec's G, every permutation and sign flip of the
+    mode coordinates, when the kernel is invariant under it, and the
+    trivial group otherwise, whose orbits are single keys.  So equal
+    kernels under one group hold equal maps and denominators.
 
     The constructor takes full keys of the (lattice, max_degree) codec
-    and checks invariance itself: the kernel carries G if every key of
-    each orbit holds one numerator, and the trivial group if not.  Every
-    kernel the engine builds is invariant (h0, h1, the cutoff and the
-    phase are, and the bracket commutes with G), and each producer passes
-    on its operands' group with ``nums`` already one per orbit, so the
-    check runs only at the way in.  At the boundary every orbit is
-    expanded: ``items()``, ``json_text``, ``support()`` and ``len()``
+    and checks invariance itself: the kernel carries G if the map folded
+    onto orbit sums and expanded again is |G| times itself, and the
+    trivial group if not.  Every kernel the engine builds is invariant
+    (h0, h1, the cutoff and the phase are, and the bracket commutes with
+    G), and each producer passes on its operands' group with ``nums``
+    already one per orbit, so the check runs only at the way in.  At the
+    boundary every orbit is expanded, and only there is its sum divided
+    by its size: ``items()``, ``json_text``, ``support()`` and ``len()``
     see one monomial per key, as if the full map were held, so ``len()``
-    counts monomials, not orbits.  ``coefficient()`` looks up a key's
-    representative, and ``==`` compares two kernels of different groups
-    by their full maps.  At the boundary a coefficient is the
+    counts monomials, not orbits; ``coefficient()`` folds one key onto
+    its representative, and ``==`` compares two kernels of different
+    groups by their full maps.  At the boundary a coefficient is the
     ``Fraction`` c that stands for i*c: ``Kernel.of`` takes a
     Monomial -> c map, ``items()`` and ``coefficient()`` return c, and
-    ``from_json`` reads c from the "im" string of each term and refuses an
-    "re" that does not read as zero.  The cutoff ``max_degree`` is even,
-    and no monomial exceeds it.
+    ``from_json`` reads c from the "im" string of each term and refuses
+    an "re" that does not read as zero.  The cutoff ``max_degree`` is
+    even, and no monomial exceeds it.
 
     σ swaps u and ubar in every monomial.  ``swap_parity()`` is +1 if
     σA = A, -1 if σA = -A and 0 otherwise.  Every producer passes it on:
@@ -201,7 +199,9 @@ class Kernel:
     kernels of one parity, a sum of an even and an odd kernel, neither
     zero, has none, and a bracket of kernels of parities s_A and s_B has
     parity -s_A s_B.  A kernel that does not know its parity, such as one
-    built from outside, checks it term by term on first call and keeps it.
+    built from outside, checks it on first call and keeps it: σ maps each
+    orbit onto one of the same size, so σA is the fold of the swapped
+    keys, compared orbit by orbit.
     """
 
     __slots__ = ("lattice", "max_degree", "nums", "den", "group", "_codec",
@@ -211,7 +211,7 @@ class Kernel:
                  nums: Mapping[int, int] | None = None, den: int = 1,
                  group: _Group | None = None, parity: int | None = None):
         """nums maps full keys, unless ``group`` is given: then it maps
-        that group's representatives, as the engine's producers pass it.
+        that group's representatives to orbit sums, as producers pass it.
         ``parity``, if given, is the swap parity the caller knows."""
         _check_cutoff(max_degree)
         self.lattice = lattice
@@ -228,9 +228,13 @@ class Kernel:
             if degree > max_degree:
                 raise ValueError(f"monomial degree {degree} above cutoff")
         if group is None:
-            reps = codec.group.canon(nums)
-            group, nums = ((codec.trivial, nums) if reps is None
-                           else (codec.group, reps))
+            # invariant if each key holds its orbit's sum over its size
+            group, sums = codec.group, codec.group.fold(nums)
+            if group.expand(sums) == {k: c * group.order
+                                      for k, c in nums.items()}:
+                nums = sums
+            else:
+                group = codec.trivial
         g = math.gcd(den, *nums.values())
         if den < 0:
             g = -g
@@ -271,26 +275,28 @@ class Kernel:
         return Kernel(self.lattice, self.max_degree, nums, den, self.group,
                       parity)
 
-    def _held(self, group: _Group) -> dict:
+    def _held(self, group: _Group) -> tuple[dict, int]:
         """The numerators under ``group``, this kernel's own or the
-        trivial one: ``nums``, or every key of each orbit."""
-        return self.nums if group is self.group else self.group.expand(
-            self.nums)
+        trivial one, with their denominator: ``nums`` over ``den``, or
+        every key of each orbit over den |G| (see ``_Group.expand``)."""
+        if group is self.group:
+            return self.nums, self.den
+        return self.group.expand(self.nums), self.den * self.group.order
 
     def _rows(self, value) -> list[tuple[int, int, object]]:
-        """(u block, ubar block, value(numerator)) for every monomial, in
-        ``Monomial.sort_key`` order: by (degree, rank of the u block, rank
-        of the ubar block), packed into one int.  Both blocks of a
+        """(u block, ubar block, value(numerator, den)) for every monomial,
+        in ``Monomial.sort_key`` order: by (degree, rank of the u block,
+        rank of the ubar block), packed into one int.  Both blocks of a
         monomial hold degree/2 factors, so within a degree rank order is
         factor-tuple order.  Each orbit is expanded here, and ``value``
-        is called once per orbit."""
+        is called once per orbit, with ``den`` times the orbit size."""
         codec = self._codec
         rank, block, ubar_shift = codec.rank, codec.block, codec.ubar_shift
         shift, bits = codec.shift, codec.rank_bits
-        images = self.group.images
+        images, nums = self.group.images, self.nums
         rows = {}
-        for key, c in self.nums.items():
-            v = value(c)
+        for (key, c), n in zip(nums.items(), self.group.sizes(nums)):
+            v = value(c, self.den * n)
             d = key >> shift << bits
             for b, u in zip(images[key >> ubar_shift & block],
                             images[key & block]):
@@ -300,9 +306,9 @@ class Kernel:
     def items(self) -> list[tuple[Monomial, Fraction]]:
         """(m, c) pairs in ``Monomial.sort_key`` order; i*c is the
         coefficient of m."""
-        den, factors = self.den, self._codec.factors
+        factors = self._codec.factors
         return [(Monomial(factors[u], factors[b]), c)
-                for u, b, c in self._rows(lambda c: Fraction(c, den))]
+                for u, b, c in self._rows(Fraction)]
 
     def coefficient(self, m: Monomial) -> Fraction:
         """The c of m's coefficient i*c; 0 for a monomial not held."""
@@ -311,15 +317,16 @@ class Kernel:
             k in codec.index for k in (*m.u, *m.ubar)
         ):
             return Fraction(0)
-        key, = self.group.reps([codec.encode(m)])
-        return Fraction(self.nums.get(key, 0), self.den)
+        key, = self.group.fold({codec.encode(m): 0})
+        n, = self.group.sizes([key])
+        return Fraction(self.nums.get(key, 0), self.den * n)
 
     def swap_parity(self) -> int:
         """s = +1 or -1 if swapping u and ubar maps this kernel to s
         times itself, else 0; the zero kernel gives +1."""
         if self._parity is None:
             nums = self.nums
-            swapped = dict(zip(self.group.mirrors(nums), nums.values()))
+            swapped = _swapped(nums, self.group)
             if swapped == nums:
                 self._parity = 1
             else:
@@ -329,7 +336,7 @@ class Kernel:
 
     def support(self) -> set[Monomial]:
         monomial = self._codec.monomial
-        return {monomial(key) for key in self._held(self._codec.trivial)}
+        return {monomial(key) for key in self._held(self._codec.trivial)[0]}
 
     @property
     def is_zero(self) -> bool:
@@ -367,13 +374,12 @@ class Kernel:
             return self
         if not self.nums:
             return other
-        den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        group, a, b = self.group, self.nums, other.nums
-        if group is not other.group:
-            # the full maps, and the constructor finds the group again
-            trivial = self._codec.trivial
-            group, a, b = None, self._held(trivial), other._held(trivial)
+        # a mixed pair adds full maps; the constructor finds the group
+        same = self.group is other.group
+        group = self.group if same else self._codec.trivial
+        (a, da), (b, db) = self._held(group), other._held(group)
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
         nums = dict(a) if fa == 1 else {key: c * fa for key, c in a.items()}
         for key, c in b.items():
             nums[key] = nums.get(key, 0) + c * fb
@@ -381,7 +387,8 @@ class Kernel:
         pa, pb = self._parity, other._parity
         parity = pa if pa == pb and pa else 0 if pa and pb and pa == -pb \
             else None
-        return Kernel(self.lattice, self.max_degree, nums, den, group, parity)
+        return Kernel(self.lattice, self.max_degree, nums, den,
+                      group if same else None, parity)
 
     def __neg__(self) -> "Kernel":
         return self.scale(-1)
@@ -401,13 +408,14 @@ class Kernel:
         if not isinstance(other, Kernel):
             return NotImplemented
         if (self.lattice != other.lattice
-                or self.max_degree != other.max_degree
-                or self.den != other.den):
+                or self.max_degree != other.max_degree):
             return False
         if self.group is other.group:
-            return self.nums == other.nums
+            return self.den == other.den and self.nums == other.nums
         trivial = self._codec.trivial
-        return self._held(trivial) == other._held(trivial)
+        (a, da), (b, db) = self._held(trivial), other._held(trivial)
+        return a.keys() == b.keys() and all(
+            c * db == b[key] * da for key, c in a.items())
 
     def __repr__(self) -> str:
         return f"Kernel({len(self)} terms, cutoff {self.max_degree})"
@@ -436,12 +444,11 @@ class Kernel:
         item = {k: f"{p4}[{p5}" + f",{p5}".join(map(str, k)) + f"{p4}]"
                 for k in codec.modes}.__getitem__
         text = _Table(lambda b: ",".join(map(item, factors[b])))
-        den = self.den
         terms = [
             f'{p2}{{{p3}"im": "{ratio}",{p3}"re": "0",'
             f'{p3}"u": [{text[u]}{p3}],'
             f'{p3}"ubar": [{text[b]}{p3}]{p2}}}'
-            for u, b, ratio in self._rows(lambda c: _ratio(c, den))
+            for u, b, ratio in self._rows(_ratio)
         ]
         listing = f"[{','.join(terms)}{p1}]" if terms else "[]"
         return (f'{{{p1}"dim": {self.lattice.dim},{p1}"max_degree": '
@@ -576,6 +583,17 @@ def _contract(x: dict, y_by_u: dict, codec: _Codec, cutoff: int, sign: int,
                 out[key] = get(key, 0) + c * c2
 
 
+def _swapped(nums: dict, group: _Group) -> dict:
+    """σ nums under ``group``, in nums' order: σ swaps each key's u and
+    ubar blocks and commutes with G, so it maps each orbit onto one of the
+    same size, whose representative takes the orbit's sum as it is."""
+    codec = group.codec
+    degree, ubar_shift, block = codec.degree, codec.ubar_shift, codec.block
+    return group.fold({
+        key & degree | (key & block) << ubar_shift | key >> ubar_shift & block:
+        c for key, c in nums.items()})
+
+
 def _mirror(q: dict, group: _Group, s: int) -> dict:
     """q - s σq, zeros dropped: Q(A, B) - Q(B, A) from q = Q(A, B) alone,
     for operands of parities with product s, q held one key per orbit of
@@ -583,7 +601,7 @@ def _mirror(q: dict, group: _Group, s: int) -> dict:
     representative and that of its mirror are written together, once,
     from the smaller of the two that q holds."""
     out = {}
-    for (key, c), mkey in zip(q.items(), group.mirrors(q)):
+    for (key, c), mkey in zip(q.items(), _swapped(q, group)):
         if mkey < key and mkey in q:
             continue
         v = c - s * q.get(mkey, 0)
@@ -593,69 +611,63 @@ def _mirror(q: dict, group: _Group, s: int) -> dict:
     return out
 
 
-def _window(x: Kernel, y: Kernel, group: _Group) -> dict:
-    """x's degree window, held under ``group``: the numerators of degree
-    at most cutoff + 2 - (least degree of y), the only ones that can pair
-    with y.  Keys sort by degree, so that is one key bound; all of x if
-    all lie below."""
-    nums = x._held(group)
+def _window(x: Kernel, y: Kernel, group: _Group) -> tuple[dict, int]:
+    """x's degree window, held under ``group`` with its denominator (see
+    ``Kernel._held``): the numerators of degree at most cutoff + 2 -
+    (least degree of y), the only ones that can pair with y.  Keys sort
+    by degree, so that is one key bound; all of x if all lie below."""
+    nums, den = x._held(group)
     end = (x.max_degree + 3 - y.min_term_degree()) << x._codec.shift
     if not nums or max(nums) < end:
-        return nums
-    return {key: c for key, c in nums.items() if key < end}
+        return nums, den
+    return {key: c for key, c in nums.items() if key < end}, den
 
 
 def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     """{a, b} = i sum_k (d_{u_k} a d_{ubar_k} b - d_{u_k} b d_{ubar_k} a).
 
     Exact.  With Q the contraction of ``_contract``, {iA, iB} =
-    i*(Q(A, B) - Q(B, A)) over the denominator a.den * b.den.  Each
-    operand is cut to its ``_window``; if either window is empty the
-    bracket is zero before any index is built.  Q(x, y) indexes y by the
-    modes of its u factors, so only monomial pairs that share a
-    contractible mode are visited, and a pair whose bracket degree
-    deg(m1) + deg(m2) - 2 exceeds the cutoff is dropped before its key
-    is built.
+    i*(Q(A, B) - Q(B, A)).  Each operand is cut to its ``_window``; if
+    either window is empty the bracket is zero before any index is
+    built.  Q(x, y) indexes y by the modes of its u factors, so only
+    monomial pairs that share a contractible mode are visited, and a pair
+    whose bracket degree deg(m1) + deg(m2) - 2 exceeds the cutoff is
+    dropped before its key is built.
 
     The bracket runs under G when both operands carry it, else under the
-    trivial group, each operand's orbits expanded.  Under G, A holds one
-    representative r per orbit, and Q(g m, B) = g Q(m, B) for invariant
-    B, so Q(A, B) is the G-average of P = sum_r |Orb r| A_r Q(r, B):
-    x's representatives, each weighted by its orbit size, are contracted
-    against the index of y expanded to full keys, and each key of P is
-    folded onto its representative rho, where the orbit's sum is
-    |Orb rho| [Q(A, B)]_rho, so it is divided exactly by |Orb rho|.
-    Under the trivial group every weight is 1 and the fold leaves P as it
-    is.
+    trivial group, each operand's orbits expanded.  Under G, A holds the
+    sum w_r = |Orb r| A_r of each orbit, and Q(g m, B) = g Q(m, B) for
+    invariant B, so Q(A, B) is the G-average of P = sum_r w_r Q(r, B)
+    and has P's sum over each orbit.  So x's sums are contracted as they
+    are against y expanded to full keys (|G| times B, over a denominator
+    times |G| that ``Kernel`` reduces), and P's fold is the result.
 
     Swapping u and ubar (σ) gives σQ(x, y) = Q(σy, σx).  So when both
     operands have a swap parity, s_A and s_B of ``Kernel.swap_parity``
     (which their windows keep, as σ keeps the degree), Q(B, A) =
     s_A s_B σQ(A, B) is the mirror of the first contraction, and one
     contraction does, ``_mirror`` drops the zeros it makes, and the
-    result carries its parity -s_A s_B (+1 if it is zero).  σ commutes
-    with G, so the mirror of a representative is taken through the
-    representative of its σ image.  If either parity is 0, Q(B, A) is
-    contracted as well, into the same P, and ``Kernel`` drops the zeros
-    of the sum.
+    result carries its parity -s_A s_B (+1 if it is zero); the mirror is
+    the fold of the swapped keys (see ``_swapped``).  If either parity is
+    0, Q(B, A) is contracted as well, into the same P, and ``Kernel``
+    drops the zeros of the sum.
     """
     a._check_compatible(b)
     cutoff, codec = a.max_degree, a._codec
     group = a.group if a.group is b.group else codec.trivial
-    x, y = _window(a, b, group), _window(b, a, group)
+    (x, dx), (y, dy) = _window(a, b, group), _window(b, a, group)
     out: dict = {}
     s = 0
     if x and y:
-        weighted, expand = group.weighted, group.expand
-        _contract(weighted(x), _index(expand(y), codec), codec, cutoff, 1, out)
+        expand = group.expand
+        _contract(x, _index(expand(y), codec), codec, cutoff, 1, out)
         s = a.swap_parity() * b.swap_parity()
         if not s:
-            _contract(weighted(y), _index(expand(x), codec), codec, cutoff,
-                      -1, out)
+            _contract(y, _index(expand(x), codec), codec, cutoff, -1, out)
         out = group.fold(out)
         if s:
             out = _mirror(out, group, s)
-    return Kernel(a.lattice, cutoff, out, a.den * b.den, group,
+    return Kernel(a.lattice, cutoff, out, dx * dy * group.order, group,
                   -s if s else None)
 
 

@@ -405,8 +405,8 @@ def expanded(k):
     """k held one key per monomial, under the trivial group, with its
     parity unknown."""
     trivial = _codec_for(k.lattice, k.max_degree).trivial
-    return Kernel(k.lattice, k.max_degree, k.group.expand(k.nums), k.den,
-                  trivial)
+    return Kernel(k.lattice, k.max_degree, k.group.expand(k.nums),
+                  k.den * k.group.order, trivial)
 
 
 @st.composite
@@ -553,6 +553,38 @@ class TestOrbits:
         k = kernel(LAT1, 4, [(mono([1, -1], [1, -1]), 3)])
         assert k.group.order == 2 and len(k) == 1
         assert Kernel(LAT1, 4).group.order == 2
+        # k -> -k fixes ubar_0 and moves u_1: the orbit's sum sits at its
+        # least key
+        pair = [mono([1], [0]), mono([-1], [0])]
+        k = kernel(LAT1, 4, [(m, 1) for m in pair])
+        least = min(map(_codec_for(LAT1, 4).encode, pair))
+        assert k.nums == {least: 2} and k.den == 1
+        # at dim 2 (|G| = 8): u_e ubar_e over the four unit modes e, an
+        # orbit of 4 with a stabilizer of 2, and the degree-8 monomial on
+        # all four in both u and ubar, an orbit of 1 fixed by all of G
+        lat = SWAP_LATTICES[2]
+        units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+        terms = {Monomial.of([e], [e]): Fraction(3, 5) for e in units}
+        terms[Monomial.of(units, units)] = Fraction(-7, 2)
+        k = Kernel.of(lat, 8, terms)
+        codec = _codec_for(lat, 8)
+        assert k.group is codec.group and k.group.order == 8
+        assert len(k.nums) == 2 and len(k) == 5
+        # each orbit holds its sum: 4 * 3/5 and -7/2
+        assert sorted(Fraction(w, k.den) for w in k.nums.values()) == [
+            Fraction(-7, 2), Fraction(12, 5)]
+        for m, c in terms.items():
+            assert k.coefficient(m) == c
+        ordered = sorted(terms.items(), key=lambda mc: mc[0].sort_key())
+        assert k.items() == ordered
+        assert k.json_text() == json.dumps(k.to_json(), sort_keys=True,
+                                           indent=2)
+        back = Kernel.from_json(json.loads(k.json_text()))
+        assert back == k and (back.nums, back.den) == (k.nums, k.den)
+        # expand gives each key c |G|, over the denominator
+        assert {key: Fraction(v, k.den)
+                for key, v in k.group.expand(k.nums).items()} == {
+            codec.encode(m): 8 * c for m, c in terms.items()}
 
 
 class TestSplitAndFilter:

@@ -39,6 +39,14 @@ def make_cfg(K_radius=2, threshold=0, cutoff=8, dim=1):
     )
 
 
+def lattice_row(dim, K_radius, m, ell, threshold=0, marks=()):
+    """A (dim, K, m, ell, N) row, named without its N when N is 0."""
+    name = f"{dim}-{K_radius}-{m}-{ell}" + (f"-N{threshold}" if threshold
+                                            else "")
+    return pytest.param(dim, K_radius, m, ell, threshold, id=name,
+                        marks=marks)
+
+
 @pytest.mark.parametrize("entry", [
     normal_form, f_transform, birkhoff_iterate, generators_from_recursion,
 ], ids=lambda f: f.__name__)
@@ -330,19 +338,30 @@ class TestCentralVerification:
         oracle = birkhoff_iterate(m, cfg)
         assert compare(ledger.total, oracle.normal_form).equal
 
-    @pytest.mark.parametrize("dim,K_radius,m,ell", [
-        (1, 3, 2, 4), (3, 1, 1, 3), (2, 2, 1, 3), (1, 2, 4, 6),
-        (2, 1, 3, 5), pytest.param(1, 2, 5, 7, marks=pytest.mark.slow),
+    @pytest.mark.parametrize("dim,K_radius,m,ell,threshold", [
+        lattice_row(1, 3, 2, 4), lattice_row(3, 1, 1, 3),
+        lattice_row(2, 2, 1, 3), lattice_row(1, 2, 4, 6),
+        lattice_row(2, 1, 3, 5),
+        lattice_row(1, 2, 5, 7, marks=pytest.mark.slow),
+        lattice_row(2, 1, 2, 4, 1), lattice_row(2, 1, 3, 5, 2),
+        lattice_row(3, 1, 1, 3, 1), lattice_row(2, 2, 1, 3, 3),
     ])
     def test_tree_expansion_equals_iteration_lattices(self, dim, K_radius, m,
-                                                      ell):
+                                                      ell, threshold):
         # a wider 1-D lattice, the 27 modes of the 3-D cube, the 25 modes
-        # of the dim 2, K 2 square, and higher orders, where the tree
-        # count rather than the kernel width is the cost
-        cfg = make_cfg(K_radius=K_radius, cutoff=2 * ell, dim=dim)
+        # of the dim 2, K 2 square, higher orders, where the tree count
+        # rather than the kernel width is the cost, and nonzero
+        # thresholds off the 1-D lattice
+        cfg = make_cfg(K_radius=K_radius, threshold=threshold,
+                       cutoff=2 * ell, dim=dim)
         ledger = normal_form(m, cfg)
         oracle = birkhoff_iterate(m, cfg)
         assert compare(ledger.total, oracle.normal_form).equal
+        recs = generators_from_recursion(m, cfg)
+        for i in range(1, m + 1):
+            f = f_transform(i, cfg)
+            assert compare(f.total, recs[i - 1]).equal
+            assert cancellation_check(f).is_zero
 
     def test_f_transform_and_cancellation_dim2(self):
         cfg = make_cfg(K_radius=1, cutoff=8, dim=2)

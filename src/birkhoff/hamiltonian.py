@@ -37,7 +37,7 @@ keep their own path: ``coefficient`` folds one monomial onto its
 representative, ``support`` lists the monomials, and ``json_text``
 writes the text of ``to_json`` straight from the keys.  Both ``items``
 and ``json_text`` sort the expanded keys by one int, the degree and the
-ranks of the two blocks, and read each orbit's coefficient once.
+ranks of the two blocks, and divide each orbit's sum once.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the

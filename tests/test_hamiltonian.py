@@ -521,7 +521,7 @@ class TestOrbits:
         assert whole == k and k == whole
         full = dict(whole.nums)
         full.pop(min(full))
-        fewer = Kernel(lat, cutoff, full, k.den, codec.trivial)
+        fewer = Kernel(lat, cutoff, full, whole.den, codec.trivial)
         assert fewer != k and k != fewer
         assert k.scale(2) != whole and whole != k.scale(2)
 

@@ -39,14 +39,6 @@ def make_cfg(K_radius=2, threshold=0, cutoff=8, dim=1):
     )
 
 
-def lattice_row(dim, K_radius, m, ell, threshold=0, marks=()):
-    """A (dim, K, m, ell, N) row, named without its N when N is 0."""
-    name = f"{dim}-{K_radius}-{m}-{ell}" + (f"-N{threshold}" if threshold
-                                            else "")
-    return pytest.param(dim, K_radius, m, ell, threshold, id=name,
-                        marks=marks)
-
-
 @pytest.mark.parametrize("entry", [
     normal_form, f_transform, birkhoff_iterate, generators_from_recursion,
 ], ids=lambda f: f.__name__)
@@ -339,12 +331,14 @@ class TestCentralVerification:
         assert compare(ledger.total, oracle.normal_form).equal
 
     @pytest.mark.parametrize("dim,K_radius,m,ell,threshold", [
-        lattice_row(1, 3, 2, 4), lattice_row(3, 1, 1, 3),
-        lattice_row(2, 2, 1, 3), lattice_row(1, 2, 4, 6),
-        lattice_row(2, 1, 3, 5),
-        lattice_row(1, 2, 5, 7, marks=pytest.mark.slow),
-        lattice_row(2, 1, 2, 4, 1), lattice_row(2, 1, 3, 5, 2),
-        lattice_row(3, 1, 1, 3, 1), lattice_row(2, 2, 1, 3, 3),
+        # the rows at threshold 0 keep the ids they had before the column
+        pytest.param(1, 3, 2, 4, 0, id="1-3-2-4"),
+        pytest.param(3, 1, 1, 3, 0, id="3-1-1-3"),
+        pytest.param(2, 2, 1, 3, 0, id="2-2-1-3"),
+        pytest.param(1, 2, 4, 6, 0, id="1-2-4-6"),
+        pytest.param(2, 1, 3, 5, 0, id="2-1-3-5"),
+        pytest.param(1, 2, 5, 7, 0, marks=pytest.mark.slow),
+        (2, 1, 2, 4, 1), (2, 1, 3, 5, 2), (3, 1, 1, 3, 1), (2, 2, 1, 3, 3),
     ])
     def test_tree_expansion_equals_iteration_lattices(self, dim, K_radius, m,
                                                       ell, threshold):

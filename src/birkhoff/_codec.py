@@ -53,8 +53,7 @@ class Monomial(Value):
     def __init__(self, u: tuple[Mode, ...], ubar: tuple[Mode, ...]) -> None:
         if len(u) != len(ubar) or not u:
             raise ValueError("monomial needs equally many u and ubar factors")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "ubar", ubar)
+        Value.__init__(self, u, ubar)
 
     @staticmethod
     def of(u: Iterable[Mode], ubar: Iterable[Mode]) -> "Monomial":

@@ -62,9 +62,7 @@ class TreeClassQuery(Value):
                 raise ValueError("circ-range requires m < ell")
         elif ell is not None:
             raise ValueError("ell only applies to circ-range")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "ell", ell)
+        Value.__init__(self, kind, m, ell)
 
     def to_json(self, trees: tuple[Tree, ...]) -> dict:
         """The listing of this class's trees, as the ``trees`` command

@@ -82,10 +82,7 @@ class EvalConfig(Value):
                  cutoff: int, cap: int = DEFAULT_CAP) -> None:
         if cutoff < 4 or cutoff % 2:
             raise ValueError("cutoff must be an even integer >= 4")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "resonance", resonance)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "cap", cap)
+        Value.__init__(self, lattice, resonance, cutoff, cap)
 
     def check_order(self, m: int) -> None:
         """Order m reaches degree 2(m + 1), so it needs 1 <= m < ell;
@@ -160,11 +157,6 @@ def _pi(tree: Tree, cfg: EvalConfig) -> Kernel:
 class LedgerEntry(Value):
     __slots__ = ("tree", "weight", "kernel")
 
-    def __init__(self, tree: Tree, weight: Fraction, kernel: Kernel) -> None:
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "kernel", kernel)
-
 
 class ExpansionLedger(Value):
     __slots__ = ("entries", "total", "cfg", "m", "ell")
@@ -172,11 +164,7 @@ class ExpansionLedger(Value):
     def __init__(self, entries: tuple[LedgerEntry, ...], total: Kernel,
                  cfg: EvalConfig, m: Optional[int] = None,
                  ell: Optional[int] = None) -> None:
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "cfg", cfg)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "ell", ell)
+        Value.__init__(self, entries, total, cfg, m, ell)
 
     def _document(self, kernel) -> dict:
         """The ledger's JSON document, with ``kernel(k)`` for each kernel."""

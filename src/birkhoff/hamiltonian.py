@@ -102,8 +102,7 @@ class ModeLattice(Value):
             raise ValueError("dim must be positive")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "radius", radius)
+        Value.__init__(self, dim, radius)
 
     def modes(self) -> list[Mode]:
         r = range(-self.radius, self.radius + 1)
@@ -123,7 +122,7 @@ class ResonanceConfig(Value):
     def __init__(self, threshold: int = 0) -> None:
         if threshold < 0:
             raise ValueError("threshold must be nonnegative")
-        object.__setattr__(self, "threshold", threshold)
+        Value.__init__(self, threshold)
 
     def resonant(self, phase: int) -> bool:
         """The one resonance rule: |phase| <= N."""
@@ -214,6 +213,8 @@ class Kernel:
         that group's representatives to orbit sums, as producers pass it.
         ``parity``, if given, is the swap parity the caller knows."""
         _check_cutoff(max_degree)
+        if not den:
+            raise ValueError("den must be nonzero")
         self.lattice = lattice
         self.max_degree = max_degree
         self._codec = codec = _codec_for(lattice, max_degree)
@@ -254,7 +255,9 @@ class Kernel:
         monomial is checked, then zeros are dropped."""
         _check_cutoff(max_degree)
         modes: set[Mode] = set()
-        for m in terms:
+        for m, c in terms.items():
+            if not isinstance(c, Rational):
+                raise TypeError(f"coefficient {c!r} is not rational")
             if m.degree > max_degree:
                 raise ValueError(f"monomial degree {m.degree} above cutoff")
             modes.update(m.u)
@@ -396,13 +399,14 @@ class Kernel:
     def __sub__(self, other: "Kernel") -> "Kernel":
         return self + (-other)
 
-    def scale(self, factor: Fraction) -> "Kernel":
+    def scale(self, factor: Rational) -> "Kernel":
         """Multiply every coefficient by a rational."""
-        f = Fraction(factor)
-        n = f.numerator
+        if not isinstance(factor, Rational):
+            raise TypeError(f"factor {factor!r} is not rational")
+        n = factor.numerator
         return self._made({
             key: c * n for key, c in self.nums.items()
-        }, self.den * f.denominator, self._parity)
+        }, self.den * factor.denominator, self._parity)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Kernel):

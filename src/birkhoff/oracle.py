@@ -18,7 +18,6 @@ from .evaluator import EvalConfig
 from .hamiltonian import (
     GENERATOR_SCALE,
     Kernel,
-    Monomial,
     apply_phase_filter,
     poisson_bracket,
 )
@@ -26,11 +25,6 @@ from .hamiltonian import (
 
 class SequenceInfo(Value):
     __slots__ = ("z", "c", "q")
-
-    def __init__(self, z: tuple[int, ...], c: int, q: int) -> None:
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "q", q)
 
 
 def sequences(n: int, m: int) -> tuple[SequenceInfo, ...]:
@@ -100,11 +94,6 @@ def taylor_compose(g: Kernel, f: Kernel) -> Kernel:
 class BirkhoffResult(Value):
     __slots__ = ("normal_form", "f_list")
 
-    def __init__(self, normal_form: Kernel,
-                 f_list: tuple[Kernel, ...]) -> None:
-        object.__setattr__(self, "normal_form", normal_form)
-        object.__setattr__(self, "f_list", f_list)
-
 
 def birkhoff_iterate(m: int, cfg: EvalConfig) -> BirkhoffResult:
     """Iterate the normal form reduction m times at cutoff 2*ell, which
@@ -156,13 +145,6 @@ class DiffReport(Value):
     m's coefficients i*c_a in a and i*c_b in b."""
 
     __slots__ = ("equal", "residual", "worst_monomials")
-
-    def __init__(self, equal: bool, residual: Kernel,
-                 worst_monomials: tuple[tuple[Monomial, Fraction, Fraction],
-                                        ...]) -> None:
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "worst_monomials", worst_monomials)
 
     def to_json(self) -> dict:
         return {

@@ -92,10 +92,7 @@ class Tree(Value):
             d = left.degree + right.degree - 2
         else:
             d = 2 if decoration is Decoration.K else 4
-        object.__setattr__(self, "decoration", decoration)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "degree", d)
+        Value.__init__(self, decoration, left, right, d)
 
     @property
     def is_leaf(self) -> bool:

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -691,6 +692,21 @@ class TestKernelValue:
                 mono([1], [1]): 1,
                 mono([0, 1], [-1, 2]): 1,
             })
+        # a zero denominator, under a nonzero map and under an empty one
+        key = _codec_for(LAT1, 4).encode(mono([1], [1]))
+        for nums in ({key: 1}, {}):
+            with pytest.raises(ValueError, match="den must be nonzero"):
+                Kernel(LAT1, 4, nums, 0)
+
+    def test_coefficients_stay_rational(self):
+        # a float would be held as its binary fraction, and a string parsed
+        k = h0(LAT1, 4)
+        for factor in (0.1, "1/3", Decimal("0.5")):
+            with pytest.raises(TypeError, match="is not rational"):
+                k.scale(factor)
+        for c in (0.5, Decimal("0.5")):
+            with pytest.raises(TypeError, match="is not rational"):
+                Kernel.of(LAT1, 4, {mono([1], [1]): c})
 
     def test_lattice_and_threshold_bounds(self):
         with pytest.raises(ValueError, match="dim must be positive"):

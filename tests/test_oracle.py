@@ -338,6 +338,8 @@ class TestCentralVerification:
         pytest.param(1, 2, 4, 6, 0, id="1-2-4-6"),
         pytest.param(2, 1, 3, 5, 0, id="2-1-3-5"),
         pytest.param(1, 2, 5, 7, 0, marks=pytest.mark.slow),
+        pytest.param(3, 1, 2, 4, 0, marks=pytest.mark.slow),
+        pytest.param(2, 2, 1, 4, 0, marks=pytest.mark.slow),
         (2, 1, 2, 4, 1), (2, 1, 3, 5, 2), (3, 1, 1, 3, 1), (2, 2, 1, 3, 3),
     ])
     def test_tree_expansion_equals_iteration_lattices(self, dim, K_radius, m,

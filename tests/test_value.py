@@ -75,6 +75,18 @@ def test_equal_values_hash_equal(cls, args):
     assert a != twin(*args) and twin(*args) != a
 
 
+@pytest.mark.parametrize("cls, args", [
+    pytest.param(cls, args, id=cls.__name__) for cls, args in VALUES
+    if cls in (LedgerEntry, SequenceInfo, BirkhoffResult, DiffReport)])
+def test_shared_constructor_takes_one_value_per_field(cls, args):
+    # these classes only set their fields, so Value.__init__ is their
+    # constructor, and it must not drop or default a missing value
+    assert "__init__" not in vars(cls)
+    for wrong in (args[:-1], (*args, None)):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes one"):
+            cls(*wrong)
+
+
 def test_repr():
     assert repr(ModeLattice(dim=1, radius=2)) == "ModeLattice(dim=1, radius=2)"
     assert repr(MONO) == "Monomial(u=((1,), (1,)), ubar=((0,), (2,)))"

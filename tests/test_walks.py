@@ -1,6 +1,10 @@
-"""No function in the package calls itself, except the few listed in
+"""Checks on the package's source.
+
+No function in the package calls itself, except the few listed in
 ``BOUNDED``, each with the bound on its depth; so no tree depth can reach
-Python's recursion limit, and a new self-call anywhere fails here."""
+Python's recursion limit, and a new self-call anywhere fails here.  And
+no module but ``_value.py`` calls ``object.__setattr__``: every value
+class sets its fields through ``Value.__init__``."""
 
 import ast
 from pathlib import Path
@@ -52,3 +56,19 @@ def test_self_calls_finds_recursion():
               "class C:\n    def g(self):\n        return self.g()\n"
               "def h(t):\n    return f(t)\n")
     assert self_calls(source) == ["f", "g"]
+
+
+def setattr_calls(source):
+    """The lines that call ``object.__setattr__``."""
+    return [call.lineno for call in ast.walk(ast.parse(source))
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "__setattr__"
+            and getattr(call.func.value, "id", None) == "object"]
+
+
+def test_only_value_sets_fields():
+    setters = [p.name for p in sorted(SRC.glob("*.py"))
+               if setattr_calls(p.read_text(encoding="utf-8"))]
+    assert setters == ["_value.py"]
+

@@ -14,18 +14,20 @@ Inside a kernel a monomial is one packed int, its key (see ``_codec``,
 which also holds ``Monomial`` and the lattice group G), and the
 rationals c are int numerators over one common int denominator.
 
-A kernel is stored one key per orbit of a group.  h0, h1, the cutoff,
-the degree and the phase are invariant under G, every permutation and
-sign flip of the mode coordinates; the momentum is not, but it is
-equivariant (the momentum of g m is g applied to that of m), so G keeps
-zero momentum; and the bracket commutes with G.  So every kernel the
-engine builds is invariant and holds at each orbit's least key, its
-representative, the sum of the orbit's coefficients: 6.5x fewer keys
-than monomials in the brackets of ``verify --m 2 --ell 4`` at dim 2,
-K 1.  A kernel that is not invariant (one read or built from outside)
-holds every key, under the trivial group; the constructor tells the
-two apart.  Sums, multiples, the phase filter, the resonant split,
-degree slices and degree windows act on the orbit sums as they are.
+A kernel is stored one key per orbit of the group its producer
+declares.  h0, h1, the cutoff, the degree and the phase are invariant
+under G, every permutation and sign flip of the mode coordinates; the
+momentum is not, but it is equivariant (the momentum of g m is g
+applied to that of m), so G keeps zero momentum; and the bracket
+commutes with G.  So every kernel the engine builds is invariant: h0
+and h1 declare G, each producer passes its operands' group on, and the
+kernel holds at each orbit's least key, its representative, the sum of
+the orbit's coefficients: 6.5x fewer keys than monomials in the
+brackets of ``verify --m 2 --ell 4`` at dim 2, K 1.  A kernel read or
+built from outside holds every key, under the trivial group; no map is
+tested for symmetry.  Sums, multiples, the phase filter, the resonant
+split, degree slices and degree windows act on the orbit sums as they
+are.
 ``Monomial`` and the rational c of each i*c appear only at the
 boundary, where every orbit is expanded and its sum divided by its
 size.  ``Kernel.of`` is the one way in from monomials, and
@@ -59,9 +61,9 @@ s_A s_B σQ(A, B) is the mirror of Q(A, B) and costs no second
 contraction; σ maps each orbit onto one of the same size, so the mirror
 is the fold of the swapped keys.  The mirror step drops the zeros it
 makes (each cancellation, and every self-mirrored orbit when s_A s_B =
-+1), and {A, B} carries its parity -s_A s_B.  Every producer passes its
-parity on, so no engine kernel is checked term by term; an operand
-without a parity gets the second contraction.
++1), and {A, B} carries its parity -s_A s_B.  Every producer declares
+its parity, so no kernel is checked term by term; a kernel from outside
+has parity 0, none known, and gets the second contraction.
 
 Constant conventions, pinned by direct computation (see the test suite):
 
@@ -167,40 +169,37 @@ class Kernel:
     orbit under the kernel's ``group``: ``nums`` holds each orbit's sum
     at its representative, in canonical form: every numerator is a
     nonzero int, ``den`` is a positive int, and gcd(den, *nums) == 1.
-    The group is the codec's G, every permutation and sign flip of the
-    mode coordinates, when the kernel is invariant under it, and the
-    trivial group otherwise, whose orbits are single keys.  So equal
-    kernels under one group hold equal maps and denominators.
+    The group is the one its producer declares: the codec's G, every
+    permutation and sign flip of the mode coordinates, or the trivial
+    group, whose orbits are single keys.  So equal kernels under one
+    group hold equal maps and denominators.
 
-    The constructor takes full keys of the (lattice, max_degree) codec
-    and checks invariance itself: the kernel carries G if the map folded
-    onto orbit sums and expanded again is |G| times itself, and the
-    trivial group if not.  Every kernel the engine builds is invariant
-    (h0, h1, the cutoff and the phase are, and the bracket commutes with
-    G), and each producer passes on its operands' group with ``nums``
-    already one per orbit, so the check runs only at the way in.  At the
-    boundary every orbit is expanded, and only there is its sum divided
-    by its size: ``items()``, ``json_text``, ``support()`` and ``len()``
-    see one monomial per key, as if the full map were held, so ``len()``
-    counts monomials, not orbits; ``coefficient()`` folds one key onto
-    its representative, and ``==`` compares two kernels of different
-    groups by their full maps.  At the boundary a coefficient is the
-    ``Fraction`` c that stands for i*c: ``Kernel.of`` takes a
+    The constructor takes keys of the (lattice, max_degree) codec and
+    tests nothing about the map's symmetry.  Every kernel the engine
+    builds is invariant (h0, h1, the cutoff and the phase are, and the
+    bracket commutes with G): h0 and h1 declare G, and each producer
+    passes on its operands' group with ``nums`` already one per orbit.
+    A kernel from outside (``Kernel.of``, ``from_json``) and a sum of
+    kernels under two groups hold every key, under the trivial group.
+    At the boundary every orbit is expanded, and only there is its sum
+    divided by its size: ``items()``, ``json_text``, ``support()`` and
+    ``len()`` see one monomial per key, as if the full map were held, so
+    ``len()`` counts monomials, not orbits; ``coefficient()`` folds one
+    key onto its representative, and ``==`` compares two kernels of
+    different groups by their full maps.  At the boundary a coefficient
+    is the ``Fraction`` c that stands for i*c: ``Kernel.of`` takes a
     Monomial -> c map, ``items()`` and ``coefficient()`` return c, and
     ``from_json`` reads c from the "im" string of each term and refuses
     an "re" that does not read as zero.  The cutoff ``max_degree`` is
     even, and no monomial exceeds it.
 
-    σ swaps u and ubar in every monomial.  ``swap_parity()`` is +1 if
-    σA = A, -1 if σA = -A and 0 otherwise.  Every producer passes it on:
-    h0 and h1 are even, the phase filter flips the parity, the resonant
-    split, degree slices and rational multiples keep it, so does a sum of
-    kernels of one parity, a sum of an even and an odd kernel, neither
-    zero, has none, and a bracket of kernels of parities s_A and s_B has
-    parity -s_A s_B.  A kernel that does not know its parity, such as one
-    built from outside, checks it on first call and keeps it: σ maps each
-    orbit onto one of the same size, so σA is the fold of the swapped
-    keys, compared orbit by orbit.
+    σ swaps u and ubar in every monomial.  ``swap_parity()`` is the
+    parity its producer declared: s = ±1 when σA = sA, 0 when none is
+    known, as for every kernel from outside, whatever its map.  h0 and h1
+    are even, the phase filter flips the parity, the resonant split,
+    degree slices and rational multiples keep it, a sum keeps the parity
+    its two terms share and has 0 otherwise, and a bracket of kernels of
+    parities s_A and s_B has parity -s_A s_B.
     """
 
     __slots__ = ("lattice", "max_degree", "nums", "den", "group", "_codec",
@@ -208,10 +207,11 @@ class Kernel:
 
     def __init__(self, lattice: ModeLattice, max_degree: int,
                  nums: Mapping[int, int] | None = None, den: int = 1,
-                 group: _Group | None = None, parity: int | None = None):
-        """nums maps full keys, unless ``group`` is given: then it maps
-        that group's representatives to orbit sums, as producers pass it.
-        ``parity``, if given, is the swap parity the caller knows."""
+                 group: _Group | None = None, parity: int = 0):
+        """nums maps the representatives of ``group`` to orbit sums,
+        as the producer declares them; no group means the trivial one,
+        whose representatives are the full keys.  ``parity`` is the swap
+        parity the producer knows, 0 if it knows none."""
         _check_cutoff(max_degree)
         if not den:
             raise ValueError("den must be nonzero")
@@ -228,14 +228,6 @@ class Kernel:
             degree = max(nums) >> codec.shift
             if degree > max_degree:
                 raise ValueError(f"monomial degree {degree} above cutoff")
-        if group is None:
-            # invariant if each key holds its orbit's sum over its size
-            group, sums = codec.group, codec.group.fold(nums)
-            if group.expand(sums) == {k: c * group.order
-                                      for k, c in nums.items()}:
-                nums = sums
-            else:
-                group = codec.trivial
         g = math.gcd(den, *nums.values())
         if den < 0:
             g = -g
@@ -244,8 +236,8 @@ class Kernel:
             den //= g
         self.nums = nums
         self.den = den
-        self.group = group
-        self._parity = parity if nums else 1
+        self.group = codec.trivial if group is None else group
+        self._parity = parity
 
     @staticmethod
     def of(lattice: ModeLattice, max_degree: int,
@@ -273,7 +265,7 @@ class Kernel:
             for m, c in terms.items()
         }, den)
 
-    def _made(self, nums: dict, den: int, parity: int | None) -> "Kernel":
+    def _made(self, nums: dict, den: int, parity: int) -> "Kernel":
         """A kernel on this one's codec and group from representatives."""
         return Kernel(self.lattice, self.max_degree, nums, den, self.group,
                       parity)
@@ -325,16 +317,8 @@ class Kernel:
         return Fraction(self.nums.get(key, 0), self.den * n)
 
     def swap_parity(self) -> int:
-        """s = +1 or -1 if swapping u and ubar maps this kernel to s
-        times itself, else 0; the zero kernel gives +1."""
-        if self._parity is None:
-            nums = self.nums
-            swapped = _swapped(nums, self.group)
-            if swapped == nums:
-                self._parity = 1
-            else:
-                self._parity = -1 if all(nums.get(key) == -c for key, c
-                                         in swapped.items()) else 0
+        """The parity its producer declared: s = +1 or -1 if swapping u
+        and ubar maps this kernel to s times itself, 0 if none is known."""
         return self._parity
 
     def support(self) -> set[Monomial]:
@@ -361,7 +345,7 @@ class Kernel:
         shift = self._codec.shift
         return self._made({
             key: c for key, c in self.nums.items() if key >> shift == d
-        }, self.den, self._parity or None)
+        }, self.den, self._parity)
 
     def with_cutoff(self, max_degree: int) -> "Kernel":
         return Kernel.of(self.lattice, max_degree, {
@@ -377,21 +361,17 @@ class Kernel:
             return self
         if not self.nums:
             return other
-        # a mixed pair adds full maps; the constructor finds the group
-        same = self.group is other.group
-        group = self.group if same else self._codec.trivial
+        # a mixed pair adds full maps, under the trivial group
+        group = (self.group if self.group is other.group
+                 else self._codec.trivial)
         (a, da), (b, db) = self._held(group), other._held(group)
         den = math.lcm(da, db)
         fa, fb = den // da, den // db
         nums = dict(a) if fa == 1 else {key: c * fa for key, c in a.items()}
         for key, c in b.items():
             nums[key] = nums.get(key, 0) + c * fb
-        # an even plus an odd kernel, neither zero, is neither
-        pa, pb = self._parity, other._parity
-        parity = pa if pa == pb and pa else 0 if pa and pb and pa == -pb \
-            else None
-        return Kernel(self.lattice, self.max_degree, nums, den,
-                      group if same else None, parity)
+        parity = self._parity if self._parity == other._parity else 0
+        return Kernel(self.lattice, self.max_degree, nums, den, group, parity)
 
     def __neg__(self) -> "Kernel":
         return self.scale(-1)
@@ -461,8 +441,9 @@ class Kernel:
 
     @staticmethod
     def from_json(data: dict) -> "Kernel":
-        """The kernel ``to_json`` wrote.  Each term's key is summed from
-        the codec's unit tables, as ``h1`` builds its keys, and each
+        """The kernel ``to_json`` wrote, held whole, with parity 0, as is
+        every map from outside.  Each term's key is summed from the
+        codec's unit tables, as ``h1`` builds its keys, and each
         coefficient is read with ``int``; every term's modes, types and
         degree are checked before the zeros are dropped."""
         # JSON integers only: 2.0 and true compare equal to 2 and 1
@@ -516,7 +497,7 @@ def h0(lattice: ModeLattice, cutoff: int) -> Kernel:
         2 * codec.unit + codec.u_units[j] + codec.ubar_units[j]: n2
         for j, n2 in enumerate(codec.norm2) if n2
     }
-    return Kernel(lattice, cutoff, nums, 2, parity=1)
+    return Kernel(lattice, cutoff, codec.group.fold(nums), 2, codec.group, 1)
 
 
 def h1(lattice: ModeLattice, cutoff: int) -> Kernel:
@@ -537,7 +518,7 @@ def h1(lattice: ModeLattice, cutoff: int) -> Kernel:
         key = (4 * codec.unit + u_units[index[k1]] + u_units[index[k3]]
                + ubar_units[index[k2]] + ubar_units[j4])
         nums[key] = nums.get(key, 0) + 1
-    return Kernel(lattice, cutoff, nums, 4, parity=1)
+    return Kernel(lattice, cutoff, codec.group.fold(nums), 4, codec.group, 1)
 
 
 def _index(nums: dict, codec: _Codec) -> dict:
@@ -587,25 +568,22 @@ def _contract(x: dict, y_by_u: dict, codec: _Codec, cutoff: int, sign: int,
                 out[key] = get(key, 0) + c * c2
 
 
-def _swapped(nums: dict, group: _Group) -> dict:
-    """σ nums under ``group``, in nums' order: σ swaps each key's u and
-    ubar blocks and commutes with G, so it maps each orbit onto one of the
-    same size, whose representative takes the orbit's sum as it is."""
-    codec = group.codec
-    degree, ubar_shift, block = codec.degree, codec.ubar_shift, codec.block
-    return group.fold({
-        key & degree | (key & block) << ubar_shift | key >> ubar_shift & block:
-        c for key, c in nums.items()})
-
-
 def _mirror(q: dict, group: _Group, s: int) -> dict:
     """q - s σq, zeros dropped: Q(A, B) - Q(B, A) from q = Q(A, B) alone,
     for operands of parities with product s, q held one key per orbit of
     ``group``.  The result maps σ to -s times itself, so each
     representative and that of its mirror are written together, once,
-    from the smaller of the two that q holds."""
+    from the smaller of the two that q holds.  σ swaps each key's u and
+    ubar blocks and commutes with G, so it maps each orbit onto one of the
+    same size, whose representative takes the orbit's sum as it is: σq is
+    the fold of the swapped keys, in q's order."""
+    codec = group.codec
+    degree, ubar_shift, block = codec.degree, codec.ubar_shift, codec.block
+    swapped = group.fold({
+        key & degree | (key & block) << ubar_shift | key >> ubar_shift & block:
+        c for key, c in q.items()})
     out = {}
-    for (key, c), mkey in zip(q.items(), _swapped(q, group)):
+    for (key, c), mkey in zip(q.items(), swapped):
         if mkey < key and mkey in q:
             continue
         v = c - s * q.get(mkey, 0)
@@ -647,32 +625,30 @@ def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     times |G| that ``Kernel`` reduces), and P's fold is the result.
 
     Swapping u and ubar (σ) gives σQ(x, y) = Q(σy, σx).  So when both
-    operands have a swap parity, s_A and s_B of ``Kernel.swap_parity``
+    operands declare a swap parity, s_A and s_B of ``Kernel.swap_parity``
     (which their windows keep, as σ keeps the degree), Q(B, A) =
     s_A s_B σQ(A, B) is the mirror of the first contraction, and one
-    contraction does, ``_mirror`` drops the zeros it makes, and the
-    result carries its parity -s_A s_B (+1 if it is zero); the mirror is
-    the fold of the swapped keys (see ``_swapped``).  If either parity is
-    0, Q(B, A) is contracted as well, into the same P, and ``Kernel``
-    drops the zeros of the sum.
+    contraction does; ``_mirror`` folds the swapped keys and drops the
+    zeros it makes.  If either parity is 0, as for a kernel from outside,
+    Q(B, A) is contracted as well, into the same P, and ``Kernel`` drops
+    the zeros of the sum.  The result carries the parity -s_A s_B, 0 if
+    either is 0.
     """
     a._check_compatible(b)
     cutoff, codec = a.max_degree, a._codec
     group = a.group if a.group is b.group else codec.trivial
     (x, dx), (y, dy) = _window(a, b, group), _window(b, a, group)
+    s = a._parity * b._parity
     out: dict = {}
-    s = 0
     if x and y:
         expand = group.expand
         _contract(x, _index(expand(y), codec), codec, cutoff, 1, out)
-        s = a.swap_parity() * b.swap_parity()
         if not s:
             _contract(y, _index(expand(x), codec), codec, cutoff, -1, out)
         out = group.fold(out)
         if s:
             out = _mirror(out, group, s)
-    return Kernel(a.lattice, cutoff, out, dx * dy * group.order, group,
-                  -s if s else None)
+    return Kernel(a.lattice, cutoff, out, dx * dy * group.order, group, -s)
 
 
 def split_resonant(a: Kernel, cfg: ResonanceConfig) -> tuple[Kernel, Kernel]:
@@ -684,8 +660,7 @@ def split_resonant(a: Kernel, cfg: ResonanceConfig) -> tuple[Kernel, Kernel]:
     codec_phase, resonant = a._codec.phase, cfg.resonant
     for key, c in a.nums.items():
         (res if resonant(codec_phase(key)) else nonres)[key] = c
-    parity = a._parity or None
-    return a._made(res, a.den, parity), a._made(nonres, a.den, parity)
+    return a._made(res, a.den, a._parity), a._made(nonres, a.den, a._parity)
 
 
 def apply_phase_filter(a: Kernel, cfg: ResonanceConfig) -> Kernel:
@@ -703,4 +678,4 @@ def apply_phase_filter(a: Kernel, cfg: ResonanceConfig) -> Kernel:
     lcm = math.lcm(*(q for _, q in kept.values()))
     return a._made({
         key: c * (lcm // q) for key, (c, q) in kept.items()
-    }, a.den * lcm, -a._parity if a._parity else None)
+    }, a.den * lcm, -a._parity)

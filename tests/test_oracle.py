@@ -12,6 +12,7 @@ from birkhoff.hamiltonian import (
     ModeLattice,
     Monomial,
     ResonanceConfig,
+    _codec_for,
     apply_phase_filter,
     h0,
     h1,
@@ -426,34 +427,40 @@ class TestInvariants:
 
     @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
     def test_parity_is_carried(self, dim, K_radius, monkeypatch):
-        # every producer passes its swap parity on, so no kernel the
-        # engine builds reaches swap_parity() with its parity unknown,
-        # which is when it is checked term by term.  Each carried parity
-        # must equal a fresh check of the full map.
-        checked = []
-        swap_parity = Kernel.swap_parity
+        # a kernel takes the group and the swap parity its producer
+        # passes and never checks them, so every kernel built on the way
+        # to the tree expansion, the oracle and the checks between them
+        # is caught as it is made.  Each nonzero one must be held under
+        # G and declare a parity of ±1 that a fresh check of its full map
+        # finds.
+        built = []
+        init = Kernel.__init__
 
-        def spy(kernel):
-            if kernel._parity is None:
-                checked.append(kernel)
-            return swap_parity(kernel)
+        def spy(kernel, *args, **kwargs):
+            init(kernel, *args, **kwargs)
+            built.append(kernel)
 
-        monkeypatch.setattr(Kernel, "swap_parity", spy)
+        monkeypatch.setattr(Kernel, "__init__", spy)
         monkeypatch.setattr(evaluator, "_KERNELS", {})
+        evaluator._base_kernels.cache_clear()
         cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
-        oracle = birkhoff_iterate(2, cfg)
-        kernels = [oracle.normal_form, *oracle.f_list,
-                   *generators_from_recursion(2, cfg)]
-        for ledger in (normal_form(2, cfg), f_transform(1, cfg),
-                       f_transform(2, cfg)):
-            kernels += [e.kernel for e in ledger.entries] + [ledger.total]
-        assert not checked
+        normal_form(2, cfg)
+        for i in (1, 2):
+            cancellation_check(f_transform(i, cfg))
+        birkhoff_iterate(2, cfg)
+        generators_from_recursion(2, cfg)
+        monkeypatch.undo()
+        group = _codec_for(cfg.lattice, cfg.cutoff).group
+        assert group.order == 2 ** dim * math.factorial(dim)
+        kernels = [k for k in built if not k.is_zero]
+        assert len(kernels) > 50
         for kernel in kernels:
+            assert kernel.group is group
             full = dict(kernel.items())
             fresh = [s for s in (1, -1) if all(
                 full.get(Monomial(m.ubar, m.u), 0) == s * c
                 for m, c in full.items())]
-            assert kernel._parity == (fresh[0] if fresh else 0)
+            assert fresh == [kernel.swap_parity()]
 
     @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
     def test_lattice_symmetry(self, dim, K_radius):

@@ -2,9 +2,11 @@
 
 No function in the package calls itself, except the few listed in
 ``BOUNDED``, each with the bound on its depth; so no tree depth can reach
-Python's recursion limit, and a new self-call anywhere fails here.  And
-no module but ``_value.py`` calls ``object.__setattr__``: every value
-class sets its fields through ``Value.__init__``."""
+Python's recursion limit, and a new self-call anywhere fails here.  No
+module but ``_value.py`` calls ``object.__setattr__``: every value class
+sets its fields through ``Value.__init__``.  And ``Kernel.__init__``
+calls no ``fold``, ``expand`` or ``sizes``: a kernel takes the group its
+producer declares and never tests a map for symmetry."""
 
 import ast
 from pathlib import Path
@@ -72,3 +74,21 @@ def test_only_value_sets_fields():
                if setattr_calls(p.read_text(encoding="utf-8"))]
     assert setters == ["_value.py"]
 
+
+
+def method_calls(source, cls, method):
+    """The names of the attributes that ``cls.method`` calls."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            fn, = (f for f in node.body
+                   if isinstance(f, ast.FunctionDef) and f.name == method)
+            return {call.func.attr for call in ast.walk(fn)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)}
+    raise LookupError(f"no class {cls}")
+
+
+def test_kernel_constructor_tests_no_symmetry():
+    source = (SRC / "hamiltonian.py").read_text(encoding="utf-8")
+    assert method_calls(source, "Kernel", "__init__") & {
+        "fold", "expand", "sizes"} == set()

@@ -15,13 +15,16 @@ block met: hundreds at dim 1, thousands at dim 2, K 2.
 G, the lattice group of every permutation and sign flip of the mode
 coordinates (order 2^d d!: 2 at dim 1, 8 at dim 2), permutes the modes
 and so the fields of a block.  Each codec holds G as the permutations of
-mode indices it makes (``_Codec.group``), with two more lazy tables: a
-block's image under each g, and, for a key's degree and ubar block,
-those of its representative, the least key of its orbit, with the g's
-that reach them.  A map held one key per orbit holds each orbit's sum at
-its representative: the group folds a map of full keys onto those sums
-by adding, and expands them to every key again, times |G| (see
-``hamiltonian`` for why).
+mode indices it makes (``_Codec.group``), with lazy tables of its own:
+a block's image under each g, each filled from a block of one factor
+fewer by one addition; for a key's degree and ubar block, those of its
+representative, the least key of its orbit, and the first g that reaches
+them; and, for each stabilizer of a representative's ubar block, a u
+block's least image under it.  So a key's representative costs one
+lookup in each table.  A map held one key per orbit holds each orbit's
+sum at its representative: the group folds a map of full keys onto
+those sums by adding, and expands them to every key again, times |G|
+(see ``hamiltonian`` for why).
 
 Nothing here is built at import: a codec is built by the first call of
 ``_codec_for`` for its (lattice, cutoff), and its group on first use.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import TYPE_CHECKING, Iterable
 
 from ._value import Value
@@ -200,55 +204,73 @@ class _Group:
     g moves the exponent of mode j to mode ``perms[g][j]`` in both blocks
     and keeps the degree.  A key's representative is the least key of its
     orbit: the degree is fixed, so that is the image with the least ubar
-    block and, among those, the least u block.  Two tables fill lazily,
-    like the codec's ``fields``: ``images`` holds a block's image under
-    each g, and ``least``, keyed by a key's bits above its u block (its
-    degree and ubar block), those bits of its representative, shifted
-    into place, with the g's that reach them: the first, and all of them
-    if there are more, so for a representative's own ubar block those g's
-    are its stabilizer.  A map held one key per orbit holds each orbit's
-    sum; ``fold`` makes it from full keys, ``expand`` goes back, and
-    ``sizes`` gives the orbit sizes, each in one loop over many keys.
-    The trivial group (the identity alone) runs the same loops: every key
-    is its own representative and every orbit size is 1.
+    block and, among those, the least u block.  The tables fill lazily,
+    like the codec's ``fields``.  ``images`` holds a block's image under
+    each g: that of the block less one unit of its lowest mode j, plus
+    j's unit images (``units``), added elementwise.  ``least``, keyed by
+    a key's bits above its u block (its degree and ubar block), holds
+    those bits of its representative, shifted into place, and the first g
+    that reaches them; then, if the representative's ubar block has a
+    stabilizer S beyond the identity, S's two tables from
+    ``stabilizers``, else None for each: a u block's least image under S,
+    and the orbit size of a representative with that u block.  Every g
+    that takes a ubar block to the least one is that first g followed by
+    some h in S, so a key with u block u has representative high |
+    images[u][g], or high | low[images[u][g]] with low S's first table.
+    A map held one key per orbit holds each orbit's sum; ``fold`` makes
+    it from full keys, ``expand`` goes back, and ``sizes`` gives the
+    orbit sizes, each in one loop over many keys.  The trivial group
+    (the identity alone) runs the same loops: every key is its own
+    representative and every orbit size is 1.
     """
 
     def __init__(self, codec: _Codec, perms: list[tuple[int, ...]]):
         self.codec = codec
-        self.perms = perms
         self.order = len(perms)
+        # mode j's unit block under each g
+        self.units = [tuple(codec.u_units[p[j]] for p in perms)
+                      for j in range(len(codec.modes))]
         self.images = _Table(self._images)
+        self.images[0] = (0,) * self.order
         self.least = _Table(self._least)
+        self.stabilizers = _Table(self._stabilizer)
 
     def _images(self, block: int) -> tuple[int, ...]:
-        fields, units = self.codec.fields[block], self.codec.u_units
-        return tuple(sum(e * units[p[j]] for j, e in fields)
-                     for p in self.perms)
+        # the block less one unit of its lowest mode j, plus j's images:
+        # a fill reaches down at most one level per factor of the block
+        j = ((block & -block).bit_length() - 1) // self.codec.w
+        return tuple(map(operator.add,
+                         self.images[block - self.codec.u_units[j]],
+                         self.units[j]))
 
-    def _least(self, high: int) -> tuple[int, int, tuple[int, ...] | None]:
+    def _least(self, high: int) -> tuple:
         block = self.codec.block
         images = self.images[high & block]
         low = min(images)
-        gs = tuple(g for g, b in enumerate(images) if b == low)
-        high += low - (high & block)
-        return high << self.codec.ubar_shift, gs[0], gs if gs[1:] else None
+        out = ((high + low - (high & block)) << self.codec.ubar_shift,
+               images.index(low))
+        if images.count(low) == 1:
+            return out + (None, None)
+        return out + self.stabilizers[
+            tuple(g for g, b in enumerate(self.images[low]) if b == low)]
+
+    def _stabilizer(self, gs: tuple[int, ...]) -> tuple[_Table, _Table]:
+        # gs holds at least two g's, so pick gives a tuple
+        pick, images, order = operator.itemgetter(*gs), self.images, self.order
+        return (_Table(lambda u: min(pick(images[u]))),
+                _Table(lambda u: order // pick(images[u]).count(u)))
 
     def sizes(self, keys: Iterable[int]) -> list[int]:
         """The orbit size of each representative, in order: |G| over its
-        stabilizer, the g's that fix its ubar block (``least``'s g's, most
-        often the identity alone) and its u block."""
-        images, least, order = self.images, self.least, self.order
+        stabilizer, the g's in its ubar block's stabilizer (most often the
+        identity alone) that fix its u block."""
+        least, order = self.least, self.order
         ubar_shift, block = self.codec.ubar_shift, self.codec.block
         out = []
         append = out.append
         for key in keys:
-            gs = least[key >> ubar_shift][2]
-            if gs is None:
-                append(order)
-            else:
-                u = key & block
-                image = images[u]
-                append(order // sum([image[g] == u for g in gs]))
+            size = least[key >> ubar_shift][3]
+            append(order if size is None else size[key & block])
         return out
 
     def expand(self, nums: dict) -> dict:
@@ -273,9 +295,9 @@ class _Group:
         sums: dict[int, int] = {}
         get = sums.get
         for key, c in nums.items():
-            high, g, gs = least[key >> ubar_shift]
-            u = images[key & block]
-            key = high | (u[g] if gs is None else min([u[g] for g in gs]))
+            high, g, low, _ = least[key >> ubar_shift]
+            u = images[key & block][g]
+            key = high | (u if low is None else low[u])
             sums[key] = get(key, 0) + c
         return sums
 

@@ -58,8 +58,9 @@ nothing is weighted or divided.  Swapping u and ubar (σ, which keeps
 the degree) gives σQ(x, y) = Q(σy, σx).  Every kernel the engine builds
 is mapped to s times itself by σ, s = ±1 its swap parity, so Q(B, A) =
 s_A s_B σQ(A, B) is the mirror of Q(A, B) and costs no second
-contraction; σ maps each orbit onto one of the same size, so the mirror
-is the fold of the swapped keys.  The mirror step drops the zeros it
+contraction; σ maps each orbit onto one of the same size, so each key's
+mirror is the representative of its swapped key, which the group's
+tables give in one lookup.  The mirror step drops the zeros it
 makes (each cancellation, and every self-mirrored orbit when s_A s_B =
 +1), and {A, B} carries its parity -s_A s_B.  Every producer declares
 its parity, so no kernel is checked term by term; a kernel from outside
@@ -575,15 +576,16 @@ def _mirror(q: dict, group: _Group, s: int) -> dict:
     representative and that of its mirror are written together, once,
     from the smaller of the two that q holds.  σ swaps each key's u and
     ubar blocks and commutes with G, so it maps each orbit onto one of the
-    same size, whose representative takes the orbit's sum as it is: σq is
-    the fold of the swapped keys, in q's order."""
-    codec = group.codec
+    same size, whose representative takes the orbit's sum as it is: the
+    σq of a key is at the representative of its swapped key, read from
+    ``group``'s tables as ``fold`` reads it, with no swapped map built."""
+    codec, images, least = group.codec, group.images, group.least
     degree, ubar_shift, block = codec.degree, codec.ubar_shift, codec.block
-    swapped = group.fold({
-        key & degree | (key & block) << ubar_shift | key >> ubar_shift & block:
-        c for key, c in q.items()})
     out = {}
-    for (key, c), mkey in zip(q.items(), swapped):
+    for key, c in q.items():
+        high, g, low, _ = least[(key & degree) >> ubar_shift | key & block]
+        u = images[key >> ubar_shift & block][g]
+        mkey = high | (u if low is None else low[u])
         if mkey < key and mkey in q:
             continue
         v = c - s * q.get(mkey, 0)
@@ -628,11 +630,11 @@ def poisson_bracket(a: Kernel, b: Kernel) -> Kernel:
     operands declare a swap parity, s_A and s_B of ``Kernel.swap_parity``
     (which their windows keep, as σ keeps the degree), Q(B, A) =
     s_A s_B σQ(A, B) is the mirror of the first contraction, and one
-    contraction does; ``_mirror`` folds the swapped keys and drops the
-    zeros it makes.  If either parity is 0, as for a kernel from outside,
-    Q(B, A) is contracted as well, into the same P, and ``Kernel`` drops
-    the zeros of the sum.  The result carries the parity -s_A s_B, 0 if
-    either is 0.
+    contraction does; ``_mirror`` looks up the representative of each
+    swapped key and drops the zeros it makes.  If either parity is 0, as
+    for a kernel from outside, Q(B, A) is contracted as well, into the
+    same P, and ``Kernel`` drops the zeros of the sum.  The result carries
+    the parity -s_A s_B, 0 if either is 0.
     """
     a._check_compatible(b)
     cutoff, codec = a.max_degree, a._codec

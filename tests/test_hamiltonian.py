@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from birkhoff._codec import _Codec
 from birkhoff.evaluator import EvalConfig
 from birkhoff.hamiltonian import (
     GENERATOR_SCALE,
@@ -18,6 +19,7 @@ from birkhoff.hamiltonian import (
     Monomial,
     ResonanceConfig,
     _codec_for,
+    _mirror,
     apply_phase_filter,
     h0,
     h1,
@@ -466,6 +468,63 @@ def invariant_kernels(draw, lat, cutoff, parity):
     k = Kernel.of(lat, cutoff, terms)
     assume(parity or k.is_zero or monomial_parity(k) == 0)
     return declared(k, _codec_for(lat, cutoff).group, parity)
+
+
+@st.composite
+def blocks(draw, lat, n):
+    """n modes for one exponent block: drawn at random, or with a
+    nontrivial stabilizer in G: one mode n times, pairs k, -k, or the
+    whole G-orbit of a mode (at dim 2 the four unit modes)."""
+    modes = lat.modes()
+    k = draw(st.sampled_from(modes))
+    minus = tuple(-c for c in k)
+    orbit = sorted({g(k) for g in lattice_group(lat.dim)})
+    kinds = [draw(st.lists(st.sampled_from(modes), min_size=n, max_size=n)),
+             [k] * n, ([k, minus] * n)[:n]]
+    if len(orbit) == n:
+        kinds.append(orbit)
+    return draw(st.sampled_from(kinds))
+
+
+class TestGroupTables:
+    """The group's tables against G acting on modes: ``images`` against
+    each g's image of a block's factors, encoded again; ``fold`` and the
+    mirror against the least key of each orbit; ``sizes`` and ``expand``
+    against the orbit's size."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_against_naive(self, dim, data):
+        lat, gs = SWAP_LATTICES[dim], lattice_group(dim)
+        # a fresh codec, so its tables hold only what this example fills
+        codec = _Codec(lat, 8)
+        group = codec.group
+        assert group.order == len(gs)
+        n = data.draw(st.integers(1, 4))
+        ubar = data.draw(blocks(lat, n))
+        u = data.draw(st.one_of(st.just(ubar), blocks(lat, n)))
+        m = Monomial.of(u, ubar)
+        orbit = {codec.encode(moved(m, g)) for g in gs}
+        least = min(orbit)
+        assert group.fold(dict.fromkeys(orbit, 1)) == {least: len(orbit)}
+        for key in orbit:
+            assert group.fold({key: 1}) == {least: 1}
+        assert group.sizes([least]) == [len(orbit)]
+        assert group.expand({least: len(orbit)}) == dict.fromkeys(
+            orbit, group.order)
+        # σ maps the orbit onto the one of the swapped monomial, whose
+        # least key the mirror finds; an orbit its own mirror is doubled
+        mirror = min(codec.encode(moved(Monomial(m.ubar, m.u), g))
+                     for g in gs)
+        assert _mirror({least: 1}, group, -1) == (
+            {least: 2} if mirror == least else {least: 1, mirror: 1})
+        # every block the images table holds, the sub-blocks its fills
+        # reached on the way included
+        for block, images in group.images.items():
+            assert images == tuple(
+                sum(codec.u_units[codec.index[g(k)]]
+                    for k in codec.factors[block]) for g in gs)
 
 
 class TestOrbits:

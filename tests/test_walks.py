@@ -4,9 +4,11 @@ No function in the package calls itself, except the few listed in
 ``BOUNDED``, each with the bound on its depth; so no tree depth can reach
 Python's recursion limit, and a new self-call anywhere fails here.  No
 module but ``_value.py`` calls ``object.__setattr__``: every value class
-sets its fields through ``Value.__init__``.  And ``Kernel.__init__``
-calls no ``fold``, ``expand`` or ``sizes``: a kernel takes the group its
-producer declares and never tests a map for symmetry."""
+sets its fields through ``Value.__init__``.  ``Kernel.__init__`` calls no
+``fold``, ``expand`` or ``sizes``: a kernel takes the group its producer
+declares and never tests a map for symmetry.  And the orbit walks read
+tables: ``_mirror`` folds nothing, and ``_Group.fold``'s loop neither
+builds a sequence nor takes a ``min``."""
 
 import ast
 from pathlib import Path
@@ -76,19 +78,37 @@ def test_only_value_sets_fields():
 
 
 
-def method_calls(source, cls, method):
-    """The names of the attributes that ``cls.method`` calls."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and node.name == cls:
-            fn, = (f for f in node.body
-                   if isinstance(f, ast.FunctionDef) and f.name == method)
-            return {call.func.attr for call in ast.walk(fn)
-                    if isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)}
-    raise LookupError(f"no class {cls}")
+def function(module, name, cls=None):
+    """The definition of function ``name`` in ``module``, or of method
+    ``name`` of class ``cls``."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    if cls is not None:
+        tree, = (node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == cls)
+    fn, = (node for node in tree.body
+           if isinstance(node, ast.FunctionDef) and node.name == name)
+    return fn
+
+
+def called(node):
+    """The names a node calls, bare or as attributes."""
+    return {getattr(call.func, "attr", getattr(call.func, "id", None))
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
 
 
 def test_kernel_constructor_tests_no_symmetry():
-    source = (SRC / "hamiltonian.py").read_text(encoding="utf-8")
-    assert method_calls(source, "Kernel", "__init__") & {
+    assert called(function("hamiltonian.py", "__init__", "Kernel")) & {
         "fold", "expand", "sizes"} == set()
+
+
+def test_mirror_folds_nothing():
+    assert "fold" not in called(function("hamiltonian.py", "_mirror"))
+
+
+def test_fold_loop_reads_tables():
+    loop, = (node for node in ast.walk(function("_codec.py", "fold", "_Group"))
+             if isinstance(node, ast.For))
+    assert not any(isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                     ast.GeneratorExp))
+                   for node in ast.walk(loop))
+    assert "min" not in called(loop)

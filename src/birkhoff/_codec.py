@@ -27,7 +27,8 @@ those sums by adding, and expands them to every key again, times |G|
 (see ``hamiltonian`` for why).
 
 Nothing here is built at import: a codec is built by the first call of
-``_codec_for`` for its (lattice, cutoff), and its group on first use.
+``_codec_for`` for its (lattice, cutoff), its group on first use, and
+the JSON text tables of a kernel's terms by ``_json_tables``.
 """
 
 from __future__ import annotations
@@ -305,3 +306,18 @@ class _Group:
 @functools.cache
 def _codec_for(lattice: ModeLattice, cutoff: int) -> _Codec:
     return _Codec(lattice, cutoff)
+
+
+@functools.cache
+def _json_tables(codec: _Codec, depth: int) -> tuple[str, _Table, _Table]:
+    """A kernel term's fixed text in ``json.dumps(..., indent=2)`` nested
+    ``depth`` levels deep: its separator and head, and two lazy tables of
+    a u block's text up to the "ubar" list and a ubar block's to the end."""
+    p2, p3, p4, p5 = ("\n" + "  " * (depth + i) for i in range(2, 6))
+    item = {k: f"{p4}[{p5}" + f",{p5}".join(map(str, k)) + f"{p4}]"
+            for k in codec.modes}.__getitem__
+    text = _Table(lambda b: ",".join(map(item, codec.factors[b])))
+    return (f',{p2}{{{p3}"im": "',
+            _Table(lambda u: f'",{p3}"re": "0",{p3}"u": [{text[u]}{p3}],'
+                   f'{p3}"ubar": ['),
+            _Table(lambda b: f"{text[b]}{p3}]{p2}}}"))

@@ -123,6 +123,8 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
                 _write(fh, pieces, "utf-8")
         except OSError as exc:
             raise CliError(f"cannot write {out}: {exc}") from exc
+    elif not hasattr(sys.stdout, "buffer"):  # say, a redirect to a StringIO
+        sys.stdout.writelines(pieces)
     else:
         # beneath the text layer, which drops the rest of a short write;
         # what that layer already holds goes first

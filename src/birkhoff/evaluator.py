@@ -189,11 +189,10 @@ class ExpansionLedger(Value):
 
     def json_pieces(self) -> Iterator[str]:
         """``json.dumps(self.to_json(), sort_keys=True, indent=2)`` plus a
-        newline, byte for byte, in pieces, so that the whole text never
-        exists at once.  The json module lays out the document with a
-        placeholder in each kernel's place; each head of that layout is
-        followed by ``Kernel.json_text`` of the next kernel in order: the
-        entries' kernels, then the total."""
+        newline, byte for byte once joined.  The json module lays out the
+        document with a placeholder in each kernel's place; each head of
+        that layout is followed by the pieces of the next kernel's
+        ``Kernel.json_text``: the entries' kernels, then the total."""
         hole = "\0"  # no tree, weight or config value holds a NUL
         layout = json.dumps(self._document(lambda _: hole), sort_keys=True,
                             indent=2)
@@ -201,7 +200,7 @@ class ExpansionLedger(Value):
         kernels = [(e.kernel, 3) for e in self.entries] + [(self.total, 1)]
         for head, (k, depth) in zip(heads, kernels):
             yield head
-            yield k.json_text(depth)
+            yield from k.json_text(depth)
         yield tail + "\n"
 
 

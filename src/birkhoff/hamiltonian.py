@@ -34,12 +34,12 @@ size.  ``Kernel.of`` is the one way in from monomials, and
 ``with_cutoff`` builds through it; ``from_json`` sums each term's key
 straight from its ``u``/``ubar`` lists through the codec's unit tables,
 as ``h0`` and ``h1`` do, and makes no ``Monomial``.  ``items`` is the
-way out, and ``to_json`` and ``with_cutoff`` read it.  Three readers
-keep their own path: ``coefficient`` folds one monomial onto its
-representative, ``support`` lists the monomials, and ``json_text``
-writes the text of ``to_json`` straight from the keys.  Both ``items``
-and ``json_text`` sort the expanded keys by one int, the degree and the
-ranks of the two blocks, and divide each orbit's sum once.
+way out, and ``to_json`` and ``with_cutoff`` read it; ``coefficient``
+folds one monomial onto its representative, and ``support`` lists the
+monomials.  ``items`` and ``json_text``, which writes the text of
+``to_json`` a few hundred terms at a time, share one walk, ``_rows``:
+it expands each orbit, divides its sum once, and sorts the keys by one
+int, the degree and the ranks of the two blocks.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
@@ -83,9 +83,9 @@ import math
 import re
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from ._codec import Mode, Monomial, _Codec, _codec_for, _Group, _Table
+from ._codec import Mode, Monomial, _Codec, _codec_for, _Group, _json_tables
 from ._value import Value
 
 # {h0, apply_phase_filter(A, cfg)} == H0_FILTER_FACTOR * nonres(A).
@@ -131,6 +131,8 @@ class ResonanceConfig(Value):
         """The one resonance rule: |phase| <= N."""
         return abs(phase) <= self.threshold
 
+
+_PIECE = 256  # the most terms in one piece of ``Kernel.json_text``
 
 # the coefficient form that ``_ratio`` writes; ``_read_ratio`` reads no other
 _RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -183,7 +185,7 @@ class Kernel:
     A kernel from outside (``Kernel.of``, ``from_json``) and a sum of
     kernels under two groups hold every key, under the trivial group.
     At the boundary every orbit is expanded, and only there is its sum
-    divided by its size: ``items()``, ``json_text``, ``support()`` and
+    divided by its size: ``items()``, ``json_text``'s pieces, ``support()`` and
     ``len()`` see one monomial per key, as if the full map were held, so
     ``len()`` counts monomials, not orbits; ``coefficient()`` folds one
     key onto its representative, and ``==`` compares two kernels of
@@ -279,13 +281,11 @@ class Kernel:
             return self.nums, self.den
         return self.group.expand(self.nums), self.den * self.group.order
 
-    def _rows(self, value) -> list[tuple[int, int, object]]:
-        """(u block, ubar block, value(numerator, den)) for every monomial,
-        in ``Monomial.sort_key`` order: by (degree, rank of the u block,
-        rank of the ubar block), packed into one int.  Both blocks of a
-        monomial hold degree/2 factors, so within a degree rank order is
-        factor-tuple order.  Each orbit is expanded here, and ``value``
-        is called once per orbit, with ``den`` times the orbit size."""
+    def _rows(self, value, u_map, b_map) -> list[tuple]:
+        """(value(numerator, den), u_map[u block], b_map[ubar block]) for
+        every monomial, in ``Monomial.sort_key`` order: by one int of the
+        degree and the ranks of the two blocks.  Each orbit is expanded,
+        and ``value`` called once per orbit, with ``den`` times its size."""
         codec = self._codec
         rank, block, ubar_shift = codec.rank, codec.block, codec.ubar_shift
         shift, bits = codec.shift, codec.rank_bits
@@ -296,15 +296,15 @@ class Kernel:
             d = key >> shift << bits
             for b, u in zip(images[key >> ubar_shift & block],
                             images[key & block]):
-                rows[(d | rank[u]) << bits | rank[b]] = (u, b, v)
+                rows[(d | rank[u]) << bits | rank[b]] = (v, u_map[u], b_map[b])
         return [rows[k] for k in sorted(rows)]
 
     def items(self) -> list[tuple[Monomial, Fraction]]:
         """(m, c) pairs in ``Monomial.sort_key`` order; i*c is the
         coefficient of m."""
         factors = self._codec.factors
-        return [(Monomial(factors[u], factors[b]), c)
-                for u, b, c in self._rows(Fraction)]
+        return [(Monomial(u, b), c)
+                for c, u, b in self._rows(Fraction, factors, factors)]
 
     def coefficient(self, m: Monomial) -> Fraction:
         """The c of m's coefficient i*c; 0 for a monomial not held."""
@@ -414,31 +414,29 @@ class Kernel:
                       for m, c in self.items()],
         }
 
-    def json_text(self, depth: int = 0) -> str:
-        """``json.dumps(self.to_json(), sort_keys=True, indent=2)``, byte
-        for byte, for the kernel nested ``depth`` levels deep in a larger
-        document: every line after the first is indented by 2 * depth
-        more spaces.  The text is written from a fixed template, since
-        the json module's indenting encoder runs in pure Python; each
-        orbit's coefficient is written once, then expanded to its keys."""
+    def json_text(self, depth: int = 0) -> Iterator[str]:
+        """``json.dumps(self.to_json(), sort_keys=True, indent=2)`` once
+        joined, each line after the first indented 2 * depth more spaces,
+        in pieces of at most ``_PIECE`` terms.  A term is four parts: its
+        separator and head, its reduced ratio and its two blocks' text,
+        from the ``_json_tables`` every kernel of a codec and depth shares."""
         pad = "\n" + "  " * depth
-        p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
-        codec = self._codec
-        factors = codec.factors
-        # each mode's "[ ... ]" list item, and each block's list of them
-        item = {k: f"{p4}[{p5}" + f",{p5}".join(map(str, k)) + f"{p4}]"
-                for k in codec.modes}.__getitem__
-        text = _Table(lambda b: ",".join(map(item, factors[b])))
-        terms = [
-            f'{p2}{{{p3}"im": "{ratio}",{p3}"re": "0",'
-            f'{p3}"u": [{text[u]}{p3}],'
-            f'{p3}"ubar": [{text[b]}{p3}]{p2}}}'
-            for u, b, ratio in self._rows(_ratio)
-        ]
-        listing = f"[{','.join(terms)}{p1}]" if terms else "[]"
-        return (f'{{{p1}"dim": {self.lattice.dim},{p1}"max_degree": '
-                f'{self.max_degree},{p1}"radius": {self.lattice.radius},'
-                f'{p1}"terms": {listing}{pad}}}')
+        p1 = pad + "  "
+        head, u_text, ubar_text = _json_tables(self._codec, depth)
+        rows = self._rows(_ratio, u_text, ubar_text)
+        opener = (f'{{{p1}"dim": {self.lattice.dim},{p1}"max_degree": '
+                  f'{self.max_degree},{p1}"radius": {self.lattice.radius},'
+                  f'{p1}"terms": [')
+        parts = [opener]
+        for start in range(0, len(rows), _PIECE):
+            for row in rows[start:start + _PIECE]:
+                parts.append(head)
+                parts += row
+            if not start:
+                parts[1] = head[1:]  # the first term has no separator
+            yield "".join(parts)
+            parts = []
+        yield f"{p1}]{pad}}}" if rows else f"{opener}]{pad}}}"
 
     @staticmethod
     def from_json(data: dict) -> "Kernel":

@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -197,6 +199,25 @@ class TestLedgerIO:
         assert run(capsys, *argv, "--out", str(out_path)) == (0, "", err)
         assert out_path.read_bytes() == out.encode()
 
+    @pytest.mark.parametrize("argv", [
+        ("render", "--tree", "(o (k) (n))"),
+        ("expand", "--m", "1", "--ell", "3"),
+        ("verify", "--m", "1", "--ell", "3"),
+    ], ids=["render", "expand", "verify"])
+    def test_text_only_stdout(self, capsys, tmp_path, argv):
+        # in process, stdout may be a text stream with no binary buffer
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(list(argv))
+        if argv[0] == "render":
+            # render takes no --out: its bytes are those of a real stdout
+            assert run(capsys, *argv)[:2] == (code, text.getvalue())
+        else:
+            out_path = tmp_path / "out.json"
+            assert run(capsys, *argv, "--out", str(out_path))[0] == code
+            assert out_path.read_text() == text.getvalue()
+        assert code == 0
+
     def test_writer_holds_no_whole_ledger(self, capsys, tmp_path):
         # the expand --m 3 --ell 5 ledger: 8.2 MB, written in pieces
         cfg = evaluator.EvalConfig(ModeLattice(1, 2),
@@ -210,6 +231,14 @@ class TestLedgerIO:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 2
+
+    def test_pieces_are_bounded(self):
+        # no piece of that ledger holds a whole kernel's text: the largest
+        # kernel alone is 674 KB, a piece of 256 terms 169 KB at most
+        cfg = evaluator.EvalConfig(ModeLattice(1, 2),
+                                   hamiltonian.ResonanceConfig(0), 10)
+        pieces = evaluator.normal_form(3, cfg).json_pieces()
+        assert max(len(piece.encode()) for piece in pieces) < 200_000
 
     # 768 KB of ledger and 230 KB of dot, each more than a pipe holds, so
     # a write must meet the closed pipe.  Unbuffered, the dot text is one

@@ -18,6 +18,7 @@ from birkhoff.hamiltonian import (
     ModeLattice,
     Monomial,
     ResonanceConfig,
+    _PIECE,
     _codec_for,
     _mirror,
     apply_phase_filter,
@@ -600,7 +601,8 @@ class TestOrbits:
         data_json = k.to_json()
         assert data_json["terms"] == [{**m.to_json(), "re": "0", "im": str(c)}
                                       for m, c in ordered]
-        assert k.json_text() == json.dumps(data_json, sort_keys=True, indent=2)
+        assert "".join(k.json_text()) == json.dumps(data_json, sort_keys=True,
+                                                    indent=2)
         # equal across the two representations, and only when equal
         whole = expanded(k)
         assert whole == k and k == whole
@@ -672,9 +674,9 @@ class TestOrbits:
             assert k.coefficient(m) == c
         ordered = sorted(terms.items(), key=lambda mc: mc[0].sort_key())
         assert k.items() == ordered
-        assert k.json_text() == json.dumps(k.to_json(), sort_keys=True,
-                                           indent=2)
-        back = Kernel.from_json(json.loads(k.json_text()))
+        assert "".join(k.json_text()) == json.dumps(k.to_json(),
+                                                    sort_keys=True, indent=2)
+        back = Kernel.from_json(json.loads("".join(k.json_text())))
         assert back == k and back.group is codec.trivial
         assert len(back.nums) == 5
         # expand gives each key c |G|, over the denominator
@@ -999,7 +1001,62 @@ def test_json_round_trip_by_dim(dim, data):
     # from the dict and from the text the ledger writer lays out
     k = data.draw(kernels_of_dim(dim))
     assert Kernel.from_json(k.to_json()) == k
-    assert Kernel.from_json(json.loads(k.json_text())) == k
+    assert Kernel.from_json(json.loads("".join(k.json_text()))) == k
+
+
+def nested_layout(k, depth):
+    """``json.dumps`` of k nested ``depth`` levels deep in a document."""
+    return json.dumps(k.to_json(), sort_keys=True, indent=2).replace(
+        "\n", "\n" + "  " * depth)
+
+
+def first_difference(got, want):
+    """(line number, got line, want line) where the texts first differ,
+    or None: pytest's own diff of two long texts takes minutes."""
+    lines = itertools.zip_longest(got.split("\n"), want.split("\n"))
+    return next(((n, a, b) for n, (a, b) in enumerate(lines) if a != b),
+                None)
+
+
+# an engine kernel of several pieces per dim: h1 at dim 3, else a bracket
+# with its phase-filtered self
+WIDE = {
+    1: (ModeLattice(1, 4), 6),
+    2: (ModeLattice(2, 1), 6),
+    3: (ModeLattice(3, 1), 4),
+}
+
+
+class TestJsonPieces:
+    """``json_text`` in pieces of at most ``_PIECE`` terms, its fixed text
+    from tables that every kernel of one codec and depth shares."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pieces_join_to_the_layout(self, dim):
+        lat, cutoff = WIDE[dim]
+        engine = h1(lat, cutoff)
+        if dim < 3:
+            engine = poisson_bracket(engine, apply_phase_filter(engine, N0))
+        group = _codec_for(lat, cutoff).group
+        outside = Kernel.of(lat, cutoff, dict(engine.items()))
+        k = declared(outside, group, engine.swap_parity())
+        # orbits a g beyond the identity fixes: their images repeat
+        assert min(group.sizes(k.nums)) < group.order
+        assert len(k) > 2 * _PIECE
+        terms = len(k)
+        # one codec, each depth in turn, and each depth again
+        for kernel, depth in itertools.product((k, outside), (0, 1, 3)):
+            pieces = list(kernel.json_text(depth))
+            assert first_difference("".join(pieces),
+                                    nested_layout(kernel, depth)) is None
+            # full pieces, the rest, and the list's close
+            assert [p.count('"im": ') for p in pieces] == [
+                min(_PIECE, terms - n) for n in range(0, terms, _PIECE)] + [0]
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_zero_kernel(self, depth):
+        zero = Kernel(LAT2, 4)
+        assert list(zero.json_text(depth)) == [nested_layout(zero, depth)]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -124,7 +124,8 @@ def test_cli_import_builds_no_codec():
     # a codec and its lattice group and tables are built on first use,
     # not by the import that every job pays for
     assert after_cli_import(
-        "import gc; from birkhoff import hamiltonian as h; "
-        "print(h._codec_for.cache_info().currsize, sum(isinstance("
-        "o, (h._Codec, h._Group, h._Table)) for o in gc.get_objects()))"
-    ) == "0 0\n"
+        "import gc; from birkhoff import _codec as c; "
+        "print(c._codec_for.cache_info().currsize, "
+        "c._json_tables.cache_info().currsize, sum(isinstance("
+        "o, (c._Codec, c._Group, c._Table)) for o in gc.get_objects()))"
+    ) == "0 0 0\n"

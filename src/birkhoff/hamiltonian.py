@@ -415,11 +415,11 @@ class Kernel:
         }
 
     def json_text(self, depth: int = 0) -> Iterator[str]:
-        """``json.dumps(self.to_json(), sort_keys=True, indent=2)`` once
-        joined, each line after the first indented 2 * depth more spaces,
-        in pieces of at most ``_PIECE`` terms.  A term is four parts: its
-        separator and head, its reduced ratio and its two blocks' text,
-        from the ``_json_tables`` every kernel of a codec and depth shares."""
+        """The text of ``json.dumps(self.to_json(), sort_keys=True,
+        indent=2)``, each line after the first indented 2 * depth more
+        spaces, in pieces of at most ``_PIECE`` terms.  A term is four
+        parts: its separator and head, its reduced ratio and its two
+        blocks' text, from the ``_json_tables`` a codec and depth share."""
         pad = "\n" + "  " * depth
         p1 = pad + "  "
         head, u_text, ubar_text = _json_tables(self._codec, depth)

@@ -177,6 +177,16 @@ class TestBracket:
             a, b = random_kernel(rng), random_kernel(rng)
             assert poisson_bracket(a, b) == naive_bracket(a, b)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_against_naive_differentiator_2d(self, data):
+        # a pair of degrees d1 + d2 - 2 lands on both sides of these cutoffs
+        lat = SWAP_LATTICES[2]
+        cutoff = data.draw(st.sampled_from((4, 6, 8)))
+        a, b = (Kernel.of(lat, cutoff, data.draw(term_maps(lat, cutoff)))
+                for _ in range(2))
+        assert poisson_bracket(a, b) == naive_bracket(a, b)
+
     def test_absolute_sign(self):
         # {h0, i u_1 ubar_0} = (i/2) u_1 ubar_0: of the two modes only u_1
         # meets h0's (i/2)|k|^2, and a global sign flip turns this around
@@ -373,10 +383,7 @@ class TestSwapParity:
         lat = SWAP_LATTICES[dim]
         sa, sb = parities
 
-        # [2-+0+0], two kernels from outside on the 2-D lattice, is the
-        # plain bracket against the naive one, at 200 examples
-        @settings(max_examples=200 if (dim, parities) == (2, (0, 0)) else 40,
-                  deadline=None)
+        @settings(max_examples=40, deadline=None)
         @given(data=st.data())
         def check(data):
             # cutoffs 4, 6 and 8 put deg a + deg b - 2 on both sides of
@@ -926,15 +933,34 @@ def codec_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(codec_cases())
+def test_codec_round_trip(case):
+    lat, cutoff, monomials = case
+    codec = _codec_for(lat, cutoff)
+    for m in monomials:
+        assert codec.monomial(codec.encode(m)) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(codec_cases())
+def test_key_order_is_degree_order(case):
+    lat, cutoff, monomials = case
+    codec = _codec_for(lat, cutoff)
+    keys = sorted(codec.encode(m) for m in monomials)
+    degrees = [codec.monomial(key).degree for key in keys]
+    assert degrees == sorted(m.degree for m in monomials)
+    k = Kernel.of(lat, cutoff, {m: 1 for m in monomials})
+    assert (k.min_term_degree(), k.term_degree()) == (degrees[0], degrees[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(codec_cases())
 def test_codec_tables_match_direct_walk(case):
-    # the round trip, the key order, and every field read off the bits one
-    # by one, against the tables
+    # every field read off the bits one by one, against the tables
     lat, cutoff, monomials = case
     codec = _codec_for(lat, cutoff)
     modes, w = lat.modes(), codec.w
     for m in monomials:
         key = codec.encode(m)
-        assert codec.monomial(key) == m
         blocks = (key & codec.block, key >> codec.ubar_shift & codec.block)
         for block, factors in zip(blocks, (m.u, m.ubar)):
             walk = [(j, block >> (w * j) & codec.mask)
@@ -947,11 +973,43 @@ def test_codec_tables_match_direct_walk(case):
             assert codec.norm[block] == sum(
                 e * sum(c * c for c in modes[j]) for j, e in walk)
         assert codec.phase(key) == m.phase()
-    keys = sorted(codec.encode(m) for m in monomials)
-    degrees = [codec.monomial(key).degree for key in keys]
-    assert degrees == sorted(m.degree for m in monomials)
-    k = Kernel.of(lat, cutoff, {m: 1 for m in monomials})
-    assert (k.min_term_degree(), k.term_degree()) == (degrees[0], degrees[-1])
+
+
+@st.composite
+def kernels_of_dim(draw, dim):
+    """Kernels of term maps on a lattice of the given dim: every radius up
+    to 2 (1 at dim 3) and every cutoff up to 12."""
+    lat = ModeLattice(dim, draw(st.integers(0, 2 if dim < 3 else 1)))
+    cutoff = draw(st.sampled_from(range(2, 13, 2)))
+    return Kernel.of(lat, cutoff, draw(term_maps(lat, cutoff)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_json_round_trip_by_dim(dim, data):
+    # from the dict and from the text the ledger writer lays out
+    k = data.draw(kernels_of_dim(dim))
+    assert Kernel.from_json(k.to_json()) == k
+    assert Kernel.from_json(json.loads("".join(k.json_text()))) == k
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_items_in_sort_key_order(dim, data):
+    # the keys are sorted by one packed int of degree and block ranks
+    monomials = [m for m, _ in data.draw(kernels_of_dim(dim)).items()]
+    assert monomials == sorted(monomials, key=Monomial.sort_key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernels_of_dim(2))
+def test_part_maps_round_trip(k):
+    # zero coefficients are dropped on the way in
+    assert Kernel.of(k.lattice, k.max_degree, dict(k.items())) == k
+    assert all(c for _, c in k.items())
+    assert k.support() == {m for m, _ in k.items()}
 
 
 def nested_layout(k, depth):

@@ -10,7 +10,11 @@ their keys, and a derivative subtracts one shifted unit from a block and
 one from the degree.  Each codec decodes an exponent block (the u or the
 ubar half of a key) once, into tables keyed by the block int that fill
 lazily and live as long as the codec: they hold one entry per distinct
-block met: hundreds at dim 1, thousands at dim 2, K 2.
+block met: hundreds at dim 1, thousands at dim 2, K 2.  ``_Codec.key``
+is the one way from mode tuples to a key, and it checks before it adds:
+the factor lists are equally long and not empty, the degree is within
+the cutoff (above it an exponent could carry into the next field), and
+every mode is on the lattice.
 
 G, the lattice group of every permutation and sign flip of the mode
 coordinates (order 2^d d!: 2 at dim 1, 8 at dim 2), permutes the modes
@@ -111,7 +115,8 @@ class _Codec:
     Mode j of ``lattice.modes()`` owns bits [w*j, w*(j+1)) of the u block
     (the low M*w bits) and of the ubar block (the next M*w); the degree
     sits above both, at ``shift``.  Since 2**w > cutoff/2, no exponent of
-    a monomial within the cutoff reaches the next field.
+    a monomial within the cutoff reaches the next field.  The cutoff is
+    even and at least 2, or no codec is made.
 
     A block is decoded once per codec: ``fields``, ``factors`` and
     ``norm`` are tables keyed by block int, filled on first lookup, so
@@ -119,6 +124,9 @@ class _Codec:
     """
 
     def __init__(self, lattice: ModeLattice, cutoff: int):
+        if cutoff < 2 or cutoff % 2:
+            raise ValueError("max_degree must be an even integer >= 2")
+        self.cutoff = cutoff
         self.modes = modes = lattice.modes()
         self.index = {k: j for j, k in enumerate(modes)}
         self.norm2 = norm2 = [_norm2(k) for k in modes]
@@ -168,12 +176,24 @@ class _Codec:
         return Monomial(self.factors[key & self.block],
                         self.factors[key >> self.ubar_shift & self.block])
 
-    def encode(self, m: Monomial) -> int:
-        """The key of a monomial whose modes and degree fit this codec."""
-        index, u_units, ubar_units = self.index, self.u_units, self.ubar_units
-        return (m.degree << self.shift) + sum(
-            u_units[index[k]] for k in m.u
-        ) + sum(ubar_units[index[k]] for k in m.ubar)
+    def key(self, u, ubar) -> int:
+        """The key of the monomial with the modes ``u`` and ``ubar`` as
+        its u and ubar factors, in any order.  It refuses, in this order:
+        unequal or empty factor lists, a degree above the cutoff, checked
+        before any unit is added, and a mode off the lattice."""
+        if len(u) != len(ubar) or not u:
+            raise ValueError("monomial needs equally many u and ubar factors")
+        degree = 2 * len(u)
+        if degree > self.cutoff:
+            raise ValueError(f"monomial degree {degree} above cutoff")
+        key, index = degree << self.shift, self.index
+        for units, factors in ((self.u_units, u), (self.ubar_units, ubar)):
+            for mode in factors:
+                j = index.get(mode)
+                if j is None:
+                    raise ValueError(f"mode {mode} outside lattice")
+                key += units[j]
+        return key
 
     def phase(self, key: int) -> int:
         return (self.norm[key & self.block]

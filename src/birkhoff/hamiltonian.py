@@ -30,16 +30,17 @@ split, degree slices and degree windows act on the orbit sums as they
 are.
 ``Monomial`` and the rational c of each i*c appear only at the
 boundary, where every orbit is expanded and its sum divided by its
-size.  ``Kernel.of`` is the one way in from monomials, and
-``with_cutoff`` builds through it; ``from_json`` sums each term's key
-straight from its ``u``/``ubar`` lists through the codec's unit tables,
-as ``h0`` and ``h1`` do, and makes no ``Monomial``.  ``items`` is the
-way out, and ``to_json`` and ``with_cutoff`` read it; ``coefficient``
-folds one monomial onto its representative, and ``support`` lists the
-monomials.  ``items`` and ``json_text``, which writes the text of
-``to_json`` a few hundred terms at a time, share one walk, ``_rows``:
-it expands each orbit, divides its sum once, and sorts the keys by one
-int, the degree and the ranks of the two blocks.
+size.  Every way in from modes makes its keys with ``_Codec.key``,
+which checks each monomial before it packs it: ``Kernel.of`` from
+monomials (``with_cutoff`` builds through it), ``from_json`` from each
+term's ``u``/``ubar`` lists, with no ``Monomial``, ``h0`` and ``h1``
+from the lattice's modes, and ``coefficient``, which folds the key
+onto its representative.  ``items`` is the way out, and ``to_json`` and
+``with_cutoff`` read it; ``support`` lists the monomials.  ``items``
+and ``json_text``, which writes the text of ``to_json`` a few hundred
+terms at a time, share one walk, ``_rows``: it expands each orbit,
+divides its sum once, and sorts the keys by one int, the degree and the
+ranks of the two blocks.
 
 The bracket is the hot path, and it stays exact.  It is built on one
 contraction, Q(x, y) = sum_k d_{ubar_k} x d_{u_k} y, which pairs the
@@ -111,11 +112,6 @@ class ModeLattice(Value):
         r = range(-self.radius, self.radius + 1)
         return [tuple(k) for k in itertools.product(r, repeat=self.dim)]
 
-    def __contains__(self, mode: Mode) -> bool:
-        return len(mode) == self.dim and all(
-            abs(c) <= self.radius for c in mode
-        )
-
 
 class ResonanceConfig(Value):
     """Threshold N: monomials with |phase| <= N count as resonant."""
@@ -157,11 +153,6 @@ def _read_ratio(term: dict, part: str) -> tuple[int, int]:
     if den and not int(den):
         raise ValueError(f"zero denominator: {term}")
     return int(num), int(den or 1)
-
-
-def _check_cutoff(max_degree: int) -> None:
-    if max_degree < 2 or max_degree % 2:
-        raise ValueError("max_degree must be an even integer >= 2")
 
 
 class Kernel:
@@ -215,12 +206,11 @@ class Kernel:
         as the producer declares them; no group means the trivial one,
         whose representatives are the full keys.  ``parity`` is the swap
         parity the producer knows, 0 if it knows none."""
-        _check_cutoff(max_degree)
+        self._codec = codec = _codec_for(lattice, max_degree)
         if not den:
             raise ValueError("den must be nonzero")
         self.lattice = lattice
         self.max_degree = max_degree
-        self._codec = codec = _codec_for(lattice, max_degree)
         if not nums:
             nums = {}
         elif 0 in nums.values():
@@ -247,25 +237,17 @@ class Kernel:
            terms: Mapping[Monomial, Rational]) -> "Kernel":
         """The kernel with coefficient i*c on each monomial m, for the
         rationals c = terms[m]; the inverse of ``items()``.  Every
-        monomial is checked, then zeros are dropped."""
-        _check_cutoff(max_degree)
-        modes: set[Mode] = set()
+        coefficient and monomial is checked, in the map's order, then
+        zeros are dropped."""
+        key = _codec_for(lattice, max_degree).key
+        held = {}
         for m, c in terms.items():
             if not isinstance(c, Rational):
                 raise TypeError(f"coefficient {c!r} is not rational")
-            if m.degree > max_degree:
-                raise ValueError(f"monomial degree {m.degree} above cutoff")
-            modes.update(m.u)
-            modes.update(m.ubar)
-        # each distinct mode is checked once; the smallest bad one is named
-        bad = [mode for mode in modes if mode not in lattice]
-        if bad:
-            raise ValueError(f"mode {min(bad)} outside lattice")
-        codec = _codec_for(lattice, max_degree)
-        den = math.lcm(*(c.denominator for c in terms.values()))
+            held[key(m.u, m.ubar)] = c
+        den = math.lcm(*(c.denominator for c in held.values()))
         return Kernel(lattice, max_degree, {
-            codec.encode(m): c.numerator * (den // c.denominator)
-            for m, c in terms.items()
+            k: c.numerator * (den // c.denominator) for k, c in held.items()
         }, den)
 
     def _made(self, nums: dict, den: int, parity: int) -> "Kernel":
@@ -307,13 +289,13 @@ class Kernel:
                 for c, u, b in self._rows(Fraction, factors, factors)]
 
     def coefficient(self, m: Monomial) -> Fraction:
-        """The c of m's coefficient i*c; 0 for a monomial not held."""
-        codec = self._codec
-        if m.degree > self.max_degree or not all(
-            k in codec.index for k in (*m.u, *m.ubar)
-        ):
+        """The c of m's coefficient i*c; 0 for a monomial not held, and
+        for one that ``_Codec.key`` refuses."""
+        try:
+            key = self._codec.key(m.u, m.ubar)
+        except ValueError:
             return Fraction(0)
-        key, = self.group.fold({codec.encode(m): 0})
+        key, = self.group.fold({key: 0})
         n, = self.group.sizes([key])
         return Fraction(self.nums.get(key, 0), self.den * n)
 
@@ -353,7 +335,8 @@ class Kernel:
             m: c for m, c in self.items() if m.degree <= max_degree})
 
     def _check_compatible(self, other: "Kernel") -> None:
-        if self.lattice != other.lattice or self.max_degree != other.max_degree:
+        # ``_codec_for`` makes one codec per (lattice, cutoff)
+        if self._codec is not other._codec:
             raise ValueError("kernel lattice/cutoff mismatch")
 
     def __add__(self, other: "Kernel") -> "Kernel":
@@ -392,8 +375,7 @@ class Kernel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Kernel):
             return NotImplemented
-        if (self.lattice != other.lattice
-                or self.max_degree != other.max_degree):
+        if self._codec is not other._codec:
             return False
         if self.group is other.group:
             return self.den == other.den and self.nums == other.nums
@@ -441,42 +423,23 @@ class Kernel:
     @staticmethod
     def from_json(data: dict) -> "Kernel":
         """The kernel ``to_json`` wrote, held whole, with parity 0, as is
-        every map from outside.  Each term's key is summed from the
-        codec's unit tables, as ``h1`` builds its keys, and each
-        coefficient is read with ``int``; every term's modes, types and
-        degree are checked before the zeros are dropped."""
+        every map from outside.  Each term's modes are checked to be JSON
+        integers, then packed by ``_Codec.key``, and each coefficient is
+        read with ``int``; every term is checked before the zeros are
+        dropped."""
         # JSON integers only: 2.0 and true compare equal to 2 and 1
         for key in ("dim", "radius", "max_degree"):
             if type(data[key]) is not int:
                 raise ValueError(f"{key} must be an integer: {data[key]!r}")
         lattice = ModeLattice(data["dim"], data["radius"])
-        max_degree = data["max_degree"]
-        _check_cutoff(max_degree)
-        codec = _codec_for(lattice, max_degree)
-        index, u_units, ubar_units = codec.index, codec.u_units, codec.ubar_units
+        codec = _codec_for(lattice, data["max_degree"])
         terms: dict[int, tuple[int, int]] = {}
         for entry in data["terms"]:
-            u, ubar = entry["u"], entry["ubar"]
-            if len(u) != len(ubar) or not u:
-                raise ValueError("monomial needs equally many u and ubar "
-                                 "factors")
-            # above the cutoff an exponent could carry into the next field
-            degree = 2 * len(u)
-            if degree > max_degree:
-                raise ValueError(f"monomial degree {degree} above cutoff")
-            key = degree << codec.shift
-            for units, factors in ((u_units, u), (ubar_units, ubar)):
-                for mode in map(tuple, factors):
-                    # JSON integers only: 1.5 would pass the lattice's
-                    # |c| <= K, and (1.0,) would find the index of (1,)
-                    for c in mode:
-                        if type(c) is not int:
-                            raise ValueError(
-                                f"mode coordinates must be integers: {entry}")
-                    j = index.get(mode)
-                    if j is None:
-                        raise ValueError(f"mode {mode} outside lattice")
-                    key += units[j]
+            u, ubar = (list(map(tuple, entry[side])) for side in ("u", "ubar"))
+            # JSON integers only: (1.0,) and (true,) find the index of (1,)
+            if any(type(c) is not int for mode in u + ubar for c in mode):
+                raise ValueError(f"mode coordinates must be integers: {entry}")
+            key = codec.key(u, ubar)
             if key in terms:
                 raise ValueError(f"monomial {codec.monomial(key)} listed twice")
             real, real_den = _read_ratio(entry, "re")
@@ -485,17 +448,15 @@ class Kernel:
                 raise ValueError(f"nonzero real part in {codec.monomial(key)}: "
                                  f"{Fraction(real, real_den)}")
         den = math.lcm(*(d for _, d in terms.values()))
-        return Kernel(lattice, max_degree, {
+        return Kernel(lattice, codec.cutoff, {
             key: c * (den // d) for key, (c, d) in terms.items()}, den)
 
 
 def h0(lattice: ModeLattice, cutoff: int) -> Kernel:
     """Kinetic kernel: (i/2) |k|^2 per mode pair (u_k, ubar_k)."""
     codec = _codec_for(lattice, cutoff)
-    nums = {
-        2 * codec.unit + codec.u_units[j] + codec.ubar_units[j]: n2
-        for j, n2 in enumerate(codec.norm2) if n2
-    }
+    nums = {codec.key((k,), (k,)): n2
+            for k, n2 in zip(codec.modes, codec.norm2) if n2}
     return Kernel(lattice, cutoff, codec.group.fold(nums), 2, codec.group, 1)
 
 
@@ -508,15 +469,12 @@ def h1(lattice: ModeLattice, cutoff: int) -> Kernel:
     if cutoff < 4:
         return Kernel(lattice, cutoff)
     codec = _codec_for(lattice, cutoff)
-    index, u_units, ubar_units = codec.index, codec.u_units, codec.ubar_units
     nums: dict[int, int] = {}
     for k1, k2, k3 in itertools.product(codec.modes, repeat=3):
-        j4 = index.get(tuple(a - b + c for a, b, c in zip(k1, k2, k3)))
-        if j4 is None:
-            continue
-        key = (4 * codec.unit + u_units[index[k1]] + u_units[index[k3]]
-               + ubar_units[index[k2]] + ubar_units[j4])
-        nums[key] = nums.get(key, 0) + 1
+        k4 = tuple(a - b + c for a, b, c in zip(k1, k2, k3))
+        if k4 in codec.index:
+            key = codec.key((k1, k3), (k2, k4))
+            nums[key] = nums.get(key, 0) + 1
     return Kernel(lattice, cutoff, codec.group.fold(nums), 4, codec.group, 1)
 
 

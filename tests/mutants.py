@@ -1,14 +1,15 @@
 """Source mutations that the tier-1 suite must kill.
 
 An entry is an id, the number of the change in CHANGES.md that first
-recorded it, a file under src/birkhoff, the exact text to replace, which
-must occur there once, and its replacement.  The unmutated tree runs
+recorded it, a file under src/birkhoff, and one or more edits, each an
+exact text to replace, which must occur there once, and its replacement;
+the edits are made in order.  The unmutated tree runs
 first and must pass, then each mutant alone.  A run copies src/, tests/,
 bench/, README.md and pyproject.toml (test_bench.py and test_readme.py
 read the last three) into a fresh temporary directory and runs COMMAND
 there, printing each mutant's first failing test and run time.  Exit
 status 1 means a failed control run or a survivor, 2 an unknown id or an
-entry whose text does not occur exactly once.  Writes only under its
+entry with a text that does not occur exactly once.  Writes only under its
 temporary directories; standard library only; pytest does not collect it.
 Usage: python3 tests/mutants.py [ID ...]
 """
@@ -28,8 +29,10 @@ COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "-p",
 IGNORE = shutil.ignore_patterns("__pycache__", ".hypothesis")
 H, C, E = "hamiltonian.py", "_codec.py", "evaluator.py"
 O, T, L = "oracle.py", "trees.py", "cli.py"
+DEGREE_CHECK = ("        if degree > self.cutoff:\n            raise ValueError("
+                "f\"monomial degree {degree} above cutoff\")\n")
 
-MUTANTS = [  # (id, change, file, text, replacement)
+MUTANTS = [  # (id, change, file, text, replacement, ...)
     ("contract-sign-first", 9, H, "cutoff, 1, out)", "cutoff, -1, out)"),
     ("contract-sign-second", 9, H, "cutoff, -1, out)", "cutoff, 1, out)"),
     ("contract-sign-both", 9, H, "c = c1 * (sign", "c = -c1 * (sign"),
@@ -98,7 +101,28 @@ MUTANTS = [  # (id, change, file, text, replacement)
     ("piece-separator", 30, H, "if not start:", "if start >= 0:"),
     ("ratio-unreduced", 30, H, "g = math.gcd(c, den)", "g = 1"),
     ("rows-duplicates", 30, H, "rank[b]] = (v,", "rank[b], len(rows)] = (v,"),
+    ("symmetry-factor-via-module", 6, E, "    symmetry_factor,\n    validate_",
+     "    validate_", "    validate_tree,\n)\n",
+     "    validate_tree,\n)\nfrom . import trees as _trees\n",
+     "(1, symmetry_factor(t))", "(1, _trees.symmetry_factor(t))"),
+    ("tables-shared-by-codecs", 11, C, "class _Codec:", "_SHARED = {}\n\n\n"
+     "class _Codec:", "fields[b]))\n", "fields[b]))\n        self.fields, "
+     "self.factors, self.norm = _SHARED.setdefault(\"tables\", (\n"
+     "            self.fields, self.factors, self.norm))\n"),
+    ("key-lattice-unchecked", 32, C, "index.get(mode)", "index.get(mode, 0)"),
+    ("key-degree-after-sum", 32, C, DEGREE_CHECK, "", "        return key\n",
+     DEGREE_CHECK + "        return key\n"),
+    ("compatible-by-modes", 32, H, "_codec is not other._codec:\n"
+     "            raise", "_codec.modes != other._codec.modes:\n"
+     "            raise"),
+    ("eq-by-modes", 32, H, "_codec is not other._codec:\n            return",
+     "_codec.modes != other._codec.modes:\n            return"),
 ]
+
+
+def edits(mutant):
+    """A mutant's (text, replacement) pairs, in order."""
+    return list(zip(mutant[3::2], mutant[4::2]))
 
 
 def run(mutant=None):
@@ -111,7 +135,10 @@ def run(mutant=None):
                 shutil.copy(ROOT / name, tmp)
         if mutant:
             path = Path(tmp, "src", "birkhoff", mutant[2])
-            path.write_text(path.read_text().replace(*mutant[3:]))
+            text = path.read_text()
+            for old, new in edits(mutant):
+                text = text.replace(old, new)
+            path.write_text(text)
         env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src"))}
         start = time.perf_counter()
         done = subprocess.run(COMMAND, cwd=tmp, env=env, text=True,
@@ -126,8 +153,8 @@ def run(mutant=None):
 def main(ids):
     chosen = [m for m in MUTANTS if not ids or m[0] in ids]
     bad = set(ids) - {m[0] for m in chosen} | {
-        m[0] for m in chosen
-        if (ROOT / "src/birkhoff" / m[2]).read_text().count(m[3]) != 1}
+        m[0] for m in chosen for old, _ in edits(m)
+        if (ROOT / "src/birkhoff" / m[2]).read_text().count(old) != 1}
     if bad:
         print("unknown, or text not found exactly once:", *sorted(bad))
         return 2

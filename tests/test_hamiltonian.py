@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from birkhoff._codec import _Codec
+from birkhoff._value import Value
 from birkhoff.evaluator import EvalConfig
 from birkhoff.hamiltonian import (
     GENERATOR_SCALE,
@@ -36,6 +37,19 @@ N0 = ResonanceConfig(0)
 
 def mono(u, ubar):
     return Monomial.of([(a,) for a in u], [(b,) for b in ubar])
+
+
+def unchecked(u, ubar):
+    """A ``Monomial`` of 1-D modes built past its constructor's checks,
+    as a caller's own value could be."""
+    m = Monomial.__new__(Monomial)
+    Value.__init__(m, tuple((a,) for a in u), tuple((b,) for b in ubar))
+    return m
+
+
+def packed(codec, m):
+    """The key of monomial m under codec."""
+    return codec.key(m.u, m.ubar)
 
 
 def kernel(lat, cutoff, entries):
@@ -503,7 +517,7 @@ class TestGroupTables:
         ubar = data.draw(blocks(lat, n))
         u = data.draw(st.one_of(st.just(ubar), blocks(lat, n)))
         m = Monomial.of(u, ubar)
-        orbit = {codec.encode(moved(m, g)) for g in gs}
+        orbit = {packed(codec, moved(m, g)) for g in gs}
         least = min(orbit)
         assert group.fold(dict.fromkeys(orbit, 1)) == {least: len(orbit)}
         for key in orbit:
@@ -513,7 +527,7 @@ class TestGroupTables:
             orbit, group.order)
         # σ maps the orbit onto the one of the swapped monomial, whose
         # least key the mirror finds; an orbit its own mirror is doubled
-        mirror = min(codec.encode(moved(Monomial(m.ubar, m.u), g))
+        mirror = min(packed(codec, moved(Monomial(m.ubar, m.u), g))
                      for g in gs)
         assert _mirror({least: 1}, group, -1) == (
             {least: 2} if mirror == least else {least: 1, mirror: 1})
@@ -659,7 +673,7 @@ class TestOrbits:
         # least key
         pair = [mono([1], [0]), mono([-1], [0])]
         k = declared(kernel(LAT1, 4, [(m, 1) for m in pair]), group, 0)
-        least = min(map(_codec_for(LAT1, 4).encode, pair))
+        least = min(packed(_codec_for(LAT1, 4), m) for m in pair)
         assert k.nums == {least: 2} and k.den == 1
         # at dim 2 (|G| = 8): u_e ubar_e over the four unit modes e, an
         # orbit of 4 with a stabilizer of 2, and the degree-8 monomial on
@@ -687,7 +701,7 @@ class TestOrbits:
         # expand gives each key c |G|, over the denominator
         assert {key: Fraction(v, k.den)
                 for key, v in k.group.expand(k.nums).items()} == {
-            codec.encode(m): 8 * c for m, c in terms.items()}
+            packed(codec, m): 8 * c for m, c in terms.items()}
 
 
 class TestSplitAndFilter:
@@ -785,7 +799,10 @@ class TestKernelValue:
             Kernel.of(LAT1, 4, {mono([2], [2]): 1})
         with pytest.raises(ValueError):
             Kernel(LAT1, 3, {})
-        key = _codec_for(LAT1, 4).encode(mono([1, 1, 1], [1, 1, 1]))
+        # u_1^3 ubar_1^3 by hand, since ``_Codec.key`` refuses it
+        codec = _codec_for(LAT1, 4)
+        j = codec.index[(1,)]
+        key = (6 << codec.shift) + 3 * (codec.u_units[j] + codec.ubar_units[j])
         with pytest.raises(ValueError, match="degree 6 above cutoff"):
             Kernel(LAT1, 4, {key: 1})
         # the only bad mode sits in the ubar of the second monomial
@@ -795,7 +812,7 @@ class TestKernelValue:
                 mono([0, 1], [-1, 2]): 1,
             })
         # a zero denominator, under a nonzero map and under an empty one
-        key = _codec_for(LAT1, 4).encode(mono([1], [1]))
+        key = packed(codec, mono([1], [1]))
         for nums in ({key: 1}, {}):
             with pytest.raises(ValueError, match="den must be nonzero"):
                 Kernel(LAT1, 4, nums, 0)
@@ -820,7 +837,7 @@ class TestKernelValue:
 
     def test_negative_den_moves_its_sign(self):
         codec = _codec_for(LAT2, 4)
-        a, b = (codec.encode(mono([1], [1])), codec.encode(mono([2], [2])))
+        a, b = (packed(codec, mono([1], [1])), packed(codec, mono([2], [2])))
         k = Kernel(LAT2, 4, {a: 1, b: -3}, -2)
         assert k == Kernel(LAT2, 4, {a: -1, b: 3}, 2)
         assert k.den == 2 and k.nums == {a: -1, b: 3}
@@ -839,17 +856,30 @@ class TestKernelValue:
             h1(LAT2, 6).with_cutoff(0)
 
     def test_zero_coefficients_get_no_pass(self):
-        # every monomial is checked before the zeros are dropped
+        # every monomial is checked before the zeros are dropped, and the
+        # ways in agree: ``of`` and ``from_json`` refuse it with one
+        # message, and ``coefficient`` reads 0.  Of two faults, the first
+        # of factor counts, degree and lattice is named.
+        assert 4 >> _codec_for(LAT1, 4).w  # an exponent 4 would carry
+        held = h1(LAT1, 4)
         for m, message in [
             (mono([2], [2]), r"mode \(2,\) outside lattice"),
             (mono([0, 0, 0], [0, 0, 0]), "degree 6 above cutoff"),
+            (mono([1] * 4, [1] * 4), "degree 8 above cutoff"),
+            (unchecked([0], [0, 0]), "equally many u and ubar"),
+            (mono([2] * 3, [2] * 3), "degree 6 above cutoff"),
+            (unchecked([2] * 3, [0, 0]), "equally many u and ubar"),
         ]:
-            with pytest.raises(ValueError, match=message):
-                Kernel.of(LAT1, 4, {m: Fraction(0)})
             data = Kernel.of(LAT1, 4, {mono([1], [1]): 1}).to_json()
             data["terms"].append({**m.to_json(), "re": "0", "im": "0"})
-            with pytest.raises(ValueError, match=message):
-                Kernel.from_json(data)
+            errors = []
+            for build in (lambda: Kernel.of(LAT1, 4, {m: Fraction(0)}),
+                          lambda: Kernel.from_json(data)):
+                with pytest.raises(ValueError, match=message) as caught:
+                    build()
+                errors.append(str(caught.value))
+            assert errors[0] == errors[1]
+            assert held.coefficient(m) == 0
 
     def test_zero_dropped(self):
         m = mono([1], [1])
@@ -937,7 +967,7 @@ def test_codec_round_trip(case):
     lat, cutoff, monomials = case
     codec = _codec_for(lat, cutoff)
     for m in monomials:
-        assert codec.monomial(codec.encode(m)) == m
+        assert codec.monomial(packed(codec, m)) == m
 
 
 @settings(max_examples=200, deadline=None)
@@ -945,7 +975,7 @@ def test_codec_round_trip(case):
 def test_key_order_is_degree_order(case):
     lat, cutoff, monomials = case
     codec = _codec_for(lat, cutoff)
-    keys = sorted(codec.encode(m) for m in monomials)
+    keys = sorted(packed(codec, m) for m in monomials)
     degrees = [codec.monomial(key).degree for key in keys]
     assert degrees == sorted(m.degree for m in monomials)
     k = Kernel.of(lat, cutoff, {m: 1 for m in monomials})
@@ -960,7 +990,7 @@ def test_codec_tables_match_direct_walk(case):
     codec = _codec_for(lat, cutoff)
     modes, w = lat.modes(), codec.w
     for m in monomials:
-        key = codec.encode(m)
+        key = packed(codec, m)
         blocks = (key & codec.block, key >> codec.ubar_shift & codec.block)
         for block, factors in zip(blocks, (m.u, m.ubar)):
             walk = [(j, block >> (w * j) & codec.mask)

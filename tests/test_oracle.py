@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -339,17 +340,26 @@ class TestCentralVerification:
             assert cancellation_check(f).is_zero
 
 
+@functools.cache
+def built(dim, K_radius):
+    """One cutoff-8 build per lattice, which the invariant tests read:
+    the order-2 normal form ledger, the F_1 and F_2 ledgers, the oracle
+    and the recursion's generators."""
+    cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
+    return (normal_form(2, cfg), [f_transform(i, cfg) for i in (1, 2)],
+            birkhoff_iterate(2, cfg), list(generators_from_recursion(2, cfg)))
+
+
 class TestInvariants:
     @pytest.mark.parametrize("dim,K_radius", [(1, 2), (2, 1)])
     def test_zero_real_part(self, dim, K_radius):
         # a Kernel stores only the rational c of each i*c, so this holds
         # by construction; it pins that items() reports c as a Fraction
         # and that to_json writes real part "0"
-        cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
-        ledger = normal_form(2, cfg)
+        ledger, _, oracle, _ = built(dim, K_radius)
         kernels = [e.kernel for e in ledger.entries] + [
             ledger.total,
-            birkhoff_iterate(2, cfg).normal_form,
+            oracle.normal_form,
         ]
         for kernel in kernels:
             assert all(type(c) is Fraction for _, c in kernel.items())
@@ -359,13 +369,9 @@ class TestInvariants:
     def test_zero_momentum(self, dim, K_radius):
         # h0 and h1 conserve momentum, and so does every bracket, filter
         # and split built on them
-        cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
-        ledgers = [normal_form(2, cfg), f_transform(1, cfg),
-                   f_transform(2, cfg)]
-        oracle = birkhoff_iterate(2, cfg)
-        kernels = [oracle.normal_form, *oracle.f_list,
-                   *generators_from_recursion(2, cfg)]
-        for ledger in ledgers:
+        nf, transforms, oracle, generators = built(dim, K_radius)
+        kernels = [oracle.normal_form, *oracle.f_list, *generators]
+        for ledger in [nf, *transforms]:
             assert ledger.entries
             kernels += [e.kernel for e in ledger.entries] + [ledger.total]
         zero = (0,) * dim
@@ -378,15 +384,13 @@ class TestInvariants:
     def test_swap_parity(self, dim, K_radius):
         # swapping u and ubar in a monomial keeps its coefficient on the
         # normal form side and flips its sign on the generator side
-        cfg = make_cfg(K_radius=K_radius, cutoff=8, dim=dim)
-        ledger = normal_form(2, cfg)
+        ledger, transforms, oracle, generators = built(dim, K_radius)
         even = [e.kernel for e in ledger.entries] + [
             ledger.total,
-            birkhoff_iterate(2, cfg).normal_form,
+            oracle.normal_form,
         ]
-        odd = list(generators_from_recursion(2, cfg))
-        for i in (1, 2):
-            transform = f_transform(i, cfg)
+        odd = list(generators)
+        for transform in transforms:
             odd += [e.kernel for e in transform.entries] + [transform.total]
         for s, kernels in ((1, even), (-1, odd)):
             for kernel in kernels:

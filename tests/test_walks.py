@@ -6,9 +6,11 @@ Python's recursion limit, and a new self-call anywhere fails here.  No
 module but ``_value.py`` calls ``object.__setattr__``: every value class
 sets its fields through ``Value.__init__``.  ``Kernel.__init__`` calls no
 ``fold``, ``expand`` or ``sizes``: a kernel takes the group its producer
-declares and never tests a map for symmetry.  And the orbit walks read
+declares and never tests a map for symmetry.  The orbit walks read
 tables: ``_mirror`` folds nothing, and ``_Group.fold``'s loop neither
-builds a sequence nor takes a ``min``."""
+builds a sequence nor takes a ``min``.  And ``_Codec.key`` is the one
+way from modes to a key: outside ``_codec.py`` only the bracket's
+``_index`` and ``_contract`` read a codec's unit tables."""
 
 import ast
 from pathlib import Path
@@ -112,3 +114,20 @@ def test_fold_loop_reads_tables():
                                      ast.GeneratorExp))
                    for node in ast.walk(loop))
     assert "min" not in called(loop)
+
+
+def unit_readers(source):
+    """The names of the functions that read a ``unit``, ``u_units`` or
+    ``ubar_units`` attribute, with those of any functions around them."""
+    return {fn.name for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(node, ast.Attribute)
+                    and node.attr in ("unit", "u_units", "ubar_units")
+                    for node in ast.walk(fn))}
+
+
+def test_only_the_bracket_reads_unit_tables():
+    readers = {p.name: unit_readers(p.read_text(encoding="utf-8"))
+               for p in sorted(SRC.glob("*.py")) if p.name != "_codec.py"}
+    assert {name: fns for name, fns in readers.items() if fns} == {
+        "hamiltonian.py": {"_index", "_contract"}}

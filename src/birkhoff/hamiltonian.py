@@ -176,16 +176,16 @@ class Kernel:
     A kernel from outside (``Kernel.of``, ``from_json``) and a sum of
     kernels under two groups hold every key, under the trivial group.
     At the boundary every orbit is expanded, and only there is its sum
-    divided by its size: ``items()``, ``json_text``'s pieces, ``support()`` and
-    ``len()`` see one monomial per key, as if the full map were held, so
-    ``len()`` counts monomials, not orbits; ``coefficient()`` folds one
-    key onto its representative, and ``==`` compares two kernels of
-    different groups by their full maps.  At the boundary a coefficient
+    divided by its size: ``items()``, ``json_text``'s pieces, ``support()``
+    and ``len()`` see one monomial per key, as if the full map were held, so
+    ``len()`` counts monomials, not orbits; ``coefficient()`` folds one key
+    onto its representative.  ``==`` is the zero test of the difference, as
+    in ``compare``, whatever the two groups.  At the boundary a coefficient
     is the ``Fraction`` c that stands for i*c: ``Kernel.of`` takes a
     Monomial -> c map, ``items()`` and ``coefficient()`` return c, and
-    ``from_json`` reads c from the "im" string of each term and refuses
-    an "re" that does not read as zero.  The cutoff ``max_degree`` is
-    even, and no monomial exceeds it.
+    ``from_json`` reads c from the "im" string of each term and refuses an
+    "re" that does not read as zero.  The cutoff ``max_degree`` is even, and
+    no monomial exceeds it.
 
     σ swaps u and ubar in every monomial.  ``swap_parity()`` is the
     parity its producer declared: s = ±1 when σA = sA, 0 when none is
@@ -237,14 +237,18 @@ class Kernel:
            terms: Mapping[Monomial, Rational]) -> "Kernel":
         """The kernel with coefficient i*c on each monomial m, for the
         rationals c = terms[m]; the inverse of ``items()``.  Every
-        coefficient and monomial is checked, in the map's order, then
-        zeros are dropped."""
-        key = _codec_for(lattice, max_degree).key
+        coefficient and monomial is checked, in the map's order, and a
+        monomial listed twice (its factors in another order) is refused;
+        then zeros are dropped."""
+        codec = _codec_for(lattice, max_degree)
         held = {}
         for m, c in terms.items():
             if not isinstance(c, Rational):
                 raise TypeError(f"coefficient {c!r} is not rational")
-            held[key(m.u, m.ubar)] = c
+            key = codec.key(m.u, m.ubar)
+            if key in held:
+                raise ValueError(f"monomial {codec.monomial(key)} listed twice")
+            held[key] = c
         den = math.lcm(*(c.denominator for c in held.values()))
         return Kernel(lattice, max_degree, {
             k: c.numerator * (den // c.denominator) for k, c in held.items()
@@ -375,14 +379,7 @@ class Kernel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Kernel):
             return NotImplemented
-        if self._codec is not other._codec:
-            return False
-        if self.group is other.group:
-            return self.den == other.den and self.nums == other.nums
-        trivial = self._codec.trivial
-        (a, da), (b, db) = self._held(trivial), other._held(trivial)
-        return a.keys() == b.keys() and all(
-            c * db == b[key] * da for key, c in a.items())
+        return self._codec is other._codec and (self - other).is_zero
 
     def __repr__(self) -> str:
         return f"Kernel({len(self)} terms, cutoff {self.max_degree})"

@@ -168,7 +168,6 @@ def compare(a: Kernel, b: Kernel) -> DiffReport:
     ties go to the smaller ``Monomial.sort_key``, so the report does not
     depend on the order the kernels were built in.
     """
-    a._check_compatible(b)
     residual = a - b
     # items() is in sort_key order, and a stable sort keeps it among ties
     ranked = sorted(residual.items(), key=lambda mc: abs(mc[1]), reverse=True)

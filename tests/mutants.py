@@ -82,7 +82,6 @@ MUTANTS = [  # (id, change, file, text, replacement, ...)
      "key >> ubar_shift & block"),
     ("rows-division", 26, H, "value(c, self.den * n)", "value(c, self.den)"),
     ("coefficient-division", 26, H, "0), self.den * n)", "0), self.den)"),
-    ("eq-subset", 26, H, "a.keys() == b.keys()", "a.keys() <= b.keys()"),
     ("value-arity", 27, "_value.py", "if len(values) != len(self.__slots__)",
      "if False"),
     ("h1-trivial-group", 28, H, "codec.group.fold(nums), 4, codec.group",
@@ -115,8 +114,13 @@ MUTANTS = [  # (id, change, file, text, replacement, ...)
     ("compatible-by-modes", 32, H, "_codec is not other._codec:\n"
      "            raise", "_codec.modes != other._codec.modes:\n"
      "            raise"),
-    ("eq-by-modes", 32, H, "_codec is not other._codec:\n            return",
-     "_codec.modes != other._codec.modes:\n            return"),
+    ("eq-by-modes", 32, H, "_codec is other._codec and",
+     "_codec.modes == other._codec.modes and"),
+    ("of-duplicate-kept", 33, H, "            if key in held:\n"
+     "                raise", "            if False:\n                raise"),
+    ("add-mixed-keeps-group", 33, H, "group = (self.group if self.group is "
+     "other.group\n                 else self._codec.trivial)",
+     "group = self.group"),
 ]
 
 

@@ -881,6 +881,23 @@ class TestKernelValue:
             assert errors[0] == errors[1]
             assert held.coefficient(m) == 0
 
+    def test_monomial_listed_twice(self):
+        # two orderings of one monomial's factors pack to one key; ``of``
+        # refuses the second, as ``from_json`` does, rather than keep it
+        first = Monomial(((1,), (0,)), ((0,), (1,)))
+        again = Monomial(((0,), (1,)), ((0,), (1,)))
+        assert first != again
+        data = Kernel.of(LAT1, 4, {}).to_json()
+        data["terms"] = [{**m.to_json(), "re": "0", "im": str(c)}
+                         for m, c in ((first, 1), (again, 2))]
+        errors = []
+        for build in (lambda: Kernel.of(LAT1, 4, {first: 1, again: 2}),
+                      lambda: Kernel.from_json(data)):
+            with pytest.raises(ValueError, match="listed twice") as caught:
+                build()
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
     def test_zero_dropped(self):
         m = mono([1], [1])
         k = Kernel.of(LAT1, 4, {m: Fraction(0)})

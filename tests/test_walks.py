@@ -6,9 +6,10 @@ Python's recursion limit, and a new self-call anywhere fails here.  No
 module but ``_value.py`` calls ``object.__setattr__``: every value class
 sets its fields through ``Value.__init__``.  ``Kernel.__init__`` calls no
 ``fold``, ``expand`` or ``sizes``: a kernel takes the group its producer
-declares and never tests a map for symmetry.  The orbit walks read
-tables: ``_mirror`` folds nothing, and ``_Group.fold``'s loop neither
-builds a sequence nor takes a ``min``.  And ``_Codec.key`` is the one
+declares and never tests a map for symmetry.  ``Kernel.__eq__`` reads no
+map of its own: it tests the difference for zero, as ``compare`` does.
+The orbit walks read tables: ``_mirror`` folds nothing, and
+``_Group.fold``'s loop neither builds a sequence nor takes a ``min``.  And ``_Codec.key`` is the one
 way from modes to a key: outside ``_codec.py`` only the bracket's
 ``_index`` and ``_contract`` read a codec's unit tables."""
 
@@ -105,6 +106,17 @@ def test_kernel_constructor_tests_no_symmetry():
 
 def test_mirror_folds_nothing():
     assert "fold" not in called(function("hamiltonian.py", "_mirror"))
+
+
+def test_equality_is_the_difference():
+    # one path: ``==`` is ``-`` and ``is_zero``, as ``compare`` decides it
+    eq = function("hamiltonian.py", "__eq__", "Kernel")
+    read = {node.attr for node in ast.walk(eq)
+            if isinstance(node, ast.Attribute)}
+    assert read & {"nums", "den", "_held"} == set()
+    assert called(eq) == {"isinstance"}
+    assert any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+               for node in ast.walk(eq))
 
 
 def test_fold_loop_reads_tables():
